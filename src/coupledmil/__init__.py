@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .bagdata import (
     Bag,
     Dataset,
-    Instance,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -27,7 +26,6 @@ __all__ = [
     "Bag",
     "Dataset",
     "EvalResult",
-    "Instance",
     "MilModel",
     "ModelConfig",
     "RunReport",

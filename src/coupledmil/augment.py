@@ -9,11 +9,11 @@ to A, so the fused bag always carries exactly n pseudo-bags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bagdata import Bag, Instance, partition_pseudobags
+from .bagdata import Bag, partition_pseudobags
 
 
 @dataclass
@@ -40,29 +40,15 @@ class Provenance:
     source_b: str | None
     lam: float
     mask: tuple[int, ...]          # per slot: 1 = kept from A, 0 = kept from B
-    origins: list = field(default_factory=list)  # (source id, instance index) per instance
+    rows_a: np.ndarray             # source_a instance indices, in fused order
+    rows_b: np.ndarray             # source_b instance indices, after rows_a
     kept_a_groups: int = 0
     kept_b_groups: int = 0
 
 
-@dataclass(eq=False)
-class AugmentedBag:
-    id: str
-    instances: list[Instance]
-    label: np.ndarray
+@dataclass(eq=False, kw_only=True)
+class AugmentedBag(Bag):
     provenance: Provenance
-
-    def __post_init__(self):
-        if len(self.instances) < 1:
-            raise ValueError(f"augmented bag {self.id!r} has no instances")
-        self.label = np.asarray(self.label, dtype=np.float64).ravel()
-        if (self.label < -1e-12).any() or (self.label > 1 + 1e-12).any():
-            raise ValueError(f"augmented bag {self.id!r} label outside [0, 1]")
-        if abs(self.label.sum() - 1.0) > 1e-9:
-            raise ValueError(f"augmented bag {self.id!r} label does not sum to 1")
-
-    def __len__(self) -> int:
-        return len(self.instances)
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
@@ -85,59 +71,39 @@ def _draw_mask(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
     return mask
 
 
-def _gather(bag, groups, keep_slots) -> tuple[list[Instance], list]:
-    instances: list[Instance] = []
-    origins: list = []
-    for slot in keep_slots:
-        for idx in groups[slot]:
-            instances.append(bag.instances[idx])
-            origins.append((bag.id, idx))
-    return instances, origins
-
-
-def _fallback_nonempty(bag, groups, rng) -> tuple[list[Instance], list, int]:
-    # all kept slots were empty; keep one uniformly chosen non-empty group
-    nonempty = [i for i, g in enumerate(groups) if g]
-    slot = int(rng.choice(nonempty))
-    inst, origins = _gather(bag, groups, [slot])
-    return inst, origins, slot
+def _rows(groups, slots) -> np.ndarray:
+    # instance indices of the given slots, slot by slot
+    return np.concatenate([np.empty(0, dtype=np.int64), *(groups[s] for s in slots)])
 
 
 def mixup_bags(a: Bag, b: Bag, lam: float, config: AugmentConfig,
-               rng: np.random.Generator, partitions=None) -> AugmentedBag:
+               rng: np.random.Generator) -> AugmentedBag:
     """Fuse masked pseudo-bags of two distinct bags.
 
     Label modes: `lambda_weighted` mixes labels as lam*y_A + (1-lam)*y_B;
     `kept_fraction` weights each label by that source's share of kept slots.
-    Fresh partitions are drawn per call unless a fixed pair is supplied.
+    Fresh partitions are drawn per call.
     """
     if a.id == b.id:
         raise ValueError(f"mixup requires two distinct bags, got {a.id!r} twice")
     n = config.n
-    if partitions is None:
-        part_a = partition_pseudobags(a, n, rng)
-        part_b = partition_pseudobags(b, n, rng)
-    else:
-        part_a, part_b = partitions
-        if len(part_a.groups) != n or len(part_b.groups) != n:
-            raise ValueError(
-                f"supplied partitions have {len(part_a.groups)}/{len(part_b.groups)} "
-                f"groups, config expects {n}"
-            )
+    groups_a = partition_pseudobags(a, n, rng)
+    groups_b = partition_pseudobags(b, n, rng)
     mask = _draw_mask(n, lam, rng)
     keep_a = [i for i in range(n) if mask[i] == 1]
     keep_b = [i for i in range(n) if mask[i] == 0]
 
-    inst_a, orig_a = _gather(a, part_a.groups, keep_a)
-    inst_b, orig_b = _gather(b, part_b.groups, keep_b)
-    instances = inst_a + inst_b
-    origins = orig_a + orig_b
-    if not instances:
+    rows_a = _rows(groups_a, keep_a)
+    rows_b = _rows(groups_b, keep_b)
+    if rows_a.size + rows_b.size == 0:
         # both kept sides empty (tiny bags); keep one non-empty group overall
-        pool = [(a, part_a.groups, i) for i, g in enumerate(part_a.groups) if g]
-        pool += [(b, part_b.groups, i) for i, g in enumerate(part_b.groups) if g]
-        src, groups, slot = pool[int(rng.integers(len(pool)))]
-        instances, origins = _gather(src, groups, [slot])
+        pool = [(0, i) for i, g in enumerate(groups_a) if g.size]
+        pool += [(1, i) for i, g in enumerate(groups_b) if g.size]
+        side, slot = pool[int(rng.integers(len(pool)))]
+        if side == 0:
+            rows_a = groups_a[slot]
+        else:
+            rows_b = groups_b[slot]
 
     if config.label_mode == "lambda_weighted":
         label = lam * a.label + (1.0 - lam) * b.label
@@ -146,42 +112,48 @@ def mixup_bags(a: Bag, b: Bag, lam: float, config: AugmentConfig,
 
     prov = Provenance(
         source_a=a.id, source_b=b.id, lam=lam, mask=tuple(int(m) for m in mask),
-        origins=origins, kept_a_groups=len(keep_a), kept_b_groups=len(keep_b),
+        rows_a=rows_a, rows_b=rows_b,
+        kept_a_groups=len(keep_a), kept_b_groups=len(keep_b),
     )
     return AugmentedBag(
-        id=f"mix({a.id},{b.id})", instances=instances, label=label, provenance=prov,
+        id=f"mix({a.id},{b.id})",
+        features=np.concatenate([a.features[rows_a], b.features[rows_b]]),
+        label=label, provenance=prov,
     )
 
 
 def masked_single_bag(b: Bag, lam: float, config: AugmentConfig,
-                      rng: np.random.Generator, partition=None) -> AugmentedBag:
+                      rng: np.random.Generator) -> AugmentedBag:
     """The single-masked-bag branch: keep floor(lam*n) pseudo-bags of `b`,
     labeled y_B. Falls back to one non-empty group if the mask empties the bag."""
     n = config.n
-    part = partition_pseudobags(b, n, rng) if partition is None else partition
+    groups = partition_pseudobags(b, n, rng)
     mask = _draw_mask(n, lam, rng)
     keep = [i for i in range(n) if mask[i] == 0]
-    instances, origins = _gather(b, part.groups, keep)
-    if not instances:
-        instances, origins, slot = _fallback_nonempty(b, part.groups, rng)
+    rows = _rows(groups, keep)
+    if rows.size == 0:
+        # all kept slots were empty; keep one uniformly chosen non-empty group
+        slot = int(rng.choice([i for i, g in enumerate(groups) if g.size]))
+        rows = groups[slot]
         keep = [slot]
     prov = Provenance(
         source_a=b.id, source_b=None, lam=lam, mask=tuple(int(m) for m in mask),
-        origins=origins, kept_a_groups=0, kept_b_groups=len(keep),
+        rows_a=rows, rows_b=np.empty(0, dtype=np.int64),
+        kept_a_groups=0, kept_b_groups=len(keep),
     )
     return AugmentedBag(
-        id=f"masked({b.id})", instances=instances, label=b.label.copy(), provenance=prov,
+        id=f"masked({b.id})", features=b.features[rows], label=b.label.copy(),
+        provenance=prov,
     )
 
 
 def augment_pair(a: Bag, b: Bag, config: AugmentConfig,
-                 rng: np.random.Generator, partitions=None) -> AugmentedBag:
+                 rng: np.random.Generator) -> AugmentedBag:
     """Sample lambda and either return the masked B (probability gamma) or the
     mix-up fusion of the pair."""
     if a.id == b.id:
         raise ValueError(f"augmentation requires two distinct bags, got {a.id!r} twice")
     lam = sample_lambda(config.alpha_beta, rng)
     if rng.random() < config.gamma:
-        return masked_single_bag(b, lam, config, rng,
-                                 None if partitions is None else partitions[1])
-    return mixup_bags(a, b, lam, config, rng, partitions)
+        return masked_single_bag(b, lam, config, rng)
+    return mixup_bags(a, b, lam, config, rng)

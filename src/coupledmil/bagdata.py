@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,39 +38,41 @@ _quantize_vec = np.vectorize(_quantize, otypes=[np.float64])
 
 
 @dataclass(eq=False)
-class Instance:
-    """One element of a bag. `latent_positive` is generator-side ground truth,
+class Bag:
+    """K instances stored as one K x d feature matrix, with a soft label over
+    C classes. `latent_positive` is per-instance generator-side ground truth,
     present only for synthetic data and never serialized."""
 
-    features: np.ndarray
-    latent_positive: bool | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64).ravel()
-
-
-@dataclass(eq=False)
-class Bag:
     id: str
-    instances: list[Instance]
-    label: np.ndarray  # soft label over C classes
+    features: np.ndarray
+    label: np.ndarray
+    latent_positive: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.instances) < 1:
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise ValueError(
+                f"bag {self.id!r} features must be a K x d matrix, "
+                f"got shape {self.features.shape}"
+            )
+        if self.features.shape[0] < 1:
             raise ValueError(f"bag {self.id!r} has no instances")
+        if not np.isfinite(self.features).all():
+            raise ValueError(f"bag {self.id!r} has non-finite features")
         self.label = np.asarray(self.label, dtype=np.float64).ravel()
-        if (self.label < -1e-12).any() or (self.label > 1 + 1e-12).any():
+        if not ((self.label >= -1e-12) & (self.label <= 1 + 1e-12)).all():  # NaN fails too
             raise ValueError(f"bag {self.id!r} has label entries outside [0, 1]")
         if abs(self.label.sum() - 1.0) > 1e-9:
             raise ValueError(f"bag {self.id!r} label does not sum to 1")
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.features.shape[0]
 
 
 def features_matrix(bag) -> np.ndarray:
-    """K x d matrix of a bag's instance features."""
-    return np.stack([inst.features for inst in bag.instances])
+    """K x d matrix of a bag's instance features. A named call, so that
+    perfbench's tracer can count where bags are read as matrices."""
+    return bag.features
 
 
 @dataclass
@@ -93,44 +95,22 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
     for x, y in zip(a.bags, b.bags):
         if x.id != y.id or not np.array_equal(x.label, y.label):
             return False
-        if len(x) != len(y):
+        if not np.array_equal(x.features, y.features):
             return False
-        for ix, iy in zip(x.instances, y.instances):
-            if not np.array_equal(ix.features, iy.features):
-                return False
     return True
 
 
-@dataclass
-class PseudoBagPartition:
-    """Balanced random split of a bag's instance indices into n groups."""
+def partition_pseudobags(bag, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Uniformly random partition of a bag's instance indices into n groups
+    with sizes differing by <= 1, larger groups first.
 
-    bag_id: str
-    groups: list[list[int]]
-
-    @property
-    def num_empty(self) -> int:
-        return sum(1 for g in self.groups if not g)
-
-
-def partition_pseudobags(bag, n: int, rng: np.random.Generator) -> PseudoBagPartition:
-    """Uniformly random partition into n groups with sizes differing by <= 1.
-
-    Bags smaller than n yield singleton groups plus empty ones (flagged via
-    `num_empty`); indices are sorted within each group.
+    Bags smaller than n yield singleton groups plus empty ones; indices are
+    sorted within each group.
     """
     if n < 1:
         raise ValueError(f"pseudo-bag count must be >= 1, got {n}")
-    k = len(bag.instances)
-    order = rng.permutation(k)
-    base, extra = divmod(k, n)
-    groups: list[list[int]] = []
-    start = 0
-    for g in range(n):
-        size = base + (1 if g < extra else 0)
-        groups.append(sorted(int(i) for i in order[start:start + size]))
-        start += size
-    return PseudoBagPartition(bag.id, groups)
+    order = rng.permutation(len(bag))
+    return [np.sort(group) for group in np.array_split(order, n)]
 
 
 @dataclass
@@ -199,13 +179,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         flags = np.zeros(k, dtype=bool)
         flags[:n_pos] = True
         rng.shuffle(flags)
-        instances = []
-        for flag in flags:
-            mean = mean_pos if flag else mean_neg
-            feats = mean + spec.noise * rng.standard_normal(d)
-            instances.append(Instance(_quantize_vec(feats), latent_positive=bool(flag)))
+        means = np.where(flags[:, None], mean_pos, mean_neg)
+        feats = _quantize_vec(means + spec.noise * rng.standard_normal((k, d)))
         label = np.array([0.0, 1.0]) if positive else np.array([1.0, 0.0])
-        bags.append(Bag(id=f"bag{b:04d}", instances=instances, label=label))
+        bags.append(Bag(id=f"bag{b:04d}", features=feats, label=label,
+                        latent_positive=flags))
     return Dataset(bags=bags, d_raw=d, num_classes=2)
 
 
@@ -219,30 +197,75 @@ def save_dataset(ds: Dataset, path) -> None:
             record = {
                 "id": bag.id,
                 "label": [float(v) for v in bag.label],
-                "features": [
-                    [_quantize(v) for v in inst.features] for inst in bag.instances
-                ],
+                "features": [[_quantize(v) for v in row] for row in bag.features],
             }
             fh.write(json.dumps(record) + "\n")
 
 
+def _manifest_int(manifest: dict, key: str, minimum: int) -> int:
+    value = manifest[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise DatasetParseError(
+            f"manifest {key!r} must be an integer >= {minimum}, got {value!r}", 1
+        )
+    return value
+
+
+def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
+    try:
+        rec = json.loads(raw)
+        bag_id = rec["id"]
+        features = np.asarray(rec["features"])
+        label = np.asarray(rec["label"])
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise DatasetParseError(f"bad record: {exc}", lineno) from exc
+    if not isinstance(bag_id, str):
+        raise DatasetParseError(f"bag id must be a string, got {bag_id!r}", lineno)
+    for name, arr in (("features", features), ("label", label)):
+        if arr.dtype.kind not in "iuf":
+            raise DatasetParseError(f"{name} must be numeric, got {arr.dtype}", lineno)
+    try:
+        bag = Bag(id=bag_id, features=features, label=label)
+    except ValueError as exc:
+        raise DatasetParseError(str(exc), lineno) from exc
+    if bag.label.size != num_classes:
+        raise DatasetSchemaError(
+            f"line {lineno}: label length {bag.label.size} != C={num_classes}"
+        )
+    if bag.features.shape[1] != d_raw:
+        raise DatasetSchemaError(
+            f"line {lineno}: feature length {bag.features.shape[1]} != d_raw={d_raw}"
+        )
+    return bag
+
+
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; raises DatasetParseError (with line number) on
-    malformed or truncated input, DatasetSchemaError on manifest mismatches."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    malformed, truncated or non-finite input, DatasetSchemaError on records
+    that contradict the manifest."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(
+            f"not UTF-8: {exc.reason}", blob[:exc.start].count(b"\n") + 1
+        ) from exc
+    lines = text.splitlines()
     if not lines:
         raise DatasetParseError("missing manifest", 1)
     try:
         manifest = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"bad manifest: {exc.msg}", 1) from exc
+    except (ValueError, RecursionError) as exc:
+        raise DatasetParseError(f"bad manifest: {exc}", 1) from exc
+    if not isinstance(manifest, dict):
+        raise DatasetParseError("manifest must be a JSON object", 1)
     for key in ("d_raw", "C", "count"):
         if key not in manifest:
             raise DatasetParseError(f"manifest missing {key!r}", 1)
-    d_raw = int(manifest["d_raw"])
-    num_classes = int(manifest["C"])
-    count = int(manifest["count"])
+    d_raw = _manifest_int(manifest, "d_raw", 1)
+    num_classes = _manifest_int(manifest, "C", 2)  # class 1 is the positive class
+    count = _manifest_int(manifest, "count", 0)
     if len(lines) - 1 < count:
         raise DatasetParseError(
             f"truncated file: manifest promises {count} records, found {len(lines) - 1}",
@@ -253,31 +276,8 @@ def load_dataset(path) -> Dataset:
             f"trailing data: manifest promises {count} records, found {len(lines) - 1}",
             count + 2,
         )
-    bags = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(f"bad record: {exc.msg}", lineno) from exc
-        try:
-            bag_id = rec["id"]
-            label = np.asarray(rec["label"], dtype=np.float64)
-            feats = rec["features"]
-        except (KeyError, TypeError) as exc:
-            raise DatasetParseError(f"bad record structure: {exc}", lineno) from exc
-        if label.size != num_classes:
-            raise DatasetSchemaError(
-                f"line {lineno}: label length {label.size} != C={num_classes}"
-            )
-        instances = []
-        for row in feats:
-            vec = np.asarray(row, dtype=np.float64)
-            if vec.size != d_raw:
-                raise DatasetSchemaError(
-                    f"line {lineno}: feature length {vec.size} != d_raw={d_raw}"
-                )
-            instances.append(Instance(vec))
-        bags.append(Bag(id=bag_id, instances=instances, label=label))
+    bags = [_parse_record(raw, lineno, d_raw, num_classes)
+            for lineno, raw in enumerate(lines[1:], start=2)]
     return Dataset(bags=bags, d_raw=d_raw, num_classes=num_classes)
 
 

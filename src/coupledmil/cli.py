@@ -75,7 +75,7 @@ _OVERRIDE_KEYS = (
     "classifier_epochs", "classifier_lr", "embedder_lr", "batch_size",
     "embedder_passes", "augment_ratio", "augment_n", "augment_alpha",
     "augment_gamma", "augment_label_mode", "noise_scale", "noise_dropout",
-    "threshold", "threads",
+    "threshold",
 )
 
 
@@ -159,11 +159,14 @@ def cmd_eval(args) -> int:
 
     bags = dataset.bags
     if args.split != "all":
-        config = TrainConfig(seed=args.seed, fractions=tuple(args.fractions))
+        try:
+            config = TrainConfig(seed=args.seed, fractions=tuple(args.fractions))
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_USAGE)
         train, val, test = split_for_run(dataset, config)
         bags = {"train": train, "val": val, "test": test}[args.split].bags
     try:
-        result = evaluate(model, bags, args.threshold, args.threads)
+        result = evaluate(model, bags, args.threshold)
     except MetricError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     except ValueError as exc:
@@ -266,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
     tr.add_argument("--noise-dropout", dest="noise_dropout", type=float, default=None)
     tr.add_argument("--threshold", type=float, default=None)
-    tr.add_argument("--threads", type=int, default=None)
     tr.add_argument("--fractions", type=float, nargs=3, default=None,
                     metavar=("TRAIN", "VAL", "TEST"))
     tr.add_argument("--hidden", type=int, nargs="+", default=None)
@@ -287,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fractions", type=float, nargs=3, default=(0.7, 0.1, 0.2),
                     metavar=("TRAIN", "VAL", "TEST"))
     ev.add_argument("--threshold", type=float, default=0.5)
-    ev.add_argument("--threads", type=int, default=1)
     ev.add_argument("--out", default=None, help="also write the result as JSON")
     ev.set_defaults(func=cmd_eval)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import LOG_FLOOR, Adam, softmax_rows
+from .gradcore import LOG_FLOOR, Adam, kl_rows, softmax_rows
 from .milnet import BagClassifier, Embedder, MilModel
 
 
@@ -67,13 +67,6 @@ def noisy_augment(x: np.ndarray, noise: NoiseConfig,
     if noise.dropout > 0:
         out[rng.random(x.shape) < noise.dropout] = 0.0
     return out
-
-
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # row-wise KL(p || q) with the same clamping as gradcore.kl_divergence
-    qc = np.maximum(q, LOG_FLOOR)
-    terms = np.where(p > 0, p * (np.log(np.maximum(p, LOG_FLOOR)) - np.log(qc)), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)
 
 
 class TeacherBranch:
@@ -160,7 +153,7 @@ def consistency_loss(teacher: TeacherBranch, student: StudentBranch,
     """Mean KL(teacher(x) || student(x_noised)) over instances."""
     p = teacher.instance_probs(x)
     q = student.instance_probs(x_noised)
-    return float(_kl_rows(p, q).mean())
+    return float(kl_rows(p, q).mean())
 
 
 def weight_similarity_loss(teacher_clf: BagClassifier, student_clf: BagClassifier,
@@ -170,7 +163,7 @@ def weight_similarity_loss(teacher_clf: BagClassifier, student_clf: BagClassifie
     softmax output divergence."""
     p = softmax_rows(teacher_clf.logits(h_teacher))
     q = softmax_rows(student_clf.logits(h_teacher))
-    return float(_kl_rows(p, q).mean())
+    return float(kl_rows(p, q).mean())
 
 
 def distill_step(teacher: TeacherBranch, student: StudentBranch,
@@ -191,8 +184,8 @@ def distill_step(teacher: TeacherBranch, student: StudentBranch,
     z_w = student.classifier.logits(h_t)
     q_w = softmax_rows(z_w)
 
-    l_c = _kl_rows(p_t, q_c)
-    l_w = _kl_rows(p_t, q_w)
+    l_c = kl_rows(p_t, q_c)
+    l_w = kl_rows(p_t, q_w)
     loss = float((conf * (l_c + alpha_w * l_w)).mean())
 
     dz_c = (conf / n)[:, None] * (q_c - p_t)

@@ -81,9 +81,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
 
 
-ACTIVATIONS = ("tanh", "sigmoid")
-
-
 def activation_forward(x: Tensor2, kind: str) -> Tensor2:
     if kind == "tanh":
         return np.tanh(x)
@@ -121,22 +118,27 @@ def softmax_rows(z: Tensor2) -> Tensor2:
 def _check_distribution(v: np.ndarray, name: str) -> None:
     if (v < 0).any():
         raise ValueError(f"{name} has negative entries")
-    if abs(v.sum() - 1.0) > 1e-6:
+    if not abs(v.sum() - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(f"{name} does not sum to 1 (sum={v.sum()!r})")
 
 
+def kl_rows(p: Tensor2, q: Tensor2) -> np.ndarray:
+    """Row-wise KL(p_i || q_i); zero-probability terms of p drop out and both
+    logs are clamped at LOG_FLOOR."""
+    qc = np.maximum(q, LOG_FLOOR)
+    terms = np.where(p > 0, p * (np.log(np.maximum(p, LOG_FLOOR)) - np.log(qc)), 0.0)
+    return np.maximum(terms.sum(axis=1), 0.0)  # guard against sign noise when p ~ q
+
+
 def kl_divergence(p, q) -> float:
-    """KL(p || q) = sum_c p_c log(p_c / q_c); zero-probability terms drop out."""
+    """KL(p || q) = sum_c p_c log(p_c / q_c) of two distributions."""
     p = np.asarray(p, dtype=np.float64).ravel()
     q = np.asarray(q, dtype=np.float64).ravel()
     if p.shape != q.shape:
         raise ValueError(f"kl_divergence: length mismatch {p.size} vs {q.size}")
     _check_distribution(p, "p")
     _check_distribution(q, "q")
-    mask = p > 0
-    qc = np.maximum(q[mask], LOG_FLOOR)
-    total = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(qc))))
-    return max(total, 0.0)  # guard against sign noise when p ~ q
+    return float(kl_rows(p[None, :], q[None, :])[0])
 
 
 def cross_entropy(pred, target) -> float:

@@ -39,6 +39,8 @@ def _validate_binary(scores, labels):
         raise ValueError(f"length mismatch: {scores.size} scores, {labels.size} labels")
     if scores.size == 0:
         raise ValueError("no samples")
+    if not np.isfinite(scores).all():
+        raise MetricError(f"{int((~np.isfinite(scores)).sum())} non-finite scores")
     return scores, labels
 
 

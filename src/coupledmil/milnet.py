@@ -57,10 +57,6 @@ class Embedder:
         return self.dims[0]
 
     @property
-    def out_dim(self) -> int:
-        return self.dims[-1]
-
-    @property
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer]
 
@@ -242,6 +238,24 @@ class ModelConfig:
             raise ValueError(
                 f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}"
             )
+        dims = (self.d_raw, *self.hidden, self.embed_dim, self.attn_dim, self.num_classes)
+        if min(dims) < 1:
+            raise ValueError(f"model dimensions must be >= 1, got {dims}")
+        if not (0 <= self.positive_class < self.num_classes):
+            raise ValueError(
+                f"positive_class {self.positive_class} outside [0, {self.num_classes})"
+            )
+
+    @property
+    def num_params(self) -> int:
+        """Scalar parameter count of a MilModel with this config, computed
+        without allocating it."""
+        dims = (self.d_raw, *self.hidden, self.embed_dim)
+        count = sum((din + 1) * dout for din, dout in zip(dims, dims[1:]))
+        count += (self.embed_dim + 1) * self.num_classes
+        if self.backbone == "gated_attention":
+            count += self.attn_dim * (2 * self.embed_dim + 1)
+        return count
 
 
 @dataclass
@@ -327,41 +341,3 @@ class MilModel:
         )
         if train_embedder:
             self.embedder.backward(trace.embed_cache, dh)
-
-
-def _features(bag) -> np.ndarray:
-    return np.stack([inst.features for inst in bag.instances])
-
-
-def embed(instances, embedder: Embedder) -> np.ndarray:
-    """K x M representations for a feature matrix or a list of instances."""
-    if isinstance(instances, np.ndarray):
-        x = instances
-    else:
-        x = np.stack([inst.features for inst in instances])
-    h, _ = embedder.forward(x)
-    return h
-
-
-def aggregate(h: np.ndarray, aggregator, classifier: BagClassifier | None = None):
-    """Collapse instance representations into (H, attention scores)."""
-    bag_rep, a, _ = aggregator.forward(h, classifier)
-    return bag_rep, a
-
-
-def classify(bag_rep: np.ndarray, classifier: BagClassifier) -> np.ndarray:
-    """Class distribution for a single bag representation."""
-    return softmax(classifier.logits(bag_rep).ravel())
-
-
-def bag_forward(bag, embedder: Embedder, aggregator,
-                classifier: BagClassifier) -> BagForwardTrace:
-    """Full forward pass over one bag (or anything with `.instances`)."""
-    h, embed_cache = embedder.forward(_features(bag))
-    bag_rep, a, agg_cache = aggregator.forward(h, classifier)
-    logits = classifier.logits(bag_rep)
-    probs = softmax(logits.ravel())
-    return BagForwardTrace(
-        instance_reps=h, attention=a, bag_rep=bag_rep, probs=probs,
-        logits=logits, embed_cache=embed_cache, agg_cache=agg_cache,
-    )

@@ -10,20 +10,12 @@ import hashlib
 import json
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .augment import AugmentConfig, augment_pair
-from .bagdata import (
-    Bag,
-    Dataset,
-    Instance,
-    features_matrix,
-    partition_pseudobags,
-    split_dataset,
-)
+from .bagdata import Bag, Dataset, features_matrix, split_dataset
 from .distill import (
     DistillBatch,
     NoiseConfig,
@@ -71,7 +63,6 @@ class TrainConfig:
     augment_alpha: float = 1.0
     augment_gamma: float = 0.5
     augment_label_mode: str = "lambda_weighted"
-    augment_fixed_partitions: bool = False  # reuse one partition per bag per phase
     noise_scale: float = 0.1
     noise_dropout: float = 0.1
     hidden: tuple[int, ...] = (64,)
@@ -81,7 +72,6 @@ class TrainConfig:
     full_scale: bool = False  # restore the 200-epoch classifier-phase protocol
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     threshold: float = 0.5
-    threads: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -107,8 +97,13 @@ class TrainConfig:
             raise ValueError(f"embedder_passes must be >= 0, got {self.embedder_passes}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if (len(self.fractions) != 3 or not all(f >= 0 for f in self.fractions)
+                or not abs(sum(self.fractions) - 1.0) <= 1e-9
+                or self.fractions[0] <= 0):
+            raise ValueError(
+                "fractions must be three non-negative values summing to 1 with a "
+                f"positive train fraction, got {self.fractions}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -187,11 +182,7 @@ def params_checksum(params) -> str:
 
 def _embedded_bag(model: MilModel, bag) -> Bag:
     h, _ = model.embedder.forward(features_matrix(bag))
-    return Bag(
-        id=bag.id,
-        instances=[Instance(row) for row in h],
-        label=np.asarray(bag.label, dtype=np.float64).copy(),
-    )
+    return Bag(id=bag.id, features=h, label=bag.label.copy())
 
 
 def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
@@ -303,20 +294,12 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
     return losses
 
 
-def evaluate(model: MilModel, bags, threshold: float = 0.5,
-             threads: int = 1) -> EvalResult:
+def evaluate(model: MilModel, bags, threshold: float = 0.5) -> EvalResult:
     """Test-set metrics; the score is the positive-class probability."""
     bags = list(bags)
     positive = model.config.positive_class
-
-    def score(bag) -> float:
-        return float(model.bag_forward(features_matrix(bag)).probs[positive])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(score, bags))
-    else:
-        scores = [score(bag) for bag in bags]
+    scores = [float(model.bag_forward(features_matrix(bag)).probs[positive])
+              for bag in bags]
     labels = [int(np.argmax(bag.label)) for bag in bags]
     return evaluate_scores(np.array(scores), np.array(labels), threshold)
 
@@ -353,7 +336,7 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
     report = RunReport(config=config.to_dict(), seed=config.seed)
 
     def record_eval(iteration: int) -> None:
-        result = evaluate(model, test.bags, config.threshold, config.threads)
+        result = evaluate(model, test.bags, config.threshold)
         report.evaluations.append({"iteration": iteration, **result.to_dict()})
 
     report.classifier_losses.append(
@@ -403,48 +386,61 @@ def save_checkpoint(model: MilModel, path) -> None:
 
 
 def load_checkpoint(path) -> MilModel:
+    """Inverse of `save_checkpoint`; raises CheckpointError on any file that
+    `save_checkpoint` could not have written."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad checkpoint magic bytes")
     off = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+    try:
+        (version,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+            )
+        backbone_code, act_code, positive_class, num_classes, attn_dim, ndims = (
+            struct.unpack_from("<6I", blob, off)
         )
-    backbone_code, act_code, positive_class, num_classes, attn_dim, ndims = (
-        struct.unpack_from("<6I", blob, off)
-    )
-    off += 24
-    dims = struct.unpack_from(f"<{ndims}I", blob, off)
-    off += 4 * ndims
+        off += 24
+        dims = struct.unpack_from(f"<{ndims}I", blob, off)
+        off += 4 * ndims
+    except struct.error as exc:
+        raise CheckpointError(f"checkpoint truncated in its header: {exc}") from exc
 
     backbones = {v: k for k, v in _BACKBONE_CODES.items()}
     activations = {v: k for k, v in _ACTIVATION_CODES.items()}
     if backbone_code not in backbones or act_code not in activations:
         raise CheckpointError("unknown backbone or activation code")
-    cfg = ModelConfig(
-        d_raw=dims[0],
-        hidden=tuple(dims[1:-1]),
-        embed_dim=dims[-1],
-        attn_dim=attn_dim,
-        num_classes=num_classes,
-        backbone=backbones[backbone_code],
-        activation=activations[act_code],
-        positive_class=positive_class,
-    )
-    model = MilModel(cfg)
-    for p in model.all_params:
-        count = p.value.size
-        need = count * 8
-        if off + need > len(blob):
-            raise CheckpointError("checkpoint truncated")
-        p.value[:] = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(
-            p.value.shape
+    if ndims < 2:
+        raise CheckpointError(f"checkpoint declares {ndims} embedder dims, need >= 2")
+    try:
+        cfg = ModelConfig(
+            d_raw=dims[0],
+            hidden=tuple(dims[1:-1]),
+            embed_dim=dims[-1],
+            attn_dim=attn_dim,
+            num_classes=num_classes,
+            backbone=backbones[backbone_code],
+            activation=activations[act_code],
+            positive_class=positive_class,
         )
-        off += need
-    if off != len(blob):
+    except ValueError as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+    # checked before the model is built, so a corrupt header cannot make it
+    # allocate more than the file holds
+    need = 8 * cfg.num_params
+    if off + need > len(blob):
+        raise CheckpointError("checkpoint truncated")
+    if off + need < len(blob):
         raise CheckpointError("trailing bytes in checkpoint")
+    values = np.frombuffer(blob, dtype="<f8", offset=off)
+    if not np.isfinite(values).all():
+        raise CheckpointError("checkpoint holds non-finite parameters")
+    model = MilModel(cfg)
+    start = 0
+    for p in model.all_params:
+        p.value[:] = values[start:start + p.value.size].reshape(p.value.shape)
+        start += p.value.size
     return model

@@ -15,7 +15,6 @@ import pytest
 from coupledmil.augment import AugmentConfig, mixup_bags, sample_lambda
 from coupledmil.bagdata import (
     Bag,
-    Instance,
     SyntheticSpec,
     features_matrix,
     generate_synthetic,
@@ -38,6 +37,7 @@ from coupledmil.gradcore import (
     cross_entropy,
     grad_check,
     kl_divergence,
+    kl_rows,
     linear_backward,
     linear_forward,
     softmax,
@@ -153,19 +153,18 @@ def test_criterion_1_gradient_suite():
         use_consistency = i % 2 == 0
 
         def loss():
-            from coupledmil.distill import _kl_rows
             from coupledmil.gradcore import softmax_rows
             n = x.shape[0]
             if use_consistency:
                 h_s, cache = student.embedder.forward(xn)
                 q = softmax_rows(student.classifier.logits(h_s))
-                val = float(_kl_rows(p_t, q).mean())
+                val = float(kl_rows(p_t, q).mean())
                 dz = (q - p_t) / n
                 dh = student.classifier.backward(h_s, dz)
                 student.embedder.backward(cache, dh)
             else:
                 q = softmax_rows(student.classifier.logits(h_t))
-                val = float(_kl_rows(p_t, q).mean())
+                val = float(kl_rows(p_t, q).mean())
                 student.classifier.backward(h_t, (q - p_t) / n)
             return val
 
@@ -283,8 +282,8 @@ def test_criterion_4_augmentation_invariants():
                 d = 3
                 mk = lambda bid, k, label, s: Bag(
                     id=f"{bid}{s}",
-                    instances=[Instance(np.random.default_rng(s + i).uniform(-1, 1, d))
-                               for i in range(k)],
+                    features=np.stack([np.random.default_rng(s + i).uniform(-1, 1, d)
+                                       for i in range(k)]),
                     label=np.array(label),
                 )
                 bags[key] = (mk("A", 4 + key[0], (0.0, 1.0), trial),

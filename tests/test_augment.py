@@ -3,19 +3,20 @@ import pytest
 
 from coupledmil.augment import (
     AugmentConfig,
+    AugmentedBag,
     augment_pair,
     masked_single_bag,
     mixup_bags,
     sample_lambda,
 )
-from coupledmil.bagdata import Bag, Instance
+from coupledmil.bagdata import Bag
 
 
 def make_bag(bag_id, k, label, d=3, seed=0):
     rng = np.random.default_rng(seed)
     return Bag(
         id=bag_id,
-        instances=[Instance(rng.standard_normal(d)) for _ in range(k)],
+        features=rng.standard_normal((k, d)),
         label=np.array(label),
     )
 
@@ -70,7 +71,8 @@ class TestMixup:
         # floor(0.01*4)=0: A fully kept, B fully masked, label ~ y_B
         assert fused.provenance.kept_a_groups == 4
         assert fused.provenance.kept_b_groups == 0
-        assert all(src == "A" for src, _ in fused.provenance.origins)
+        assert fused.provenance.rows_b.size == 0
+        assert sorted(fused.provenance.rows_a) == list(range(8))
         assert np.allclose(fused.label, 0.01 * a.label + 0.99 * b.label)
 
     def test_identical_labels_fixed_point(self):
@@ -97,12 +99,11 @@ class TestMixup:
     def test_sources_not_mutated(self):
         a = make_bag("A", 5, (0.0, 1.0), seed=1)
         b = make_bag("B", 5, (1.0, 0.0), seed=2)
-        snap_a = [inst.features.copy() for inst in a.instances]
-        snap_b = [inst.features.copy() for inst in b.instances]
+        snap_a, snap_b = a.features.copy(), b.features.copy()
         label_a, label_b = a.label.copy(), b.label.copy()
-        mixup_bags(a, b, 0.4, AugmentConfig(), np.random.default_rng(5))
-        assert all(np.array_equal(x, y) for x, y in zip(snap_a, (i.features for i in a.instances)))
-        assert all(np.array_equal(x, y) for x, y in zip(snap_b, (i.features for i in b.instances)))
+        fused = mixup_bags(a, b, 0.4, AugmentConfig(), np.random.default_rng(5))
+        fused.features[:] = 0.0  # the fused matrix is a copy, not a view
+        assert np.array_equal(a.features, snap_a) and np.array_equal(b.features, snap_b)
         assert np.array_equal(a.label, label_a) and np.array_equal(b.label, label_b)
 
     def test_invariants_sweep(self):
@@ -125,12 +126,12 @@ class TestMixup:
             fused = mixup_bags(a, b, lam, AugmentConfig(n=n), rng)
             prov = fused.provenance
             assert prov.kept_a_groups + prov.kept_b_groups == n
-            assert len(prov.origins) == len(fused.instances)
-            seen = set()
-            for src, idx in prov.origins:
-                assert src in ("A", "B")
-                assert (src, idx) not in seen
-                seen.add((src, idx))
+            assert prov.rows_a.size + prov.rows_b.size == len(fused)
+            for rows, k in ((prov.rows_a, ka), (prov.rows_b, kb)):
+                assert len(set(rows.tolist())) == rows.size
+                assert ((rows >= 0) & (rows < k)).all()
+            assert np.array_equal(fused.features, np.concatenate(
+                [a.features[prov.rows_a], b.features[prov.rows_b]]))
             assert (fused.label >= -1e-12).all() and (fused.label <= 1 + 1e-12).all()
             assert abs(fused.label.sum() - 1.0) <= 1e-9
             # label on the segment between y_A and y_B
@@ -177,10 +178,8 @@ class TestAugmentPair:
         cfg = AugmentConfig(n=1, gamma=1.0)
         out = augment_pair(make_bag("A", 7, (0.0, 1.0)), b, cfg,
                            np.random.default_rng(9))
-        assert len(out.instances) == 7
-        got = np.stack([inst.features for inst in out.instances])
-        want = np.stack([inst.features for inst in b.instances])
-        assert np.array_equal(got, want)
+        assert np.array_equal(out.features, b.features)
+        assert np.array_equal(out.provenance.rows_a, np.arange(7))
 
     def test_small_bags_never_empty(self):
         rng = np.random.default_rng(31)
@@ -189,7 +188,7 @@ class TestAugmentPair:
             a = make_bag("A", int(rng.integers(1, 4)), (0.0, 1.0), seed=trial)
             b = make_bag("B", int(rng.integers(1, 4)), (1.0, 0.0), seed=900 + trial)
             out = augment_pair(a, b, cfg, rng)
-            assert len(out.instances) >= 1
+            assert len(out) >= 1
 
 
 def test_config_validation():
@@ -208,3 +207,12 @@ def test_masked_single_bag_label_is_exact_copy():
     out = masked_single_bag(b, 0.8, AugmentConfig(n=3), np.random.default_rng(1))
     assert np.array_equal(out.label, b.label)
     assert out.label is not b.label
+
+
+def test_augmented_bag_is_a_validated_bag():
+    out = augment_pair(make_bag("A", 5, (0.0, 1.0)), make_bag("B", 5, (1.0, 0.0)),
+                       AugmentConfig(n=2), np.random.default_rng(0))
+    assert isinstance(out, Bag)
+    with pytest.raises(ValueError, match="sum"):
+        AugmentedBag(id="x", features=out.features, label=[0.5, 0.4],
+                     provenance=out.provenance)

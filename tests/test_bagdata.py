@@ -8,7 +8,6 @@ from coupledmil.bagdata import (
     Dataset,
     DatasetParseError,
     DatasetSchemaError,
-    Instance,
     SyntheticSpec,
     datasets_equal,
     features_matrix,
@@ -25,7 +24,7 @@ def make_bag(bag_id="b0", k=5, d=3, seed=0, label=(1.0, 0.0)):
     rng = np.random.default_rng(seed)
     return Bag(
         id=bag_id,
-        instances=[Instance(rng.standard_normal(d)) for _ in range(k)],
+        features=rng.standard_normal((k, d)),
         label=np.array(label),
     )
 
@@ -33,7 +32,7 @@ def make_bag(bag_id="b0", k=5, d=3, seed=0, label=(1.0, 0.0)):
 class TestBagInvariants:
     def test_empty_bag_rejected(self):
         with pytest.raises(ValueError, match="no instances"):
-            Bag(id="x", instances=[], label=np.array([1.0, 0.0]))
+            Bag(id="x", features=np.empty((0, 3)), label=np.array([1.0, 0.0]))
 
     def test_label_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
@@ -43,13 +42,25 @@ class TestBagInvariants:
         with pytest.raises(ValueError, match="outside"):
             make_bag(label=(1.5, -0.5))
 
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((2, 2, 2)), 1.0])
+    def test_features_must_be_a_matrix(self, features):
+        with pytest.raises(ValueError, match="K x d"):
+            Bag(id="x", features=features, label=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite features"):
+            Bag(id="x", features=np.array([[0.0, bad]]), label=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="outside"):
+            Bag(id="x", features=np.zeros((1, 2)), label=np.array([bad, 0.0]))
+
 
 class TestSyntheticGenerator:
     def test_rho_one_makes_all_instances_positive(self):
         spec = SyntheticSpec(num_bags=1, instances_per_bag=5, d_raw=4,
                              rho=1.0, positive_fraction=1.0, seed=3)
         ds = generate_synthetic(spec)
-        assert all(inst.latent_positive for inst in ds.bags[0].instances)
+        assert ds.bags[0].latent_positive.all()
 
     def test_determinism(self):
         spec = SyntheticSpec(num_bags=12, instances_per_bag=(3, 9), d_raw=5, seed=42)
@@ -63,9 +74,8 @@ class TestSyntheticGenerator:
         ds = generate_synthetic(spec)
         scores, labels = [], []
         for bag in ds.bags:
-            for inst in bag.instances:
-                scores.append(inst.features.sum())
-                labels.append(int(inst.latent_positive))
+            scores.extend(bag.features.sum(axis=1))
+            labels.extend(bag.latent_positive.astype(int))
         assert len(scores) == 10_000
         assert abs(roc_auc(scores, labels) - 0.5) <= 0.05
 
@@ -75,7 +85,7 @@ class TestSyntheticGenerator:
         ds = generate_synthetic(spec)
         pos_bags = 0
         for bag in ds.bags:
-            has_positive = any(inst.latent_positive for inst in bag.instances)
+            has_positive = bool(bag.latent_positive.any())
             assert bool(np.argmax(bag.label)) == has_positive
             pos_bags += has_positive
         assert 0 < pos_bags < len(ds.bags)
@@ -84,7 +94,25 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(num_bags=4, instances_per_bag=50, d_raw=4,
                              rho=0.1, positive_fraction=1.0, seed=1)
         for bag in generate_synthetic(spec).bags:
-            assert sum(inst.latent_positive for inst in bag.instances) == 5
+            assert bag.latent_positive.sum() == 5
+
+    def test_matches_per_instance_reference(self):
+        # one K x d normal draw per bag reads the stream exactly as K draws
+        # of d did, so generated files are unchanged
+        spec = SyntheticSpec(num_bags=6, instances_per_bag=(2, 9), d_raw=5,
+                             rho=0.3, delta=1.6, noise=0.7, seed=4)
+        rng = np.random.default_rng(spec.seed)
+        half = spec.delta / (2.0 * np.sqrt(spec.d_raw))
+        for b, bag in enumerate(generate_synthetic(spec).bags):
+            k = int(rng.integers(2, 10))
+            flags = np.zeros(k, dtype=bool)
+            flags[:int(np.ceil(spec.rho * k)) if b < 3 else 0] = True
+            rng.shuffle(flags)
+            rows = [np.full(5, half if f else -half) + spec.noise * rng.standard_normal(5)
+                    for f in flags]
+            want = [[float(f"{v:.9g}") for v in row] for row in rows]
+            assert np.array_equal(bag.features, np.array(want))
+            assert np.array_equal(bag.latent_positive, flags)
 
     @pytest.mark.parametrize("field,value", [
         ("rho", 0.0), ("rho", 1.5), ("delta", -1.0), ("num_bags", 0),
@@ -100,21 +128,18 @@ class TestSyntheticGenerator:
 class TestPartition:
     def test_balanced_sizes(self):
         bag = make_bag(k=10)
-        part = partition_pseudobags(bag, 4, np.random.default_rng(0))
-        assert sorted(len(g) for g in part.groups) == [2, 2, 3, 3]
+        groups = partition_pseudobags(bag, 4, np.random.default_rng(0))
+        assert [len(g) for g in groups] == [3, 3, 2, 2]
 
     def test_single_group(self):
         bag = make_bag(k=7)
-        part = partition_pseudobags(bag, 1, np.random.default_rng(0))
-        assert part.groups == [list(range(7))]
-        assert part.num_empty == 0
+        groups = partition_pseudobags(bag, 1, np.random.default_rng(0))
+        assert [g.tolist() for g in groups] == [list(range(7))]
 
     def test_small_bag_flags_empty_groups(self):
         bag = make_bag(k=3)
-        part = partition_pseudobags(bag, 4, np.random.default_rng(5))
-        sizes = sorted(len(g) for g in part.groups)
-        assert sizes == [0, 1, 1, 1]
-        assert part.num_empty == 1
+        groups = partition_pseudobags(bag, 4, np.random.default_rng(5))
+        assert [len(g) for g in groups] == [1, 1, 1, 0]
 
     def test_zero_groups_rejected(self):
         with pytest.raises(ValueError):
@@ -125,11 +150,30 @@ class TestPartition:
         for _ in range(1000):
             k = int(rng.integers(1, 41))
             n = int(rng.integers(1, 9))
-            part = partition_pseudobags(make_bag(k=k), n, rng)
-            flat = [i for g in part.groups for i in g]
+            groups = partition_pseudobags(make_bag(k=k), n, rng)
+            flat = [i for g in groups for i in g]
             assert sorted(flat) == list(range(k))
-            sizes = [len(g) for g in part.groups]
+            sizes = [len(g) for g in groups]
             assert max(sizes) - min(sizes) <= 1
+
+    def test_matches_reference_loop(self):
+        # the divmod loop the index-array split replaced: same groups for
+        # the same draws, so augmentation output is unchanged
+        def reference(k, n, rng):
+            order = rng.permutation(k)
+            base, extra = divmod(k, n)
+            groups, start = [], 0
+            for g in range(n):
+                size = base + (1 if g < extra else 0)
+                groups.append(sorted(int(i) for i in order[start:start + size]))
+                start += size
+            return groups
+
+        for seed in range(200):
+            k, n = 1 + seed % 23, 1 + seed % 9
+            got = partition_pseudobags(make_bag(k=k), n, np.random.default_rng(seed))
+            want = reference(k, n, np.random.default_rng(seed))
+            assert [g.tolist() for g in got] == want
 
 
 class TestRoundTrip:

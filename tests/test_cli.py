@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from coupledmil.bagdata import DatasetParseError, DatasetSchemaError, load_dataset
 from coupledmil.cli import main
 from coupledmil.distill import convert_confidence
 from coupledmil.metrics import MetricError
-from coupledmil.orchestrator import RunReport
+from coupledmil.milnet import MilModel, ModelConfig
+from coupledmil.orchestrator import RunReport, save_checkpoint
 
 
 def run(args):
@@ -22,6 +24,14 @@ def dataset_file(tmp_path):
         "--seed", "7",
     ])
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    cfg = ModelConfig(d_raw=2, hidden=(), embed_dim=2, attn_dim=1)
+    save_checkpoint(MilModel.build(cfg, np.random.default_rng(0)), path)
     return path
 
 
@@ -106,6 +116,15 @@ class TestTrain:
         assert run(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                     "--out-dir", str(tmp_path / "x")] + TRAIN_FAST) == 2
 
+    @pytest.mark.parametrize("fractions", [["0", "0", "1"], ["0.5", "0.5", "0.5"],
+                                           ["1.2", "-0.1", "-0.1"]])
+    def test_bad_fractions_exit_2(self, dataset_file, tmp_path, capsys, fractions):
+        code = run(["train", "--dataset", str(dataset_file),
+                    "--out-dir", str(tmp_path / "x"), "--fractions", *fractions]
+                   + TRAIN_FAST)
+        assert code == 2
+        assert "fractions" in capsys.readouterr().err
+
     def test_identical_runs_byte_identical_outputs(self, dataset_file, tmp_path):
         args = ["train", "--dataset", str(dataset_file), "--iterations", "1",
                 "--seed", "9", "--augment"] + TRAIN_FAST
@@ -152,6 +171,21 @@ class TestEval:
     def test_missing_checkpoint_exits_2(self, dataset_file, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                     "--dataset", str(dataset_file)]) == 2
+
+    def test_bad_split_fractions_exit_2(self, dataset_file, small_checkpoint, capsys):
+        code = run(["eval", "--checkpoint", str(small_checkpoint),
+                    "--dataset", str(dataset_file), "--split", "test",
+                    "--fractions", "0.5", "0.5", "0.5"])
+        assert code == 2
+        assert "fractions" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_3(self, small_checkpoint, dataset_file, tmp_path):
+        blob = small_checkpoint.read_bytes()
+        path = tmp_path / "cut.bin"
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            assert run(["eval", "--checkpoint", str(path),
+                        "--dataset", str(dataset_file)]) == 3, end
 
     def test_single_class_dataset_exits_3(self, trained, tmp_path):
         path = tmp_path / "single.jsonl"
@@ -224,3 +258,33 @@ class TestExportAttention:
         code = run(["export-attention", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--dataset", str(other), "--out", str(tmp_path / "x.tsv")])
         assert code == 3
+
+
+_MANIFEST = {"d_raw": 2, "C": 2, "count": 1}
+_RECORD = {"id": "b", "label": [1.0, 0.0], "features": [[0.5, -0.5], [1.0, 2.0]]}
+BAD_DATASETS = {
+    "manifest-float-field": ({**_MANIFEST, "d_raw": 2.5}, _RECORD, 1),
+    "manifest-string-field": ({**_MANIFEST, "count": "1"}, _RECORD, 1),
+    "manifest-one-class": ({**_MANIFEST, "C": 1}, {**_RECORD, "label": [1.0]}, 1),
+    "features-empty": (_MANIFEST, {**_RECORD, "features": []}, 2),
+    "features-scalar": (_MANIFEST, {**_RECORD, "features": 0.5}, 2),
+    "features-non-numeric": (_MANIFEST, {**_RECORD, "features": [["a", "b"]]}, 2),
+    "features-ragged": (_MANIFEST, {**_RECORD, "features": [[0.5, 1.0], [0.5]]}, 2),
+    "features-nan": (_MANIFEST, {**_RECORD, "features": [[float("nan"), 1.0]]}, 2),
+    "features-inf": (_MANIFEST, {**_RECORD, "features": [[0.5, float("-inf")]]}, 2),
+    "label-outside-unit": (_MANIFEST, {**_RECORD, "label": [1.5, -0.5]}, 2),
+    "label-sum": (_MANIFEST, {**_RECORD, "label": [0.5, 0.4]}, 2),
+}
+
+
+@pytest.mark.parametrize("manifest,record,line", BAD_DATASETS.values(),
+                         ids=BAD_DATASETS.keys())
+def test_malformed_dataset_typed_error_and_exit_2(tmp_path, small_checkpoint, capsys,
+                                                  manifest, record, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(manifest) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises((DatasetParseError, DatasetSchemaError), match=f"line {line}"):
+        load_dataset(path)
+    code = run(["eval", "--checkpoint", str(small_checkpoint), "--dataset", str(path)])
+    assert code == 2
+    assert f"line {line}" in capsys.readouterr().err

@@ -15,9 +15,8 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
     weight_similarity_loss,
-    _kl_rows,
 )
-from coupledmil.gradcore import Adam, cross_entropy, kl_divergence
+from coupledmil.gradcore import Adam, cross_entropy, kl_divergence, kl_rows
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import params_checksum
 
@@ -152,7 +151,7 @@ class TestLosses:
         rng = np.random.default_rng(7)
         p = rng.dirichlet(np.ones(3), size=8)
         q = rng.dirichlet(np.ones(3), size=8)
-        rows = _kl_rows(p, q)
+        rows = kl_rows(p, q)
         for i in range(8):
             assert rows[i] == pytest.approx(kl_divergence(p[i], q[i]), abs=1e-12)
 

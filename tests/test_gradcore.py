@@ -182,6 +182,8 @@ class TestKL:
     def test_unnormalized_input(self):
         with pytest.raises(ValueError, match="sum"):
             kl_divergence([0.5, 0.4], [0.5, 0.5])
+        with pytest.raises(ValueError, match="sum"):
+            kl_divergence([np.nan, 1.0], [0.5, 0.5])
 
     def test_negative_entries(self):
         with pytest.raises(ValueError, match="negative"):

@@ -100,3 +100,14 @@ def test_evaluate_scores_fields():
     assert res.count == 4 and res.threshold == 0.5
     assert set(res.to_dict()) == {"auc", "f1", "acc", "count", "threshold"}
     assert 0.0 <= res.auc <= 1.0 and 0.0 <= res.f1 <= 1.0 and 0.0 <= res.acc <= 1.0
+
+
+@pytest.mark.parametrize("scores", [
+    [np.nan, np.nan, np.nan, np.nan],
+    [0.9, np.nan, 0.3, 0.2],
+    [0.9, 0.6, np.inf, 0.2],
+])
+@pytest.mark.parametrize("metric", [roc_auc, pairwise_auc, f1_accuracy, evaluate_scores])
+def test_non_finite_scores_rejected(metric, scores):
+    with pytest.raises(MetricError, match="non-finite"):
+        metric(scores, [1, 0, 1, 0])

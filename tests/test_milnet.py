@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from coupledmil.bagdata import Bag, Instance
 from coupledmil.gradcore import cross_entropy, grad_check, softmax
 from coupledmil.milnet import (
     BagClassifier,
@@ -11,10 +10,6 @@ from coupledmil.milnet import (
     MeanPooling,
     MilModel,
     ModelConfig,
-    aggregate,
-    bag_forward,
-    classify,
-    embed,
 )
 
 
@@ -23,15 +18,6 @@ def build_model(d_raw=4, hidden=(6,), embed_dim=5, attn_dim=3, backbone="gated_a
     cfg = ModelConfig(d_raw=d_raw, hidden=hidden, embed_dim=embed_dim,
                       attn_dim=attn_dim, backbone=backbone)
     return MilModel.build(cfg, np.random.default_rng(seed))
-
-
-def random_bag(k=6, d=4, seed=1):
-    rng = np.random.default_rng(seed)
-    return Bag(
-        id="bag",
-        instances=[Instance(rng.uniform(-2, 2, size=d)) for _ in range(k)],
-        label=np.array([1.0, 0.0]),
-    )
 
 
 class TestEmbedder:
@@ -53,32 +39,24 @@ class TestEmbedder:
         with pytest.raises(ValueError, match="expects"):
             emb.forward(np.zeros((4, 5)))
 
-    def test_embed_wrapper_accepts_instances(self):
-        model = build_model()
-        bag = random_bag()
-        via_list = embed(bag.instances, model.embedder)
-        via_matrix = embed(np.stack([i.features for i in bag.instances]),
-                           model.embedder)
-        assert np.array_equal(via_list, via_matrix)
-
 
 class TestAggregate:
     def test_single_instance_collapses(self):
         h = np.random.default_rng(0).standard_normal((1, 5))
         for model in (build_model(backbone=b) for b in ("mean", "max", "gated_attention")):
-            bag_rep, a = aggregate(h, model.aggregator, model.classifier)
+            bag_rep, a, _ = model.aggregator.forward(h, model.classifier)
             assert np.allclose(a, [1.0])
             assert np.allclose(bag_rep, h)
 
     def test_gated_attention_symmetric_instances(self):
         model = build_model()
         row = np.random.default_rng(3).standard_normal(5)
-        bag_rep, a = aggregate(np.stack([row, row]), model.aggregator, model.classifier)
+        bag_rep, a, _ = model.aggregator.forward(np.stack([row, row]), model.classifier)
         assert np.allclose(a, [0.5, 0.5])
         assert np.allclose(bag_rep, row[None, :])
 
     def test_mean_arithmetic(self):
-        bag_rep, a = aggregate(np.array([[1.0, 3.0], [3.0, 1.0]]), MeanPooling())
+        bag_rep, a, _ = MeanPooling().forward(np.array([[1.0, 3.0], [3.0, 1.0]]))
         assert np.allclose(bag_rep, [[2.0, 2.0]])
         assert np.allclose(a, [0.5, 0.5])
 
@@ -86,25 +64,25 @@ class TestAggregate:
         clf = BagClassifier(2, 2)
         clf.w.value[:] = np.array([[0.0, 1.0], [0.0, 0.0]])  # logit_1 = first feature
         h = np.array([[0.1, 9.0], [5.0, -1.0], [2.0, 0.0]])
-        bag_rep, a = aggregate(h, MaxPooling(positive_class=1), clf)
+        bag_rep, a, _ = MaxPooling(positive_class=1).forward(h, clf)
         assert np.allclose(a, [0.0, 1.0, 0.0])
         assert np.allclose(bag_rep, [[5.0, -1.0]])
 
     def test_max_requires_classifier(self):
         with pytest.raises(ValueError, match="classifier"):
-            aggregate(np.zeros((2, 3)), MaxPooling())
+            MaxPooling().forward(np.zeros((2, 3)))
 
     def test_empty_bag_rejected(self):
         model = build_model()
         with pytest.raises(ValueError, match="empty"):
-            aggregate(np.zeros((0, 5)), model.aggregator, model.classifier)
+            model.aggregator.forward(np.zeros((0, 5)), model.classifier)
 
     def test_bag_rep_is_attention_combination(self):
         rng = np.random.default_rng(9)
         for backbone in ("mean", "max", "gated_attention"):
             model = build_model(backbone=backbone)
             h = rng.uniform(-2, 2, size=(7, 5))
-            bag_rep, a = aggregate(h, model.aggregator, model.classifier)
+            bag_rep, a, _ = model.aggregator.forward(h, model.classifier)
             assert abs(a.sum() - 1.0) <= 1e-9
             assert np.max(np.abs(bag_rep - a[None, :] @ h)) <= 1e-9
 
@@ -112,7 +90,7 @@ class TestAggregate:
 class TestClassify:
     def test_zero_parameters_uniform(self):
         clf = BagClassifier(4, 2)
-        p = classify(np.random.default_rng(0).standard_normal((1, 4)), clf)
+        p = clf.probs(np.random.default_rng(0).standard_normal((1, 4))).ravel()
         assert np.allclose(p, [0.5, 0.5])
 
     def test_probability_monotone_in_weight(self):
@@ -121,23 +99,23 @@ class TestClassify:
         probs = []
         for w in np.linspace(0.0, 5.0, 11):
             clf.w.value[:] = np.array([[0.0, w]])
-            probs.append(classify(h, clf)[1])
+            probs.append(clf.probs(h)[0, 1])
         assert all(b > a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > 0.9999
 
     def test_dimension_mismatch(self):
         clf = BagClassifier(4, 2)
         with pytest.raises(ValueError):
-            classify(np.zeros((1, 3)), clf)
+            clf.probs(np.zeros((1, 3)))
 
 
 class TestBagForward:
     def test_single_instance_collapse(self):
         model = build_model()
-        bag = random_bag(k=1)
-        trace = bag_forward(bag, model.embedder, model.aggregator, model.classifier)
-        h = embed(bag.instances, model.embedder)
-        assert np.allclose(trace.probs, classify(h, model.classifier))
+        x = np.random.default_rng(1).uniform(-2, 2, size=(1, 4))
+        trace = model.bag_forward(x)
+        h, _ = model.embedder.forward(x)
+        assert np.allclose(trace.probs, model.classifier.probs(h).ravel())
 
     @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
     def test_permutation_invariance(self, backbone):
@@ -173,7 +151,7 @@ class TestBagForward:
         model = build_model()
         agg = model.aggregator
         x = np.random.default_rng(8).uniform(-2, 2, size=(5, 4))
-        h = embed(x, model.embedder)
+        h, _ = model.embedder.forward(x)
         e, _ = agg.gate_scores(h)
         _, a, _ = agg.forward(h, model.classifier)
         shifted = softmax(e + 37.5)
@@ -224,7 +202,7 @@ class TestGradients:
 
         def loss():
             h, cache = model.embedder.forward(x)
-            probs = classify(h, model.classifier)
+            probs = model.classifier.probs(h).ravel()
             val = cross_entropy(probs, y)
             dlogits = (probs - y)[None, :]
             dh = model.classifier.backward(h, dlogits)
@@ -239,3 +217,19 @@ class TestGradients:
 def test_model_config_rejects_unknown_backbone():
     with pytest.raises(ValueError, match="backbone"):
         ModelConfig(d_raw=3, backbone="transformer")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d_raw", 0), ("embed_dim", 0), ("attn_dim", 0), ("hidden", (4, 0)),
+    ("num_classes", 0), ("positive_class", 2), ("positive_class", -1),
+])
+def test_model_config_rejects_bad_dims(field, value):
+    with pytest.raises(ValueError):
+        ModelConfig(**{"d_raw": 3, field: value})
+
+
+@pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
+def test_num_params_matches_built_model(backbone):
+    cfg = ModelConfig(d_raw=5, hidden=(7, 3), embed_dim=4, attn_dim=6,
+                      num_classes=3, backbone=backbone)
+    assert cfg.num_params == sum(p.value.size for p in MilModel(cfg).all_params)

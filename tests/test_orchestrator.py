@@ -68,7 +68,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("mode", "softlabel"), ("backbone", "cnn"), ("iterations", -1),
         ("classifier_lr", 0.0), ("embedder_lr", -1e-5), ("classifier_epochs", 0),
-        ("batch_size", 0), ("threads", 0),
+        ("batch_size", 0), ("fractions", (0.0, 0.0, 1.0)),
+        ("fractions", (0.5, 0.5, 0.5)), ("fractions", (0.5, 0.5)),
+        ("fractions", (-0.1, 0.6, 0.5)), ("fractions", (float("nan"), 0.5, 0.5)),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
@@ -307,11 +309,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("backbone", ["mean", "gated_attention"])
+    def test_every_proper_prefix_rejected(self, tmp_path, backbone):
+        cfg = ModelConfig(d_raw=2, hidden=(3,), embed_dim=2, attn_dim=2,
+                          backbone=backbone)
+        path = tmp_path / "m.bin"
+        save_checkpoint(MilModel.build(cfg, np.random.default_rng(0)), path)
+        blob = path.read_bytes()
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
-def test_evaluate_threads_match_sequential():
-    ds = small_dataset()
-    config = small_config()
-    model = build_model(config)
-    seq = evaluate(model, ds.bags, threads=1)
-    par = evaluate(model, ds.bags, threads=4)
-    assert seq == par
+    def test_oversized_dims_rejected_before_allocation(self, tmp_path):
+        # a header promising a 2^31 x 2^31 layer must fail on the size check
+        config = small_config()
+        path = tmp_path / "m.bin"
+        save_checkpoint(build_model(config), path)
+        blob = bytearray(path.read_bytes())
+        dims_at = len(CHECKPOINT_MAGIC) + 4 + 24
+        blob[dims_at:dims_at + 8] = struct.pack("<2I", 2**31, 2**31)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_checkpoint(build_model(small_config()), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
