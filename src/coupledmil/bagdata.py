@@ -28,6 +28,10 @@ class DatasetSchemaError(ValueError):
     """Structurally valid file whose records contradict the manifest."""
 
 
+class ConfigError(ValueError):
+    """An option value no run can use: the CLI's usage error (exit code 2)."""
+
+
 # Features are stored with 9 significant digits; quantizing at generation
 # time makes save/load an exact round trip.
 def _quantize(x: float) -> float:
@@ -133,27 +137,29 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.num_bags < 1:
-            raise ValueError(f"num_bags must be >= 1, got {self.num_bags}")
+            raise ConfigError(f"num_bags must be >= 1, got {self.num_bags}")
         if self.d_raw < 1:
-            raise ValueError(f"d_raw must be >= 1, got {self.d_raw}")
+            raise ConfigError(f"d_raw must be >= 1, got {self.d_raw}")
         if not (0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+            raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
+        if not 0 <= self.delta < math.inf:  # NaN fails too
+            raise ConfigError(f"delta must be finite and >= 0, got {self.delta}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if not (0.0 <= self.positive_fraction <= 1.0):
-            raise ValueError(
+            raise ConfigError(
                 f"positive_fraction must be in [0, 1], got {self.positive_fraction}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         k = self.instances_per_bag
         if isinstance(k, int):
             if k < 1:
-                raise ValueError(f"instances_per_bag must be >= 1, got {k}")
+                raise ConfigError(f"instances_per_bag must be >= 1, got {k}")
         else:
             lo, hi = k
             if lo < 1 or hi < lo:
-                raise ValueError(f"bad instances_per_bag range {k}")
+                raise ConfigError(f"bad instances_per_bag range {k}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

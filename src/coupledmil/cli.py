@@ -1,7 +1,8 @@
 """Command-line surface: dataset generation, training, evaluation, and
 per-instance attention export.
 
-Exit codes: 0 success, 2 usage/config error, 3 runtime/metric error.
+Exit codes: 0 success, 2 usage/config error, 3 runtime/metric error. `main`
+assigns them from `EXIT_CODES` and nowhere else.
 """
 
 from __future__ import annotations
@@ -9,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .bagdata import (
+    ConfigError,
     DatasetParseError,
     DatasetSchemaError,
     SyntheticSpec,
@@ -26,6 +29,7 @@ from .distill import convert_confidence, normalize_attention
 from .metrics import MetricError
 from .orchestrator import (
     CheckpointError,
+    NonFiniteLossError,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -38,181 +42,119 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+# The one place an exception becomes an exit code. Any other exception is a
+# bug and keeps its traceback.
+EXIT_CODES = {
+    ConfigError: EXIT_USAGE,  # also a missing input file
+    DatasetParseError: EXIT_USAGE,
+    DatasetSchemaError: EXIT_USAGE,
+    CheckpointError: EXIT_RUNTIME,
+    MetricError: EXIT_RUNTIME,
+    NonFiniteLossError: EXIT_RUNTIME,
+    OSError: EXIT_RUNTIME,
+}
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# path options that must name an existing file
+INPUT_FILES = ("config", "checkpoint", "dataset")
 
 
-def cmd_generate(args) -> int:
-    try:
-        k = args.k if args.k_max is None else (args.k, args.k_max)
-        spec = SyntheticSpec(
-            num_bags=args.bags,
-            instances_per_bag=k,
-            d_raw=args.d_raw,
-            rho=args.rho,
-            delta=args.delta,
-            noise=args.noise,
-            positive_fraction=args.pos_fraction,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+def cmd_generate(args) -> None:
+    k = args.k if args.k_max is None else (args.k, args.k_max)
+    spec = SyntheticSpec(
+        num_bags=args.bags,
+        instances_per_bag=k,
+        d_raw=args.d_raw,
+        rho=args.rho,
+        delta=args.delta,
+        noise=args.noise,
+        positive_fraction=args.pos_fraction,
+        seed=args.seed,
+    )
     ds = generate_synthetic(spec)
-    try:
-        save_dataset(ds, args.out)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", EXIT_RUNTIME)
+    save_dataset(ds, args.out)
     n_pos = sum(1 for b in ds.bags if int(np.argmax(b.label)) == 1)
     print(f"wrote {len(ds.bags)} records to {args.out} "
           f"({n_pos} positive, {len(ds.bags) - n_pos} negative)")
-    return EXIT_OK
-
-
-_OVERRIDE_KEYS = (
-    "backbone", "mode", "iterations", "beta", "alpha_w", "seed",
-    "classifier_epochs", "classifier_lr", "embedder_lr", "batch_size",
-    "embedder_passes", "augment_ratio", "augment_n", "augment_alpha",
-    "augment_gamma", "augment_label_mode", "noise_scale", "noise_dropout",
-    "threshold",
-)
 
 
 def _build_train_config(args) -> TrainConfig:
+    """The config file's values, overridden by every flag that was given;
+    each train flag's `dest` is its TrainConfig field."""
     data: dict = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {args.config}: {exc}") from exc
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ValueError(f"config file {args.config}: expected a JSON object")
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key)
+            raise ConfigError(f"config file {args.config}: expected a JSON object")
+    for f in fields(TrainConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            data[key] = value
-    if args.augment is not None:
-        data["augment"] = args.augment
-    if args.full_scale:
-        data["full_scale"] = True
-    if args.warm_start:
-        data["warm_start"] = True
-    if args.fractions is not None:
-        data["fractions"] = tuple(args.fractions)
-    if args.hidden is not None:
-        data["hidden"] = tuple(args.hidden)
-    if args.embed_dim is not None:
-        data["embed_dim"] = args.embed_dim
-    if args.attn_dim is not None:
-        data["attn_dim"] = args.attn_dim
+            data[f.name] = value
     return TrainConfig.from_dict(data)
 
 
-def cmd_train(args) -> int:
-    try:
-        config = _build_train_config(args)
-    except (ValueError, TypeError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        dataset = load_dataset(args.dataset)
-    except FileNotFoundError:
-        return _fail(f"dataset not found: {args.dataset}", EXIT_USAGE)
-    except (DatasetParseError, DatasetSchemaError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-
+def cmd_train(args) -> None:
+    config = _build_train_config(args)
+    dataset = load_dataset(args.dataset)
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report, model = run_training(dataset, config)
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        save_checkpoint(model, out_dir / "checkpoint.bin")
-    except OSError as exc:
-        return _fail(f"I/O error: {exc}", EXIT_RUNTIME)
-    except MetricError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report, model = run_training(dataset, config)
+    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    save_checkpoint(model, out_dir / "checkpoint.bin")
 
     final = report.evaluations[-1]
     print(f"wrote {out_dir / 'report.json'} and {out_dir / 'checkpoint.bin'}")
     print(f"final test metrics: auc={final['auc']:.4f} f1={final['f1']:.4f} "
           f"acc={final['acc']:.4f} ({len(report.evaluations)} evaluation points)")
     print(f"wall clock: {report.wall_clock_seconds:.2f}s")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except FileNotFoundError:
-        return _fail(f"checkpoint not found: {args.checkpoint}", EXIT_USAGE)
-    except CheckpointError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        dataset = load_dataset(args.dataset)
-    except FileNotFoundError:
-        return _fail(f"dataset not found: {args.dataset}", EXIT_USAGE)
-    except (DatasetParseError, DatasetSchemaError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+def _load_model_and_dataset(args):
+    """The checkpoint and dataset of `eval` and `export-attention`, checked
+    to fit each other."""
+    model = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.dataset)
+    if dataset.d_raw != model.embedder.in_dim:
+        raise CheckpointError(
+            f"dataset d_raw={dataset.d_raw} does not match checkpoint input "
+            f"dim {model.embedder.in_dim}"
+        )
+    return model, dataset
 
+
+def cmd_eval(args) -> None:
+    # checked like train's options, before any file is read
+    config = TrainConfig(seed=args.seed, fractions=args.fractions,
+                         threshold=args.threshold)
+    model, dataset = _load_model_and_dataset(args)
     bags = dataset.bags
     if args.split != "all":
-        try:
-            config = TrainConfig(seed=args.seed, fractions=tuple(args.fractions))
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
         train, val, test = split_for_run(dataset, config)
         bags = {"train": train, "val": val, "test": test}[args.split].bags
-    try:
-        result = evaluate(model, bags, args.threshold)
-    except MetricError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
+    result = evaluate(model, bags, config.threshold)
 
     print(f"auc={result.auc!r} f1={result.f1!r} acc={result.acc!r} "
           f"count={result.count} threshold={result.threshold!r}")
     if args.out is not None:
         payload = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
         Path(args.out).write_text(payload, encoding="utf-8")
-    return EXIT_OK
 
 
-def cmd_export_attention(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except FileNotFoundError:
-        return _fail(f"checkpoint not found: {args.checkpoint}", EXIT_USAGE)
-    except CheckpointError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    try:
-        dataset = load_dataset(args.dataset)
-    except FileNotFoundError:
-        return _fail(f"dataset not found: {args.dataset}", EXIT_USAGE)
-    except (DatasetParseError, DatasetSchemaError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    if dataset.d_raw != model.embedder.in_dim:
-        return _fail(
-            f"dataset d_raw={dataset.d_raw} does not match checkpoint input "
-            f"dim {model.embedder.in_dim}", EXIT_RUNTIME,
-        )
-
+def cmd_export_attention(args) -> None:
+    beta = TrainConfig(beta=args.beta).beta  # checked like train's --beta
+    model, dataset = _load_model_and_dataset(args)
     lines = ["bag_id\tinstance_index\traw_attention\tnormalized_attention\tconfidence"]
     for bag in dataset.bags:
         trace = model.bag_forward(features_matrix(bag))
         a_norm = normalize_attention(trace.attention)
         # scalar path so the column is reproducible from the printed a_norm
-        conf = [convert_confidence(float(v), args.beta) for v in a_norm]
+        conf = [convert_confidence(float(v), beta) for v in a_norm]
         for i, (raw, nrm, c) in enumerate(zip(trace.attention, a_norm, conf)):
             lines.append(f"{bag.id}\t{i}\t{float(raw)!r}\t{float(nrm)!r}\t{float(c)!r}")
-    try:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", EXIT_RUNTIME)
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote attention table for {len(dataset.bags)} bags to {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
     tr.add_argument("--attn-dim", dest="attn_dim", type=int, default=None)
     tr.add_argument("--full-scale", dest="full_scale", action="store_true",
+                    default=None,
                     help="restore the 200-epoch classifier-phase protocol")
-    tr.add_argument("--warm-start", dest="warm_start", action="store_true")
+    tr.add_argument("--warm-start", dest="warm_start", action="store_true",
+                    default=None)
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -308,7 +252,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        for name in INPUT_FILES:
+            path = getattr(args, name, None)
+            if path is not None and not Path(path).is_file():
+                raise ConfigError(f"{name} is not an existing file: {path}")
+        args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

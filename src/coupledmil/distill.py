@@ -175,8 +175,8 @@ def distill_step(teacher: TeacherBranch, student: StudentBranch,
     """
     x, xn, conf = batch.instances, batch.noised, batch.confidence
     n = x.shape[0]
-    p_t = teacher.instance_probs(x)          # constants: teacher is frozen
-    h_t = teacher.embed(x)
+    h_t = teacher.embed(x)                   # constants: teacher is frozen
+    p_t = softmax_rows(teacher.classifier.logits(h_t))
 
     h_s, emb_cache = student.embedder.forward(xn)
     z_c = student.classifier.logits(h_s)

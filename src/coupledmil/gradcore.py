@@ -81,24 +81,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
 
 
-def activation_forward(x: Tensor2, kind: str) -> Tensor2:
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
-def activation_backward(x: Tensor2, kind: str, upstream: Tensor2) -> Tensor2:
-    if kind == "tanh":
-        t = np.tanh(x)
-        return upstream * (1.0 - t * t)
-    if kind == "sigmoid":
-        s = _sigmoid(x)
-        return upstream * s * (1.0 - s)
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
 def softmax(scores) -> np.ndarray:
     """Numerically stable softmax of a score vector (max-subtraction)."""
     s = np.asarray(scores, dtype=np.float64).ravel()

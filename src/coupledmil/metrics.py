@@ -38,7 +38,7 @@ def _validate_binary(scores, labels):
     if scores.size != labels.size:
         raise ValueError(f"length mismatch: {scores.size} scores, {labels.size} labels")
     if scores.size == 0:
-        raise ValueError("no samples")
+        raise MetricError("no samples")
     if not np.isfinite(scores).all():
         raise MetricError(f"{int((~np.isfinite(scores)).sum())} non-finite scores")
     return scores, labels

@@ -18,8 +18,6 @@ import numpy as np
 from .gradcore import (
     Param,
     _sigmoid,
-    activation_backward,
-    activation_forward,
     linear_backward,
     linear_forward,
     softmax,
@@ -27,6 +25,7 @@ from .gradcore import (
 )
 
 BACKBONES = ("mean", "max", "gated_attention")
+POSITIVE_CLASS = 1  # the class whose probability is a bag's score
 
 
 def init_uniform(param: Param, rng: np.random.Generator, fan_in: int) -> None:
@@ -37,15 +36,14 @@ def init_uniform(param: Param, rng: np.random.Generator, fan_in: int) -> None:
 class Embedder:
     """MLP mapping raw instance features to M-dim representations.
 
-    `dims` runs input -> hidden... -> M; hidden layers use `activation`, the
-    output layer is linear.
+    `dims` runs input -> hidden... -> M; hidden layers use tanh, the output
+    layer is linear.
     """
 
-    def __init__(self, dims: Sequence[int], activation: str = "tanh"):
+    def __init__(self, dims: Sequence[int]):
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) < 2:
             raise ValueError(f"embedder needs at least input and output dims: {dims}")
-        self.activation = activation
         self.layers: list[tuple[Param, Param]] = []
         for i, (din, dout) in enumerate(zip(self.dims[:-1], self.dims[1:])):
             w = Param(np.zeros((din, dout)), name=f"emb.l{i}.w")
@@ -78,7 +76,7 @@ class Embedder:
         for i, (w, b) in enumerate(self.layers):
             z = linear_forward(h, w, b)
             cache.append((h, z))
-            h = activation_forward(z, self.activation) if i < last else z
+            h = np.tanh(z) if i < last else z
         return h, cache
 
     def backward(self, cache, upstream: np.ndarray) -> np.ndarray:
@@ -87,7 +85,8 @@ class Embedder:
         for i in reversed(range(len(self.layers))):
             x, z = cache[i]
             if i < last:
-                g = activation_backward(z, self.activation, g)
+                t = np.tanh(z)
+                g = g * (1.0 - t * t)
             g = linear_backward(x, self.layers[i][0], self.layers[i][1], g)
         return g
 
@@ -145,9 +144,6 @@ class MaxPooling:
     kind = "max"
     params: list[Param] = []
 
-    def __init__(self, positive_class: int = 1):
-        self.positive_class = positive_class
-
     def init(self, rng) -> None:
         pass
 
@@ -156,8 +152,8 @@ class MaxPooling:
             raise ValueError("cannot aggregate an empty bag")
         if classifier is None:
             raise ValueError("max pooling needs the classifier to rank instances")
-        logits = h @ classifier.w.value[:, self.positive_class]
-        logits += classifier.b.value[0, self.positive_class]
+        logits = h @ classifier.w.value[:, POSITIVE_CLASS]
+        logits += classifier.b.value[0, POSITIVE_CLASS]
         k_star = int(np.argmax(logits))
         a = np.zeros(h.shape[0])
         a[k_star] = 1.0
@@ -229,8 +225,6 @@ class ModelConfig:
     attn_dim: int = 16
     num_classes: int = 2
     backbone: str = "gated_attention"
-    activation: str = "tanh"
-    positive_class: int = 1
 
     def __post_init__(self):
         self.hidden = tuple(int(h) for h in self.hidden)
@@ -238,13 +232,11 @@ class ModelConfig:
             raise ValueError(
                 f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}"
             )
-        dims = (self.d_raw, *self.hidden, self.embed_dim, self.attn_dim, self.num_classes)
+        dims = (self.d_raw, *self.hidden, self.embed_dim, self.attn_dim)
         if min(dims) < 1:
             raise ValueError(f"model dimensions must be >= 1, got {dims}")
-        if not (0 <= self.positive_class < self.num_classes):
-            raise ValueError(
-                f"positive_class {self.positive_class} outside [0, {self.num_classes})"
-            )
+        if self.num_classes <= POSITIVE_CLASS:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
     @property
     def num_params(self) -> int:
@@ -276,7 +268,7 @@ def _make_aggregator(config: ModelConfig):
     if config.backbone == "mean":
         return MeanPooling()
     if config.backbone == "max":
-        return MaxPooling(config.positive_class)
+        return MaxPooling()
     return GatedAttention(config.embed_dim, config.attn_dim)
 
 
@@ -286,9 +278,7 @@ class MilModel:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.embedder = Embedder(
-            (config.d_raw, *config.hidden, config.embed_dim), config.activation
-        )
+        self.embedder = Embedder((config.d_raw, *config.hidden, config.embed_dim))
         self.aggregator = _make_aggregator(config)
         self.classifier = BagClassifier(config.embed_dim, config.num_classes)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, fields
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .augment import AugmentConfig, augment_pair
-from .bagdata import Bag, Dataset, features_matrix, split_dataset
+from .bagdata import Bag, ConfigError, Dataset, features_matrix, split_dataset
 from .distill import (
     DistillBatch,
     NoiseConfig,
@@ -29,7 +30,7 @@ from .distill import (
 )
 from .gradcore import Adam, cross_entropy
 from .metrics import EvalResult, evaluate_scores
-from .milnet import BACKBONES, MilModel, ModelConfig
+from .milnet import BACKBONES, POSITIVE_CLASS, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
 
 FINE_TUNE_MODES = ("naive", "vanilla", "confidence")
@@ -38,15 +39,51 @@ CHECKPOINT_MAGIC = b"MILCKPT1"
 CHECKPOINT_VERSION = 1
 
 _BACKBONE_CODES = {name: i for i, name in enumerate(BACKBONES)}
-_ACTIVATION_CODES = {"tanh": 0, "sigmoid": 1}
+_TANH_CODE = 0  # the header's activation code; hidden layers are always tanh
 
 
 class CheckpointError(ValueError):
     pass
 
 
+class NonFiniteLossError(ArithmeticError):
+    """A training phase produced a non-finite epoch loss."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# annotation of a TrainConfig field -> (type check, what the value must be)
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(map(_is_int, v)), "a list of integers"),
+    "tuple[float, float, float]": (lambda v: isinstance(v, (list, tuple))
+                                   and all(map(_is_number, v)), "a list of numbers"),
+}
+_AT_LEAST = {"classifier_epochs": 1, "batch_size": 1, "embedder_passes": 0,
+             "iterations": 0, "alpha_w": 0, "augment_ratio": 0, "embed_dim": 1,
+             "attn_dim": 1, "seed": 0}
+_ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta")
+# TrainConfig field behind each AugmentConfig and NoiseConfig field
+_AUGMENT_FIELDS = {"n": "augment_n", "alpha_beta": "augment_alpha",
+                   "gamma": "augment_gamma", "label_mode": "augment_label_mode"}
+_NOISE_FIELDS = {"scale": "noise_scale", "dropout": "noise_dropout"}
+
+
 @dataclass
 class TrainConfig:
+    """Every option of a training run. All fields are checked when the config
+    is built, so a bad value raises ConfigError before any phase starts."""
+
     backbone: str = "gated_attention"
     classifier_epochs: int = 50
     classifier_lr: float = 2e-4
@@ -75,42 +112,56 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_type, expected = _FIELD_TYPES[f.type]
+            if not is_type(value):
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+        self.hidden = tuple(self.hidden)
         self.fractions = tuple(float(f) for f in self.fractions)
         if self.backbone == "abmil":  # common alias for the gated-attention backbone
             self.backbone = "gated_attention"
         if self.backbone not in BACKBONES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}"
             )
         if self.mode not in FINE_TUNE_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown mode {self.mode!r}; expected one of {FINE_TUNE_MODES}"
             )
-        if self.classifier_lr <= 0 or self.embedder_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.classifier_epochs < 1:
-            raise ValueError(f"classifier_epochs must be >= 1, got {self.classifier_epochs}")
-        if self.embedder_passes < 0:
-            raise ValueError(f"embedder_passes must be >= 0, got {self.embedder_passes}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in _AT_LEAST.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        for name in _ABOVE_ZERO:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if min(self.hidden, default=1) < 1:
+            raise ConfigError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
         if (len(self.fractions) != 3 or not all(f >= 0 for f in self.fractions)
                 or not abs(sum(self.fractions) - 1.0) <= 1e-9
                 or self.fractions[0] <= 0):
-            raise ValueError(
+            raise ConfigError(
                 "fractions must be three non-negative values summing to 1 with a "
                 f"positive train fraction, got {self.fractions}"
             )
+        self.augment_config = self._sub_config(AugmentConfig, _AUGMENT_FIELDS)
+        self.noise_config = self._sub_config(NoiseConfig, _NOISE_FIELDS)
+
+    def _sub_config(self, cls, names: dict):
+        """Build `cls` from the fields named in `names`. Its errors name its
+        own fields, so the ConfigError adds ours with their values."""
+        try:
+            return cls(**{sub: getattr(self, name) for sub, name in names.items()})
+        except ValueError as exc:
+            given = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.values())
+            raise ConfigError(f"{given}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
-                raise ValueError(f"unknown config key: {key!r}")
+                raise ConfigError(f"unknown config key: {key!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -123,17 +174,6 @@ class TrainConfig:
     @property
     def effective_classifier_epochs(self) -> int:
         return 200 if self.full_scale else self.classifier_epochs
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            n=self.augment_n,
-            alpha_beta=self.augment_alpha,
-            gamma=self.augment_gamma,
-            label_mode=self.augment_label_mode,
-        )
-
-    def noise_config(self) -> NoiseConfig:
-        return NoiseConfig(scale=self.noise_scale, dropout=self.noise_dropout)
 
 
 @dataclass
@@ -158,7 +198,7 @@ class RunReport:
             "classifier_losses": self.classifier_losses,
             "embedder_losses": self.embedder_losses,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -178,6 +218,13 @@ def params_checksum(params) -> str:
     for p in params:
         h.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def _checked_loss(phase: str, epoch: int, loss: float) -> float:
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(
+            f"{phase} phase: non-finite loss {loss!r} in epoch {epoch}")
+    return loss
 
 
 def _embedded_bag(model: MilModel, bag) -> Bag:
@@ -201,7 +248,7 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
     embedded = [_embedded_bag(model, bag) for bag in train_bags]
     base_samples = [(features_matrix(b), b.label) for b in embedded]
 
-    aug_cfg = config.augment_config()
+    aug_cfg = config.augment_config
     optimizer = Adam(model.head_params, config.classifier_lr)
     losses: list[float] = []
     for _ in range(config.effective_classifier_epochs):
@@ -224,7 +271,7 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
             dlogits = (probs - label)[None, :]
             model.head_backward(h, bag_rep, agg_cache, dlogits)
             optimizer.step()
-        losses.append(total / len(samples))
+        losses.append(_checked_loss("classifier", len(losses) + 1, total / len(samples)))
 
     if params_checksum(model.embedder.params) != frozen:
         raise RuntimeError("classifier phase modified the frozen embedder")
@@ -254,8 +301,6 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("embedder phase needs a non-empty training set")
-    if config.mode not in FINE_TUNE_MODES:
-        raise ValueError(f"unknown fine-tune mode {config.mode!r}")
 
     teacher = TeacherBranch.from_model(model)
     frozen = params_checksum(teacher.params)
@@ -265,7 +310,7 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
         teacher, train_bags, config.mode, config.beta
     )
     n = x_all.shape[0]
-    noise_cfg = config.noise_config()
+    noise_cfg = config.noise_config
     optimizer = Adam(student.params, config.embedder_lr)
 
     losses: list[float] = []
@@ -286,7 +331,7 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
                 )
                 loss = distill_step(teacher, student, batch, config.alpha_w, optimizer)
             total += loss * len(sel)
-        losses.append(total / n)
+        losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
 
     if params_checksum(teacher.params) != frozen:
         raise RuntimeError("embedder phase modified the frozen teacher")
@@ -297,8 +342,7 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
 def evaluate(model: MilModel, bags, threshold: float = 0.5) -> EvalResult:
     """Test-set metrics; the score is the positive-class probability."""
     bags = list(bags)
-    positive = model.config.positive_class
-    scores = [float(model.bag_forward(features_matrix(bag)).probs[positive])
+    scores = [float(model.bag_forward(features_matrix(bag)).probs[POSITIVE_CLASS])
               for bag in bags]
     labels = [int(np.argmax(bag.label)) for bag in bags]
     return evaluate_scores(np.array(scores), np.array(labels), threshold)
@@ -316,7 +360,8 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
     started = time.perf_counter()
     train, _, test = split_for_run(dataset, config)
     if not train.bags:
-        raise ValueError("empty training split")
+        raise ConfigError(f"fractions {list(config.fractions)} leave no training bag "
+                          f"among the dataset's {len(dataset.bags)}")
 
     rng_init = rng_stream(config.seed, "init")
     rng_augment = rng_stream(config.seed, "augment")
@@ -367,8 +412,8 @@ def save_checkpoint(model: MilModel, path) -> None:
     header = struct.pack(
         "<6I",
         _BACKBONE_CODES[cfg.backbone],
-        _ACTIVATION_CODES[cfg.activation],
-        cfg.positive_class,
+        _TANH_CODE,
+        POSITIVE_CLASS,
         cfg.num_classes,
         cfg.attn_dim,
         len(dims),
@@ -410,9 +455,13 @@ def load_checkpoint(path) -> MilModel:
         raise CheckpointError(f"checkpoint truncated in its header: {exc}") from exc
 
     backbones = {v: k for k, v in _BACKBONE_CODES.items()}
-    activations = {v: k for k, v in _ACTIVATION_CODES.items()}
-    if backbone_code not in backbones or act_code not in activations:
-        raise CheckpointError("unknown backbone or activation code")
+    if backbone_code not in backbones:
+        raise CheckpointError(f"unknown backbone code {backbone_code}")
+    if act_code != _TANH_CODE or positive_class != POSITIVE_CLASS:
+        raise CheckpointError(
+            f"activation code {act_code} and positive class {positive_class}: "
+            f"only {_TANH_CODE} (tanh) and {POSITIVE_CLASS} are written"
+        )
     if ndims < 2:
         raise CheckpointError(f"checkpoint declares {ndims} embedder dims, need >= 2")
     try:
@@ -423,8 +472,6 @@ def load_checkpoint(path) -> MilModel:
             attn_dim=attn_dim,
             num_classes=num_classes,
             backbone=backbones[backbone_code],
-            activation=activations[act_code],
-            positive_class=positive_class,
         )
     except ValueError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc

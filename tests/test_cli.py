@@ -288,3 +288,110 @@ def test_malformed_dataset_typed_error_and_exit_2(tmp_path, small_checkpoint, ca
     code = run(["eval", "--checkpoint", str(small_checkpoint), "--dataset", str(path)])
     assert code == 2
     assert f"line {line}" in capsys.readouterr().err
+
+
+# Every malformed train input is rejected before any phase runs.
+BAD_TRAIN_INPUTS = {
+    "augment-n": (["--augment-n", "0"], "augment_n"),
+    "augment-gamma": (["--augment-gamma", "2"], "augment_gamma"),
+    "augment-ratio": (["--augment-ratio", "-2"], "augment_ratio"),
+    "noise-scale": (["--noise-scale", "-1"], "noise_scale"),
+    "noise-scale-unused": (["--iterations", "0", "--noise-scale", "-1"], "noise_scale"),
+    "noise-dropout": (["--noise-dropout", "2"], "noise_dropout"),
+    "beta": (["--beta", "0"], "beta"),
+    "beta-unused": (["--mode", "vanilla", "--beta", "0"], "beta"),
+    "alpha-w": (["--alpha-w", "-5"], "alpha_w"),
+    "seed": (["--seed", "-1"], "seed"),
+    "embed-dim": (["--embed-dim", "0"], "embed_dim"),
+    "hidden": (["--hidden", "0"], "hidden"),
+    "attn-dim": (["--attn-dim", "-1"], "attn_dim"),
+    "config-float-epochs": (["--config", "{cfg}"], "classifier_epochs"),
+    "config-missing": (["--config", "{missing}"], "config"),
+}
+
+
+@pytest.mark.parametrize("flags,field", BAD_TRAIN_INPUTS.values(),
+                         ids=BAD_TRAIN_INPUTS.keys())
+def test_bad_train_input_exits_2_before_training(dataset_file, tmp_path, capsys,
+                                                 flags, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"classifier_epochs": 1.5}))
+    flags = [f.format(cfg=cfg, missing=tmp_path / "missing.json") for f in flags]
+    out = tmp_path / "run"
+    code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out)] + flags)
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:stratum")
+def test_empty_training_split_exits_2(tmp_path, capsys):
+    path = tmp_path / "two.jsonl"
+    assert run(["generate", "--out", str(path), "--bags", "2", "--k", "3",
+                "--d-raw", "2", "--seed", "0"]) == 0
+    code = run(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "x"),
+                "--fractions", "0.2", "0.4", "0.4"] + TRAIN_FAST)
+    assert code == 2
+    assert "no training bag" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                "--classifier-lr", "1e300"] + TRAIN_FAST)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "classifier phase" in err and "epoch" in err
+    assert not (out / "report.json").exists()
+
+
+def test_generate_negative_seed_exits_2(tmp_path, capsys):
+    assert run(["generate", "--out", str(tmp_path / "x.jsonl"), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_eval_dimension_mismatch_exits_3(dataset_file, small_checkpoint, capsys):
+    code = run(["eval", "--checkpoint", str(small_checkpoint),
+                "--dataset", str(dataset_file)])
+    assert code == 3
+    assert "d_raw" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def matching_dataset(tmp_path):
+    # fits small_checkpoint's input dim
+    path = tmp_path / "d2.jsonl"
+    assert run(["generate", "--out", str(path), "--bags", "4", "--k", "3",
+                "--d-raw", "2", "--seed", "0"]) == 0
+    return path
+
+
+def test_export_into_missing_directory_exits_3(matching_dataset, small_checkpoint,
+                                               tmp_path):
+    code = run(["export-attention", "--checkpoint", str(small_checkpoint),
+                "--dataset", str(matching_dataset),
+                "--out", str(tmp_path / "missing" / "attn.tsv")])
+    assert code == 3
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["export-attention", "--out", "attn.tsv", "--beta", "0"], "beta"),
+    (["eval", "--threshold", "nan"], "threshold"),
+    (["eval", "--seed", "-1"], "seed"),
+])
+def test_bad_eval_or_export_option_exits_2(matching_dataset, small_checkpoint,
+                                           tmp_path, capsys, argv, field):
+    argv = [a if a != "attn.tsv" else str(tmp_path / a) for a in argv]
+    code = run(argv + ["--checkpoint", str(small_checkpoint),
+                       "--dataset", str(matching_dataset)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_eval_on_empty_split_exits_3(matching_dataset, small_checkpoint, capsys):
+    code = run(["eval", "--checkpoint", str(small_checkpoint),
+                "--dataset", str(matching_dataset), "--split", "val",
+                "--fractions", "0.5", "0", "0.5"])
+    assert code == 3
+    assert "no samples" in capsys.readouterr().err

@@ -254,6 +254,20 @@ class TestDistillStep:
                                     1.0, opt)
                 assert loss >= 0.0
 
+    def test_one_embedder_forward_per_branch(self, monkeypatch):
+        # the teacher's targets and its representations for the
+        # weight-similarity term come from one forward pass
+        teacher, student = make_branches(seed=6)
+        rng = np.random.default_rng(7)
+        batch = self._batch(teacher, rng.uniform(-2, 2, size=(4, 4)), rng)
+        calls = []
+        for name, branch in (("teacher", teacher), ("student", student)):
+            forward = branch.embedder.forward
+            monkeypatch.setattr(branch.embedder, "forward",
+                                lambda x, f=forward, n=name: calls.append(n) or f(x))
+        distill_step(teacher, student, batch, 1.0, Adam(student.params, lr=1e-3))
+        assert calls == ["teacher", "student"]
+
     def test_distill_batch_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             DistillBatch(instances=np.zeros((3, 2)), noised=np.zeros((2, 2)),

@@ -6,8 +6,7 @@ import pytest
 from coupledmil.gradcore import (
     Adam,
     Param,
-    activation_backward,
-    activation_forward,
+    _sigmoid,
     cross_entropy,
     grad_check,
     kl_divergence,
@@ -16,6 +15,7 @@ from coupledmil.gradcore import (
     softmax,
     tensor2,
 )
+from coupledmil.milnet import Embedder
 
 LN2 = 0.6931471805599453
 
@@ -88,46 +88,63 @@ class TestLinear:
         assert report.max_rel_error <= 1e-4, report.per_param
 
 
+def _tanh_layer(x, upstream=None):
+    """The embedder's hidden activation alone: one-unit layers with unit
+    weights and zero biases, so the output is tanh(x) exactly; with
+    `upstream`, the gradient with respect to x instead."""
+    emb = Embedder((1, 1, 1))
+    for w, _ in emb.layers:
+        w.value[:] = 1.0
+    col = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    out, cache = emb.forward(col)
+    if upstream is not None:
+        out = emb.backward(cache, np.asarray(upstream, dtype=np.float64).reshape(-1, 1))
+    return out.reshape(np.shape(x))
+
+
+def _sigmoid_grad(x, upstream):
+    s = _sigmoid(x)
+    return upstream * s * (1.0 - s)  # as in GatedAttention.backward
+
+
+ACTIVATIONS = {"tanh": (_tanh_layer, _tanh_layer), "sigmoid": (_sigmoid, _sigmoid_grad)}
+
+
 class TestActivations:
     def test_tanh_zero(self):
-        assert activation_forward(np.zeros((1, 1)), "tanh")[0, 0] == 0.0
+        assert _tanh_layer(np.zeros((1, 1)))[0, 0] == 0.0
 
     def test_sigmoid_zero(self):
-        assert activation_forward(np.zeros((1, 1)), "sigmoid")[0, 0] == 0.5
+        assert _sigmoid(np.zeros((1, 1)))[0, 0] == 0.5
 
     def test_tanh_saturates_without_nan(self):
-        out = activation_forward(np.array([[1e3, 1e6]]), "tanh")
+        out = _tanh_layer(np.array([[1e3, 1e6]]))
         assert np.all(np.isfinite(out))
         assert np.allclose(out, 1.0)
 
     def test_sigmoid_extremes_finite(self):
-        out = activation_forward(np.array([[-1e3, 1e3]]), "sigmoid")
+        out = _sigmoid(np.array([[-1e3, 1e3]]))
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(0.0, abs=1e-100)
         assert out[0, 1] == pytest.approx(1.0)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="relu"):
-            activation_forward(np.zeros((1, 1)), "relu")
-
     def test_tanh_derivative_at_zero(self):
         g = np.array([[1.7]])
-        out = activation_backward(np.zeros((1, 1)), "tanh", g)
+        out = _tanh_layer(np.zeros((1, 1)), g)
         assert np.allclose(out, g)
 
     def test_sigmoid_derivative_at_zero(self):
-        out = activation_backward(np.zeros((1, 1)), "sigmoid", np.ones((1, 1)))
+        out = _sigmoid_grad(np.zeros((1, 1)), np.ones((1, 1)))
         assert out[0, 0] == pytest.approx(0.25)
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_derivative_matches_finite_differences(self, kind):
+        forward, backward = ACTIVATIONS[kind]
         rng = np.random.default_rng(11)
         x = rng.uniform(-2, 2, size=(3, 4))
         step = 1e-5
-        analytic = activation_backward(x, kind, np.ones_like(x))
-        numeric = (
-            activation_forward(x + step, kind) - activation_forward(x - step, kind)
-        ) / (2 * step)
+        analytic = backward(x, np.ones_like(x))
+        numeric = (forward(x + step) - forward(x - step)) / (2 * step)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() <= 1e-4
 
@@ -267,14 +284,14 @@ class TestGradCheck:
 
         def loss():
             z1 = linear_forward(x, w1, b1)
-            h = activation_forward(z1, "tanh")
+            h = np.tanh(z1)
             z2 = linear_forward(h, w2, b2)
             logits = z2.sum(axis=0, keepdims=True)  # pool rows to one bag logit
             p = softmax(logits.ravel())
             val = cross_entropy(p, y)
             dlogits = np.repeat((p - y)[None, :], x.shape[0], axis=0)
             dh = linear_backward(h, w2, b2, dlogits)
-            dz1 = activation_backward(z1, "tanh", dh)
+            dz1 = dh * (1.0 - h * h)
             linear_backward(x, w1, b1, dz1)
             return val
 

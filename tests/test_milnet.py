@@ -64,7 +64,7 @@ class TestAggregate:
         clf = BagClassifier(2, 2)
         clf.w.value[:] = np.array([[0.0, 1.0], [0.0, 0.0]])  # logit_1 = first feature
         h = np.array([[0.1, 9.0], [5.0, -1.0], [2.0, 0.0]])
-        bag_rep, a, _ = MaxPooling(positive_class=1).forward(h, clf)
+        bag_rep, a, _ = MaxPooling().forward(h, clf)
         assert np.allclose(a, [0.0, 1.0, 0.0])
         assert np.allclose(bag_rep, [[5.0, -1.0]])
 
@@ -221,7 +221,7 @@ def test_model_config_rejects_unknown_backbone():
 
 @pytest.mark.parametrize("field,value", [
     ("d_raw", 0), ("embed_dim", 0), ("attn_dim", 0), ("hidden", (4, 0)),
-    ("num_classes", 0), ("positive_class", 2), ("positive_class", -1),
+    ("num_classes", 0), ("num_classes", 1),
 ])
 def test_model_config_rejects_bad_dims(field, value):
     with pytest.raises(ValueError):

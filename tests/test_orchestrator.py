@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from coupledmil.augment import AugmentConfig, augment_pair
-from coupledmil.bagdata import SyntheticSpec, features_matrix, generate_synthetic
+from coupledmil.bagdata import (
+    ConfigError,
+    SyntheticSpec,
+    features_matrix,
+    generate_synthetic,
+)
 from coupledmil.gradcore import cross_entropy
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import (
     CHECKPOINT_MAGIC,
     CheckpointError,
+    NonFiniteLossError,
     RunReport,
     TrainConfig,
     evaluate,
@@ -71,10 +77,21 @@ class TestTrainConfig:
         ("batch_size", 0), ("fractions", (0.0, 0.0, 1.0)),
         ("fractions", (0.5, 0.5, 0.5)), ("fractions", (0.5, 0.5)),
         ("fractions", (-0.1, 0.6, 0.5)), ("fractions", (float("nan"), 0.5, 0.5)),
+        ("seed", -1), ("beta", 0.0), ("alpha_w", -5.0), ("augment_ratio", -2.0),
+        ("hidden", (0,)), ("hidden", 5), ("embed_dim", 0), ("attn_dim", -1),
+        ("augment_n", 0), ("augment_alpha", 0.0), ("augment_gamma", 2.0),
+        ("augment_label_mode", "mean"), ("noise_scale", -1.0), ("noise_dropout", 2.0),
+        ("classifier_epochs", 1.5), ("batch_size", True), ("augment", "yes"),
+        ("classifier_lr", float("inf")), ("threshold", float("nan")), ("mode", 3),
     ])
     def test_validation(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
+
+    def test_sub_configs_built_once(self):
+        cfg = small_config(augment_n=3, noise_scale=0.2)
+        assert cfg.augment_config.n == 3
+        assert cfg.noise_config.scale == 0.2
 
 
 class TestClassifierPhase:
@@ -187,6 +204,15 @@ class TestEmbedderPhase:
         with pytest.raises(ValueError, match="mode"):
             small_config(mode="distil")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_phase_and_epoch(self):
+        ds = small_dataset()
+        config = small_config(embedder_lr=1e300)
+        model = build_model(config)
+        with pytest.raises(NonFiniteLossError, match="embedder phase.*epoch 1"):
+            run_embedder_phase(ds.bags, model, config,
+                               rng_stream(0, "noise"), rng_stream(0, "distill"))
+
     @pytest.mark.parametrize("mode", ["naive", "vanilla", "confidence"])
     def test_all_modes_run(self, mode):
         ds = small_dataset()
@@ -246,6 +272,17 @@ class TestRunTraining:
         assert r1.evaluations[0] == r2.evaluations[0]  # same baseline
         assert r1.to_json() != r2.to_json()
 
+    @pytest.mark.filterwarnings("ignore:stratum")
+    def test_empty_training_split_is_a_config_error(self):
+        ds = small_dataset(num_bags=2)
+        with pytest.raises(ConfigError, match="no training bag"):
+            run_training(ds, small_config(fractions=(0.2, 0.4, 0.4)))
+
+    def test_to_json_rejects_nan(self):
+        report = RunReport(config={}, seed=0, classifier_losses=[[float("nan")]])
+        with pytest.raises(ValueError):
+            report.to_json()
+
     def test_split_is_deterministic_given_config(self):
         ds = small_dataset()
         cfg = small_config(seed=13)
@@ -297,6 +334,18 @@ class TestCheckpoint:
         blob[m:m + 4] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version 99"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset,value", [(4, 1), (8, 0)])
+    def test_only_tanh_and_positive_class_one_load(self, tmp_path, offset, value):
+        # header fields after the backbone code: activation, positive class
+        path = tmp_path / "m.bin"
+        save_checkpoint(build_model(small_config()), path)
+        blob = bytearray(path.read_bytes())
+        at = len(CHECKPOINT_MAGIC) + 4 + offset
+        blob[at:at + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="activation code"):
             load_checkpoint(path)
 
     def test_truncated_blocks(self, tmp_path):
