@@ -270,7 +270,9 @@ def load_dataset(path) -> Dataset:
         if key not in manifest:
             raise DatasetParseError(f"manifest missing {key!r}", 1)
     d_raw = _manifest_int(manifest, "d_raw", 1)
-    num_classes = _manifest_int(manifest, "C", 2)  # class 1 is the positive class
+    num_classes = _manifest_int(manifest, "C", 2)
+    if num_classes != 2:  # the package is binary; class 1 is the positive class
+        raise DatasetParseError(f"manifest 'C' must be 2, got {num_classes}", 1)
     count = _manifest_int(manifest, "count", 0)
     if len(lines) - 1 < count:
         raise DatasetParseError(

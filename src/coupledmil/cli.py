@@ -98,9 +98,9 @@ def _build_train_config(args) -> TrainConfig:
 def cmd_train(args) -> None:
     config = _build_train_config(args)
     dataset = load_dataset(args.dataset)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report, model = run_training(dataset, config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # a failed run leaves no directory
     (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
     save_checkpoint(model, out_dir / "checkpoint.bin")
 

@@ -119,66 +119,22 @@ class StudentBranch:
     def params(self):
         return [*self.embedder.params, *self.classifier.params]
 
-    def instance_probs(self, x: np.ndarray) -> np.ndarray:
-        h, _ = self.embedder.forward(x)
-        return softmax_rows(self.classifier.logits(h))
-
-
-@dataclass
-class DistillBatch:
-    """Instances with their noised variants, normalized teacher attention,
-    and confidence weights."""
-
-    instances: np.ndarray     # B x d
-    noised: np.ndarray        # B x d
-    attention: np.ndarray     # B, in [0, 1]
-    confidence: np.ndarray    # B, in [0, 1]
-
-    def __post_init__(self):
-        self.instances = np.asarray(self.instances, dtype=np.float64)
-        self.noised = np.asarray(self.noised, dtype=np.float64)
-        self.attention = np.asarray(self.attention, dtype=np.float64).ravel()
-        self.confidence = np.asarray(self.confidence, dtype=np.float64).ravel()
-        if self.noised.shape != self.instances.shape:
-            raise ValueError(
-                f"noised shape {self.noised.shape} != instances shape "
-                f"{self.instances.shape}"
-            )
-        if (self.attention < 0).any() or (self.attention > 1).any():
-            raise ValueError("attention must be min-max normalized to [0, 1]")
-
-
-def consistency_loss(teacher: TeacherBranch, student: StudentBranch,
-                     x: np.ndarray, x_noised: np.ndarray) -> float:
-    """Mean KL(teacher(x) || student(x_noised)) over instances."""
-    p = teacher.instance_probs(x)
-    q = student.instance_probs(x_noised)
-    return float(kl_rows(p, q).mean())
-
-
-def weight_similarity_loss(teacher_clf: BagClassifier, student_clf: BagClassifier,
-                           h_teacher: np.ndarray) -> float:
-    """Mean KL between the two classifiers' outputs on the teacher-embedded
-    representations; with a single linear layer the layer sum is exactly the
-    softmax output divergence."""
-    p = softmax_rows(teacher_clf.logits(h_teacher))
-    q = softmax_rows(student_clf.logits(h_teacher))
-    return float(kl_rows(p, q).mean())
-
 
 def distill_step(teacher: TeacherBranch, student: StudentBranch,
-                 batch: DistillBatch, alpha_w: float, optimizer: Adam) -> float:
+                 x: np.ndarray, x_noised: np.ndarray, confidence: np.ndarray,
+                 alpha_w: float, optimizer: Adam) -> float:
     """One confidence-weighted distillation update on the student.
 
-    Batch loss is mean_i sigma_i * (L_c,i + alpha_w * L_w,i); unit confidence
-    recovers the plain teacher-student step. Returns the batch loss.
+    Batch loss is mean_i confidence_i * (L_c,i + alpha_w * L_w,i), with
+    L_c,i = KL(teacher(x_i) || student(x_noised_i)) and L_w,i the same KL
+    against the student's classifier on the teacher's embedding of x_i; unit
+    confidence recovers the plain teacher-student step. Returns the batch loss.
     """
-    x, xn, conf = batch.instances, batch.noised, batch.confidence
     n = x.shape[0]
     h_t = teacher.embed(x)                   # constants: teacher is frozen
     p_t = softmax_rows(teacher.classifier.logits(h_t))
 
-    h_s, emb_cache = student.embedder.forward(xn)
+    h_s, emb_cache = student.embedder.forward(x_noised)
     z_c = student.classifier.logits(h_s)
     q_c = softmax_rows(z_c)
     z_w = student.classifier.logits(h_t)
@@ -186,10 +142,10 @@ def distill_step(teacher: TeacherBranch, student: StudentBranch,
 
     l_c = kl_rows(p_t, q_c)
     l_w = kl_rows(p_t, q_w)
-    loss = float((conf * (l_c + alpha_w * l_w)).mean())
+    loss = float((confidence * (l_c + alpha_w * l_w)).mean())
 
-    dz_c = (conf / n)[:, None] * (q_c - p_t)
-    dz_w = (alpha_w * conf / n)[:, None] * (q_w - p_t)
+    dz_c = (confidence / n)[:, None] * (q_c - p_t)
+    dz_w = (alpha_w * confidence / n)[:, None] * (q_w - p_t)
     dh_s = student.classifier.backward(h_s, dz_c)
     student.classifier.backward(h_t, dz_w)   # h_t is constant; only W, b learn
     student.embedder.backward(emb_cache, dh_s)

@@ -164,10 +164,6 @@ class Adam:
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             p.grad[:] = 0.0
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 @dataclass
 class GradCheckReport:

@@ -34,14 +34,17 @@ class EvalResult:
 
 def _validate_binary(scores, labels):
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel().astype(np.int64)
+    labels = np.asarray(labels).ravel()
     if scores.size != labels.size:
         raise ValueError(f"length mismatch: {scores.size} scores, {labels.size} labels")
     if scores.size == 0:
         raise MetricError("no samples")
     if not np.isfinite(scores).all():
         raise MetricError(f"{int((~np.isfinite(scores)).sum())} non-finite scores")
-    return scores, labels
+    binary = (labels == 0) | (labels == 1)
+    if not binary.all():
+        raise MetricError(f"{int((~binary).sum())} labels other than 0 or 1")
+    return scores, labels.astype(np.int64)
 
 
 def roc_auc(scores, labels) -> float:

@@ -70,12 +70,12 @@ class Embedder:
             raise ValueError(
                 f"embedder expects (K, {self.in_dim}) input, got {x.shape}"
             )
-        cache = []
+        cache = []  # each layer's input; a hidden layer's tanh is the next one's
         h = x
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
+            cache.append(h)
             z = linear_forward(h, w, b)
-            cache.append((h, z))
             h = np.tanh(z) if i < last else z
         return h, cache
 
@@ -83,11 +83,10 @@ class Embedder:
         g = upstream
         last = len(self.layers) - 1
         for i in reversed(range(len(self.layers))):
-            x, z = cache[i]
             if i < last:
-                t = np.tanh(z)
+                t = cache[i + 1]
                 g = g * (1.0 - t * t)
-            g = linear_backward(x, self.layers[i][0], self.layers[i][1], g)
+            g = linear_backward(cache[i], self.layers[i][0], self.layers[i][1], g)
         return g
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .augment import AugmentConfig, augment_pair
 from .bagdata import Bag, ConfigError, Dataset, features_matrix, split_dataset
 from .distill import (
-    DistillBatch,
     NoiseConfig,
     StudentBranch,
     TeacherBranch,
@@ -279,17 +278,15 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
 
 
 def _instance_pool(teacher: TeacherBranch, train_bags, mode: str, beta: float):
-    xs, confs, attns = [], [], []
+    xs, confs = [], []
     for bag in train_bags:
         x_bag = features_matrix(bag)
-        a = teacher.bag_attention(x_bag)
-        a_norm = normalize_attention(a)
+        a_norm = normalize_attention(teacher.bag_attention(x_bag))
         conf = convert_confidence(a_norm, beta) if mode == "confidence" \
             else np.ones_like(a_norm)
         xs.append(x_bag)
-        attns.append(a_norm)
         confs.append(np.asarray(conf, dtype=np.float64))
-    return np.concatenate(xs), np.concatenate(attns), np.concatenate(confs)
+    return np.concatenate(xs), np.concatenate(confs)
 
 
 def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
@@ -306,9 +303,7 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
     frozen = params_checksum(teacher.params)
     student = StudentBranch.from_teacher(teacher)
 
-    x_all, attn_all, conf_all = _instance_pool(
-        teacher, train_bags, config.mode, config.beta
-    )
+    x_all, conf_all = _instance_pool(teacher, train_bags, config.mode, config.beta)
     n = x_all.shape[0]
     noise_cfg = config.noise_config
     optimizer = Adam(student.params, config.embedder_lr)
@@ -323,13 +318,9 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
             if config.mode == "naive":
                 loss = naive_pseudolabel_step(teacher, student, xb, optimizer)
             else:
-                batch = DistillBatch(
-                    instances=xb,
-                    noised=noisy_augment(xb, noise_cfg, rng_noise),
-                    attention=attn_all[sel],
-                    confidence=conf_all[sel],
-                )
-                loss = distill_step(teacher, student, batch, config.alpha_w, optimizer)
+                loss = distill_step(teacher, student, xb,
+                                    noisy_augment(xb, noise_cfg, rng_noise),
+                                    conf_all[sel], config.alpha_w, optimizer)
             total += loss * len(sel)
         losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
 

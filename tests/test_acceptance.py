@@ -20,16 +20,13 @@ from coupledmil.bagdata import (
     generate_synthetic,
 )
 from coupledmil.distill import (
-    DistillBatch,
     NoiseConfig,
     StudentBranch,
     TeacherBranch,
-    consistency_loss,
     convert_confidence,
     distill_step,
     noisy_augment,
     normalize_attention,
-    weight_similarity_loss,
 )
 from coupledmil.gradcore import (
     Adam,
@@ -221,9 +218,7 @@ def test_criterion_3_degeneracy_equivalence(backbone):
         students = []
         for weights in (conf, np.ones_like(conf)):
             student = StudentBranch.from_teacher(teacher)
-            batch = DistillBatch(instances=x, noised=noised, attention=a,
-                                 confidence=weights)
-            losses.append(distill_step(teacher, student, batch, 1.0,
+            losses.append(distill_step(teacher, student, x, noised, weights, 1.0,
                                        Adam(student.params, lr=1e-4)))
             students.append(student)
         max_gap = max(max_gap, abs(losses[0] - losses[1]))

@@ -266,6 +266,7 @@ BAD_DATASETS = {
     "manifest-float-field": ({**_MANIFEST, "d_raw": 2.5}, _RECORD, 1),
     "manifest-string-field": ({**_MANIFEST, "count": "1"}, _RECORD, 1),
     "manifest-one-class": ({**_MANIFEST, "C": 1}, {**_RECORD, "label": [1.0]}, 1),
+    "manifest-three-classes": ({**_MANIFEST, "C": 3}, {**_RECORD, "label": [1.0, 0.0, 0.0]}, 1),
     "features-empty": (_MANIFEST, {**_RECORD, "features": []}, 2),
     "features-scalar": (_MANIFEST, {**_RECORD, "features": 0.5}, 2),
     "features-non-numeric": (_MANIFEST, {**_RECORD, "features": [["a", "b"]]}, 2),
@@ -321,7 +322,7 @@ def test_bad_train_input_exits_2_before_training(dataset_file, tmp_path, capsys,
     code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out)] + flags)
     assert code == 2
     assert field in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:stratum")
@@ -333,6 +334,7 @@ def test_empty_training_split_exits_2(tmp_path, capsys):
                 "--fractions", "0.2", "0.4", "0.4"] + TRAIN_FAST)
     assert code == 2
     assert "no training bag" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # a failed run leaves no output directory
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -343,7 +345,7 @@ def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "classifier phase" in err and "epoch" in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_generate_negative_seed_exits_2(tmp_path, capsys):

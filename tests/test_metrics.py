@@ -111,3 +111,11 @@ def test_evaluate_scores_fields():
 def test_non_finite_scores_rejected(metric, scores):
     with pytest.raises(MetricError, match="non-finite"):
         metric(scores, [1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("labels", [[1, 0, 2, 0], [1, 0, 0.5, 0], [1, 0, np.nan, 0],
+                                    [1, -1, 1, 0]])
+@pytest.mark.parametrize("metric", [roc_auc, pairwise_auc, f1_accuracy, evaluate_scores])
+def test_non_binary_labels_rejected(metric, labels):
+    with pytest.raises(MetricError, match="other than 0 or 1"):
+        metric([0.9, 0.1, 0.5, 0.2], labels)
