@@ -12,7 +12,7 @@ from .bagdata import (
     save_dataset,
     split_dataset,
 )
-from .metrics import EvalResult, f1_accuracy, pairwise_auc, roc_auc
+from .metrics import EvalResult, f1_accuracy, roc_auc
 from .milnet import MilModel, ModelConfig
 from .orchestrator import (
     RunReport,
@@ -36,7 +36,6 @@ __all__ = [
     "generate_synthetic",
     "load_checkpoint",
     "load_dataset",
-    "pairwise_auc",
     "roc_auc",
     "run_training",
     "save_checkpoint",

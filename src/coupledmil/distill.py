@@ -9,13 +9,12 @@ optionally scaled by an attention-derived confidence weight |2a-1|^beta.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gradcore import LOG_FLOOR, Adam, kl_rows, softmax_rows
-from .milnet import BagClassifier, Embedder, MilModel
+from .milnet import MilModel
 
 
 @dataclass
@@ -73,23 +72,19 @@ class TeacherBranch:
     """Frozen snapshot of the trained backbone; provides distillation targets
     and per-bag attention scores. Its parameters are never written."""
 
-    def __init__(self, embedder: Embedder, classifier: BagClassifier, aggregator):
-        self.embedder = embedder
-        self.classifier = classifier
-        self.aggregator = aggregator
+    def __init__(self, model: MilModel):
+        self.model = model
+        self.embedder = model.embedder
+        self.classifier = model.classifier
+        self.aggregator = model.aggregator
 
     @classmethod
     def from_model(cls, model: MilModel) -> "TeacherBranch":
-        return cls(
-            copy.deepcopy(model.embedder),
-            copy.deepcopy(model.classifier),
-            copy.deepcopy(model.aggregator),
-        )
+        return cls(model.copy())
 
     @property
     def params(self):
-        return [*self.embedder.params, *self.classifier.params,
-                *self.aggregator.params]
+        return [self.model.arena]
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         h, _ = self.embedder.forward(x)
@@ -105,19 +100,20 @@ class TeacherBranch:
 
 class StudentBranch:
     """Learnable copy of the teacher: the embedder to be fine-tuned plus the
-    hidden instance-level classifier."""
+    hidden instance-level classifier. Its aggregator is never used."""
 
-    def __init__(self, embedder: Embedder, classifier: BagClassifier):
-        self.embedder = embedder
-        self.classifier = classifier
+    def __init__(self, model: MilModel):
+        self.model = model
+        self.embedder = model.embedder
+        self.classifier = model.classifier
 
     @classmethod
     def from_teacher(cls, teacher: TeacherBranch) -> "StudentBranch":
-        return cls(copy.deepcopy(teacher.embedder), copy.deepcopy(teacher.classifier))
+        return cls(teacher.model.copy())
 
     @property
     def params(self):
-        return [*self.embedder.params, *self.classifier.params]
+        return [self.model.embedder_group, self.model.classifier_group]
 
 
 def distill_step(teacher: TeacherBranch, student: StudentBranch,
@@ -147,7 +143,7 @@ def distill_step(teacher: TeacherBranch, student: StudentBranch,
     dz_c = (confidence / n)[:, None] * (q_c - p_t)
     dz_w = (alpha_w * confidence / n)[:, None] * (q_w - p_t)
     dh_s = student.classifier.backward(h_s, dz_c)
-    student.classifier.backward(h_t, dz_w)   # h_t is constant; only W, b learn
+    student.classifier.backward(h_t, dz_w, input_grad=False)  # h_t is constant
     student.embedder.backward(emb_cache, dh_s)
     optimizer.step()
     return loss

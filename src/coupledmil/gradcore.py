@@ -2,14 +2,13 @@
 
 All training math runs through this module: 2-D float64 numpy arrays as the
 tensor type, `Param` pairing a value with its gradient accumulator, and a
-bias-corrected `Adam` update. Backward passes are hand-derived and checked
-against central finite differences by `grad_check`.
+bias-corrected `Adam` update. Backward passes are hand-derived; the tests
+check them against central finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,13 +26,15 @@ def tensor2(data) -> Tensor2:
 
 
 class Param:
-    """Trainable tensor with a same-shape gradient accumulator."""
+    """Trainable tensor with a same-shape gradient accumulator. Given `grad`,
+    both arrays are kept as passed, so a Param can be a view into a larger
+    buffer."""
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, value, name: str = ""):
+    def __init__(self, value, name: str = "", grad: Tensor2 | None = None):
         self.value = tensor2(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
         self.name = name
 
     def zero_grad(self) -> None:
@@ -59,8 +60,10 @@ def linear_forward(x: Tensor2, w: Param, b: Param) -> Tensor2:
     return x @ w.value + b.value
 
 
-def linear_backward(x: Tensor2, w: Param, b: Param, upstream: Tensor2) -> Tensor2:
-    """Accumulate dW = x^T g, db = column-sum(g); return dx = g @ W^T."""
+def linear_backward(x: Tensor2, w: Param, b: Param, upstream: Tensor2,
+                    input_grad: bool = True) -> Tensor2 | None:
+    """Accumulate dW = x^T g, db = column-sum(g); return dx = g @ W^T, or
+    None without `input_grad`."""
     upstream = np.asarray(upstream, dtype=np.float64)
     expected = (x.shape[0], w.value.shape[1])
     if upstream.shape != expected:
@@ -70,15 +73,15 @@ def linear_backward(x: Tensor2, w: Param, b: Param, upstream: Tensor2) -> Tensor
         )
     w.grad += x.T @ upstream
     b.grad += upstream.sum(axis=0, keepdims=True)
-    return upstream @ w.value.T
+    return upstream @ w.value.T if input_grad else None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large |x|
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never
+    # overflows, and one exp serves both halves
     x = np.asarray(x, dtype=np.float64)
-    pos = np.exp(-np.clip(x, 0.0, None))
-    neg = np.exp(np.clip(x, None, 0.0))
-    return np.where(x >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(scores) -> np.ndarray:
@@ -97,30 +100,12 @@ def softmax_rows(z: Tensor2) -> Tensor2:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_distribution(v: np.ndarray, name: str) -> None:
-    if (v < 0).any():
-        raise ValueError(f"{name} has negative entries")
-    if not abs(v.sum() - 1.0) <= 1e-6:  # NaN fails too
-        raise ValueError(f"{name} does not sum to 1 (sum={v.sum()!r})")
-
-
 def kl_rows(p: Tensor2, q: Tensor2) -> np.ndarray:
     """Row-wise KL(p_i || q_i); zero-probability terms of p drop out and both
     logs are clamped at LOG_FLOOR."""
     qc = np.maximum(q, LOG_FLOOR)
     terms = np.where(p > 0, p * (np.log(np.maximum(p, LOG_FLOOR)) - np.log(qc)), 0.0)
     return np.maximum(terms.sum(axis=1), 0.0)  # guard against sign noise when p ~ q
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) = sum_c p_c log(p_c / q_c) of two distributions."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if p.shape != q.shape:
-        raise ValueError(f"kl_divergence: length mismatch {p.size} vs {q.size}")
-    _check_distribution(p, "p")
-    _check_distribution(q, "q")
-    return float(kl_rows(p[None, :], q[None, :])[0])
 
 
 def cross_entropy(pred, target) -> float:
@@ -163,56 +148,3 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             p.grad[:] = 0.0
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    per_param: dict = field(default_factory=dict)
-    tolerance: float = 1e-4
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
-
-
-def grad_check(loss_fn: Callable[[], float], params: Sequence[Param],
-               step: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn()` must run the full forward+backward pass, accumulating
-    gradients into `params`, and return the scalar loss. Gradients are zeroed
-    here before the analytic call; parameter values are restored exactly
-    after each probe.
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss_fn()
-    analytic = [p.grad.copy() for p in params]
-
-    per_param: dict[str, float] = {}
-    worst_name = ""
-    worst_err = 0.0
-    for i, (p, a) in enumerate(zip(params, analytic)):
-        name = p.name or f"param{i}"
-        err_max = 0.0
-        for idx in np.ndindex(p.value.shape):
-            orig = p.value[idx]
-            p.value[idx] = orig + step
-            lp = loss_fn()
-            p.value[idx] = orig - step
-            lm = loss_fn()
-            p.value[idx] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            ana = a[idx]
-            # denominator floored at 1e-5: below that, central differences
-            # are dominated by roundoff (~1e-11), not by gradient error
-            scale = max(abs(ana), abs(numeric), 1e-5)
-            err_max = max(err_max, abs(ana - numeric) / scale)
-        per_param[name] = err_max
-        if err_max >= worst_err:
-            worst_err = err_max
-            worst_name = name
-    return GradCheckReport(worst_err, worst_name, per_param, tolerance)

@@ -1,5 +1,4 @@
-"""Evaluation metrics: ROC AUC (trapezoidal, tie-aware), F1, accuracy, plus
-the exhaustive pairwise-concordance AUC used as a cross-check in tests."""
+"""Evaluation metrics: ROC AUC (trapezoidal, tie-aware), F1, accuracy."""
 
 from __future__ import annotations
 
@@ -68,22 +67,6 @@ def roc_auc(scores, labels) -> float:
     tpr = np.concatenate(([0.0], tps / n_pos))
     fpr = np.concatenate(([0.0], fps / n_neg))
     return float(_trapezoid(tpr, fpr))
-
-
-def pairwise_auc(scores, labels) -> float:
-    """Brute-force concordance: mean over all positive/negative pairs of
-    [pos > neg] + 0.5 [pos == neg]. O(P*N); test-side cross-check."""
-    scores, labels = _validate_binary(scores, labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if pos.size == 0 or neg.size == 0:
-        raise MetricError(
-            f"pairwise_auc undefined: {pos.size} positive / {neg.size} negative labels"
-        )
-    total = 0.0
-    for p in pos:
-        total += float((p > neg).sum()) + 0.5 * float((p == neg).sum())
-    return total / (pos.size * neg.size)
 
 
 def f1_accuracy(scores, labels, threshold: float = 0.5) -> tuple[float, float]:

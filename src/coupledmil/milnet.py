@@ -112,8 +112,9 @@ class BagClassifier:
     def probs(self, h: np.ndarray) -> np.ndarray:
         return softmax_rows(self.logits(h))
 
-    def backward(self, h: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-        return linear_backward(h, self.w, self.b, dlogits)
+    def backward(self, h: np.ndarray, dlogits: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        return linear_backward(h, self.w, self.b, dlogits, input_grad)
 
 
 class MeanPooling:
@@ -130,9 +131,10 @@ class MeanPooling:
         a = np.full(k, 1.0 / k)
         return h.mean(axis=0, keepdims=True), a, k
 
-    def backward(self, cache, d_bag: np.ndarray) -> np.ndarray:
+    def backward(self, cache, d_bag: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
         k = cache
-        return np.repeat(d_bag / k, k, axis=0)
+        return np.repeat(d_bag / k, k, axis=0) if input_grad else None
 
 
 class MaxPooling:
@@ -158,7 +160,10 @@ class MaxPooling:
         a[k_star] = 1.0
         return h[k_star:k_star + 1].copy(), a, (h.shape[0], k_star)
 
-    def backward(self, cache, d_bag: np.ndarray) -> np.ndarray:
+    def backward(self, cache, d_bag: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        if not input_grad:
+            return None
         k, k_star = cache
         dh = np.zeros((k, d_bag.shape[1]))
         dh[k_star] = d_bag[0]
@@ -201,7 +206,10 @@ class GatedAttention:
         bag = a[None, :] @ h
         return bag, a, (h, t, s, g, a)
 
-    def backward(self, cache, d_bag: np.ndarray) -> np.ndarray:
+    def backward(self, cache, d_bag: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients; return the gradient with
+        respect to h, or None without `input_grad`."""
         h, t, s, g, a = cache
         da = (h @ d_bag.T).ravel()
         de = a * (da - float(a @ da))       # softmax Jacobian
@@ -213,6 +221,8 @@ class GatedAttention:
         dv = ds * s * (1.0 - s)
         self.v1.grad += du.T @ h
         self.v2.grad += dv.T @ h
+        if not input_grad:
+            return None
         return a[:, None] * d_bag + du @ self.v1.value + dv @ self.v2.value
 
 
@@ -273,13 +283,49 @@ def _make_aggregator(config: ModelConfig):
 
 class MilModel:
     """Embedder + aggregator + bag classifier with explicit phase boundaries:
-    the trainer chooses which parameter group an optimizer touches."""
+    the trainer chooses which parameter group an optimizer touches.
+
+    Every parameter lives in one arena: `arena.value` and `arena.grad` are
+    1 x N buffers in checkpoint order (embedder | aggregator | classifier),
+    and each Param's value and grad are views into them. The group Params
+    `embedder_group`, `head_group` (aggregator and classifier) and
+    `classifier_group` span contiguous runs of the arena, so an optimizer,
+    a checksum or a copy handles one array per run."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.embedder = Embedder((config.d_raw, *config.hidden, config.embed_dim))
         self.aggregator = _make_aggregator(config)
         self.classifier = BagClassifier(config.embed_dim, config.num_classes)
+        self.arena = Param(np.zeros((1, config.num_params)), "arena")
+        start = 0
+        for p in self.all_params:
+            stop = start + p.value.size
+            p.value = self.arena.value[0, start:stop].reshape(p.value.shape)
+            p.grad = self.arena.grad[0, start:stop].reshape(p.value.shape)
+            start = stop
+        n_embedder = sum(p.value.size for p in self.embedder.params)
+        n_classifier = sum(p.value.size for p in self.classifier.params)
+        self.embedder_group = self._group("embedder", 0, n_embedder)
+        self.head_group = self._group("head", n_embedder, start)
+        self.classifier_group = self._group("classifier", start - n_classifier, start)
+
+    def _group(self, name: str, start: int, stop: int) -> Param:
+        return Param(self.arena.value[:, start:stop], name,
+                     self.arena.grad[:, start:stop])
+
+    def copy(self) -> "MilModel":
+        """An independent model with this one's parameter values and
+        gradients, copied buffer to buffer."""
+        clone = MilModel(self.config)
+        clone.arena.value[:] = self.arena.value
+        clone.arena.grad[:] = self.arena.grad
+        return clone
+
+    def __deepcopy__(self, memo) -> "MilModel":
+        # a field-by-field deepcopy would give every Param its own array,
+        # cut loose from the copy's arena
+        return self.copy()
 
     @classmethod
     def build(cls, config: ModelConfig, rng: np.random.Generator) -> "MilModel":
@@ -310,10 +356,12 @@ class MilModel:
         probs = softmax(logits.ravel())
         return bag_rep, a, logits, probs, agg_cache
 
-    def head_backward(self, h: np.ndarray, bag_rep: np.ndarray,
-                      agg_cache, dlogits: np.ndarray) -> np.ndarray:
+    def head_backward(self, h: np.ndarray, bag_rep: np.ndarray, agg_cache,
+                      dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the head's gradients; return the gradient with respect
+        to the instance representations h, or None without `input_grad`."""
         d_bag = self.classifier.backward(bag_rep, dlogits)
-        return self.aggregator.backward(agg_cache, d_bag)
+        return self.aggregator.backward(agg_cache, d_bag, input_grad)
 
     def bag_forward(self, x: np.ndarray) -> BagForwardTrace:
         h, embed_cache = self.embedder.forward(x)
@@ -325,8 +373,7 @@ class MilModel:
 
     def bag_backward(self, trace: BagForwardTrace, dlogits: np.ndarray,
                      train_embedder: bool = False) -> None:
-        dh = self.head_backward(
-            trace.instance_reps, trace.bag_rep, trace.agg_cache, dlogits
-        )
+        dh = self.head_backward(trace.instance_reps, trace.bag_rep,
+                                trace.agg_cache, dlogits, train_embedder)
         if train_embedder:
             self.embedder.backward(trace.embed_cache, dh)

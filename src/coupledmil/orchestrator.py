@@ -241,14 +241,14 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
     if not train_bags:
         raise ValueError("classifier phase needs a non-empty training set")
 
-    frozen = params_checksum(model.embedder.params)
+    frozen = params_checksum([model.embedder_group])
     # embed once: selecting instances commutes with per-instance embedding,
     # so augmentation can run directly in representation space
     embedded = [_embedded_bag(model, bag) for bag in train_bags]
     base_samples = [(features_matrix(b), b.label) for b in embedded]
 
     aug_cfg = config.augment_config
-    optimizer = Adam(model.head_params, config.classifier_lr)
+    optimizer = Adam([model.head_group], config.classifier_lr)
     losses: list[float] = []
     for _ in range(config.effective_classifier_epochs):
         samples = list(base_samples)
@@ -268,11 +268,11 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
             bag_rep, _, logits, probs, agg_cache = model.head_forward(h)
             total += cross_entropy(probs, label)
             dlogits = (probs - label)[None, :]
-            model.head_backward(h, bag_rep, agg_cache, dlogits)
+            model.head_backward(h, bag_rep, agg_cache, dlogits, input_grad=False)
             optimizer.step()
         losses.append(_checked_loss("classifier", len(losses) + 1, total / len(samples)))
 
-    if params_checksum(model.embedder.params) != frozen:
+    if params_checksum([model.embedder_group]) != frozen:
         raise RuntimeError("classifier phase modified the frozen embedder")
     return losses
 
@@ -293,8 +293,8 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
                        rng_noise: np.random.Generator,
                        rng_distill: np.random.Generator) -> list[float]:
     """Fine-tune the embedder against a frozen teacher snapshot of the
-    current model; the student's embedder replaces the model's, its
-    classifier is discarded. Returns per-pass mean losses."""
+    current model; the student's embedder is then copied into the model's,
+    its classifier is discarded. Returns per-pass mean losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("embedder phase needs a non-empty training set")
@@ -326,7 +326,7 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
 
     if params_checksum(teacher.params) != frozen:
         raise RuntimeError("embedder phase modified the frozen teacher")
-    model.embedder = student.embedder
+    model.embedder_group.value[:] = student.model.embedder_group.value
     return losses
 
 
@@ -396,8 +396,8 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
 
 
 def save_checkpoint(model: MilModel, path) -> None:
-    """Binary little-endian checkpoint: magic, version, layer dims, then raw
-    float64 parameter blocks in declaration order. Bit-exact round trip."""
+    """Binary little-endian checkpoint: magic, version, layer dims, then the
+    parameter arena as raw float64 values. Bit-exact round trip."""
     cfg = model.config
     dims = model.embedder.dims
     header = struct.pack(
@@ -410,10 +410,7 @@ def save_checkpoint(model: MilModel, path) -> None:
         len(dims),
     )
     header += struct.pack(f"<{len(dims)}I", *dims)
-    blocks = b"".join(
-        np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-        for p in model.all_params
-    )
+    blocks = np.ascontiguousarray(model.arena.value, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -477,8 +474,5 @@ def load_checkpoint(path) -> MilModel:
     if not np.isfinite(values).all():
         raise CheckpointError("checkpoint holds non-finite parameters")
     model = MilModel(cfg)
-    start = 0
-    for p in model.all_params:
-        p.value[:] = values[start:start + p.value.size].reshape(p.value.shape)
-        start += p.value.size
+    model.arena.value[0] = values
     return model

@@ -11,9 +11,10 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import Adam, cross_entropy, kl_divergence, kl_rows
+from coupledmil.gradcore import Adam, cross_entropy, kl_rows
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import params_checksum
+from oracles import ReferenceAdam, kl_divergence, views_of_own_arena
 
 
 def build_model(backbone="gated_attention", seed=0, d_raw=4):
@@ -272,3 +273,49 @@ class TestNaivePseudolabel:
         opt = Adam(student.params, lr=1e-5)
         losses = [naive_pseudolabel_step(teacher, student, x, opt) for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+class TestSnapshots:
+    def test_steps_on_student_touch_only_its_arena(self):
+        model = build_model(seed=5)
+        before = model.arena.value.copy()
+        teacher = TeacherBranch.from_model(model)
+        student = StudentBranch.from_teacher(teacher)
+        frozen = teacher.model.arena.value.copy()
+        rng = np.random.default_rng(6)
+        opt = Adam(student.params, lr=1e-2)
+        for _ in range(3):
+            x = rng.uniform(-2, 2, size=(6, 4))
+            distill_step(teacher, student, x, noisy_augment(x, NoiseConfig(), rng),
+                         np.ones(6), 1.0, opt)
+        for branch in (teacher, student):
+            assert views_of_own_arena(branch.model)
+        assert not np.array_equal(student.model.arena.value, frozen)
+        assert np.array_equal(teacher.model.arena.value, frozen)
+        assert np.array_equal(model.arena.value, before)
+
+    def test_distill_pass_matches_per_tensor_adam(self):
+        # one pass over a pool in batches: the optimizer over the student's
+        # two arena runs against one update per tensor
+        teacher, _ = make_branches(seed=17)
+        rng = np.random.default_rng(18)
+        x_all = rng.uniform(-2, 2, size=(40, 4))
+        noised = noisy_augment(x_all, NoiseConfig(), rng)
+        conf = rng.uniform(0, 1, size=40)
+        students = []
+        for per_tensor in (False, True):
+            student = StudentBranch.from_teacher(teacher)
+            opt = (ReferenceAdam([*student.embedder.params, *student.classifier.params],
+                                 lr=1e-3) if per_tensor
+                   else Adam(student.params, lr=1e-3))
+            for start in range(0, 40, 7):
+                sel = slice(start, start + 7)
+                distill_step(teacher, student, x_all[sel], noised[sel], conf[sel],
+                             1.0, opt)
+            naive_pseudolabel_step(teacher, student, x_all[:9], opt)
+            students.append(student)
+        arena, reference = students
+        assert not np.array_equal(arena.model.arena.value, teacher.model.arena.value)
+        for pa, pref in zip(arena.model.all_params, reference.model.all_params):
+            assert np.array_equal(pa.value, pref.value)
+            assert not pa.grad.any() and not pref.grad.any()

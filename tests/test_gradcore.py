@@ -8,14 +8,13 @@ from coupledmil.gradcore import (
     Param,
     _sigmoid,
     cross_entropy,
-    grad_check,
-    kl_divergence,
     linear_backward,
     linear_forward,
     softmax,
     tensor2,
 )
 from coupledmil.milnet import Embedder
+from oracles import grad_check, kl_divergence
 
 LN2 = 0.6931471805599453
 
@@ -147,6 +146,28 @@ class TestActivations:
         numeric = (forward(x + step) - forward(x - step)) / (2 * step)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() <= 1e-4
+
+
+def _piecewise_sigmoid(x):
+    # two exps on clipped halves, so neither side can overflow
+    pos = np.exp(-np.clip(x, 0.0, None))
+    neg = np.exp(np.clip(x, None, 0.0))
+    return np.where(x >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
+
+
+def test_sigmoid_bitwise_matches_piecewise_reference():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+             2.2250738585072014e-308, -2.2250738585072014e-308]
+    for v in (709.0, 710.0, 745.0, 746.0, 36.0, 37.0, 1e300):
+        edges += [v, -v, np.nextafter(v, 0.0), -np.nextafter(v, 0.0)]
+    sweep = np.random.default_rng(4).standard_normal(10_000) * 40.0
+    x = np.concatenate([edges, sweep]).reshape(-1, 1)
+    out, ref = _sigmoid(x), _piecewise_sigmoid(x)
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    assert np.isnan(out).sum() == 1
+    finite = ~np.isnan(ref)
+    assert np.array_equal(out[finite].view(np.int64), ref[finite].view(np.int64))
 
 
 class TestSoftmax:

@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from coupledmil.gradcore import cross_entropy, grad_check, softmax
+from coupledmil.gradcore import Adam, cross_entropy, softmax
 from coupledmil.milnet import (
     BagClassifier,
     Embedder,
@@ -11,6 +13,7 @@ from coupledmil.milnet import (
     MilModel,
     ModelConfig,
 )
+from oracles import grad_check, views_of_own_arena
 
 
 def build_model(d_raw=4, hidden=(6,), embed_dim=5, attn_dim=3, backbone="gated_attention",
@@ -233,3 +236,53 @@ def test_num_params_matches_built_model(backbone):
     cfg = ModelConfig(d_raw=5, hidden=(7, 3), embed_dim=4, attn_dim=6,
                       num_classes=3, backbone=backbone)
     assert cfg.num_params == sum(p.value.size for p in MilModel(cfg).all_params)
+
+
+class TestArena:
+    @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
+    def test_groups_span_their_params(self, backbone):
+        model = build_model(backbone=backbone)
+        assert views_of_own_arena(model)
+        for group, params in ((model.embedder_group, model.embedder.params),
+                              (model.head_group, model.head_params),
+                              (model.classifier_group, model.classifier.params)):
+            flat = np.concatenate([p.value.ravel() for p in params])
+            assert np.array_equal(group.value[0], flat)
+            assert all(np.shares_memory(p.value, group.value) for p in params)
+
+    def test_deepcopy_keeps_its_own_arena(self):
+        model = build_model(seed=3)
+        before = model.arena.value.copy()
+        clone = copy.deepcopy(model)
+        assert views_of_own_arena(clone)
+        assert not np.shares_memory(clone.arena.value, model.arena.value)
+        x = np.random.default_rng(4).uniform(-2, 2, size=(5, 4))
+        trace = clone.bag_forward(x)
+        clone.bag_backward(trace, (trace.probs - [1.0, 0.0])[None, :])
+        Adam([clone.head_group], lr=1e-2).step()
+        assert views_of_own_arena(clone)
+        assert not np.array_equal(clone.arena.value, before)
+        assert np.array_equal(model.arena.value, before)
+        assert not model.arena.grad.any()
+
+
+@pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
+def test_classifier_phase_head_gradients_equal_bag_backward(backbone):
+    # the classifier phase skips the gradient with respect to h; the
+    # parameter gradients must not notice
+    model = build_model(backbone=backbone, seed=9)
+    rng = np.random.default_rng(10)
+    for k in (1, 3, 17):
+        x = rng.uniform(-2, 2, size=(k, 4))
+        trace = model.bag_forward(x)
+        dlogits = (trace.probs - [0.0, 1.0])[None, :]
+        model.bag_backward(trace, dlogits, train_embedder=True)
+        via_bag = model.head_group.grad.copy()
+        model.arena.grad[:] = 0.0
+        h = trace.instance_reps
+        bag_rep, _, _, probs, agg_cache = model.head_forward(h)
+        assert np.array_equal(probs, trace.probs)
+        assert model.head_backward(h, bag_rep, agg_cache, dlogits, input_grad=False) is None
+        assert via_bag.any()
+        assert np.array_equal(model.head_group.grad, via_bag)
+        model.arena.grad[:] = 0.0

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from coupledmil import orchestrator
 from coupledmil.augment import AugmentConfig, augment_pair
 from coupledmil.bagdata import (
     ConfigError,
@@ -29,6 +30,7 @@ from coupledmil.orchestrator import (
     split_for_run,
 )
 from coupledmil.seeding import rng_stream
+from oracles import ReferenceAdam
 
 
 def small_dataset(seed=0, num_bags=30, k=8, d_raw=6, delta=3.0):
@@ -115,6 +117,27 @@ class TestClassifierPhase:
         run_classifier_phase(ds.bags, model, config,
                              rng_stream(1, "augment"), rng_stream(1, "shuffle"))
         assert params_checksum(model.embedder.params) == before
+
+    @pytest.mark.parametrize("backbone", ["mean", "gated_attention"])
+    def test_matches_per_tensor_adam(self, monkeypatch, backbone):
+        # the optimizer over the head's arena run against one update per
+        # tensor, through the whole phase
+        ds = small_dataset()
+        config = small_config(backbone=backbone, augment=True, classifier_epochs=3)
+        models = []
+        for per_tensor in (False, True):
+            model = build_model(config, seed=6)
+            if per_tensor:
+                monkeypatch.setattr(orchestrator, "Adam",
+                                    lambda _, lr, m=model: ReferenceAdam(m.head_params, lr))
+            run_classifier_phase(ds.bags, model, config,
+                                 rng_stream(3, "augment"), rng_stream(3, "shuffle"))
+            models.append(model)
+        arena, reference = models
+        assert not np.array_equal(arena.head_group.value,
+                                  build_model(config, seed=6).head_group.value)
+        for pa, pref in zip(arena.all_params, reference.all_params):
+            assert np.array_equal(pa.value, pref.value)
 
     def test_empty_dataset_rejected(self):
         config = small_config()
