@@ -149,10 +149,9 @@ def cmd_export_attention(args) -> None:
     for bag in dataset.bags:
         trace = model.bag_forward(features_matrix(bag))
         a_norm = normalize_attention(trace.attention)
-        # scalar path so the column is reproducible from the printed a_norm
-        conf = [convert_confidence(float(v), beta) for v in a_norm]
-        for i, (raw, nrm, c) in enumerate(zip(trace.attention, a_norm, conf)):
-            lines.append(f"{bag.id}\t{i}\t{float(raw)!r}\t{float(nrm)!r}\t{float(c)!r}")
+        conf = convert_confidence(a_norm, beta)
+        rows = enumerate(zip(trace.attention.tolist(), a_norm.tolist(), conf.tolist()))
+        lines += (f"{bag.id}\t{i}\t{raw!r}\t{nrm!r}\t{c!r}" for i, (raw, nrm, c) in rows)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote attention table for {len(dataset.bags)} bags to {args.out}")
 

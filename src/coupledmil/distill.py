@@ -38,6 +38,8 @@ def normalize_attention(scores) -> np.ndarray:
     a = np.asarray(scores, dtype=np.float64).ravel()
     if a.size == 0:
         raise ValueError("normalize_attention: empty input")
+    if not np.isfinite(a).all():
+        raise ValueError("normalize_attention: scores must be finite")
     lo, hi = a.min(), a.max()
     if hi == lo:
         return np.ones_like(a)
@@ -46,14 +48,15 @@ def normalize_attention(scores) -> np.ndarray:
 
 def convert_confidence(a_norm, beta: float):
     """Confidence weight |2a - 1|**beta: 1 at both attention extremes, 0 at
-    maximal uncertainty a = 0.5."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    maximal uncertainty a = 0.5. A scalar takes the array power as well, so it
+    equals its element of any array bit for bit (SIMD and libm pow can differ)."""
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     a = np.asarray(a_norm, dtype=np.float64)
-    if (a < 0).any() or (a > 1).any():
+    if not ((a >= 0) & (a <= 1)).all():
         raise ValueError("normalized attention must lie in [0, 1]")
-    out = np.abs(2.0 * a - 1.0) ** beta
-    return float(out) if out.ndim == 0 else out
+    out = np.abs(2.0 * np.atleast_1d(a) - 1.0) ** beta
+    return float(out[0]) if a.ndim == 0 else out
 
 
 def noisy_augment(x: np.ndarray, noise: NoiseConfig,

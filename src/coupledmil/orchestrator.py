@@ -285,7 +285,7 @@ def _instance_pool(teacher: TeacherBranch, train_bags, mode: str, beta: float):
         conf = convert_confidence(a_norm, beta) if mode == "confidence" \
             else np.ones_like(a_norm)
         xs.append(x_bag)
-        confs.append(np.asarray(conf, dtype=np.float64))
+        confs.append(conf)
     return np.concatenate(xs), np.concatenate(confs)
 
 

@@ -5,10 +5,15 @@ import pytest
 
 from coupledmil.bagdata import DatasetParseError, DatasetSchemaError, load_dataset
 from coupledmil.cli import main
-from coupledmil.distill import convert_confidence
+from coupledmil.distill import TeacherBranch, convert_confidence, normalize_attention
 from coupledmil.metrics import MetricError
 from coupledmil.milnet import MilModel, ModelConfig
-from coupledmil.orchestrator import RunReport, save_checkpoint
+from coupledmil.orchestrator import (
+    RunReport,
+    _instance_pool,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run(args):
@@ -229,6 +234,40 @@ class TestExportAttention:
                     "--beta", str(beta)]) == 0
         for _, _, _, a_norm, conf in self._rows(out):
             assert float(conf) == convert_confidence(float(a_norm), beta)
+
+    def test_export_prints_the_training_weights(self, tmp_path):
+        """Bags of 3 to 40 instances reach every SIMD tail length; each column
+        must parse back to the exact floats training computes."""
+        dataset, run_dir = tmp_path / "ds.jsonl", tmp_path / "run"
+        assert run(["generate", "--out", str(dataset), "--bags", "40", "--k", "3",
+                    "--k-max", "40", "--d-raw", "6", "--rho", "0.3", "--seed", "5"]) == 0
+        assert run(["train", "--dataset", str(dataset), "--out-dir", str(run_dir),
+                    "--iterations", "0", "--seed", "2"] + TRAIN_FAST) == 0
+        beta = 6.0
+        blobs = []
+        for name in ("a1.tsv", "a2.tsv"):
+            path = tmp_path / name
+            assert run(["export-attention", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                        "--dataset", str(dataset), "--out", str(path),
+                        "--beta", str(beta)]) == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+        rows = self._rows(tmp_path / "a1.tsv")
+        model = load_checkpoint(run_dir / "checkpoint.bin")
+        teacher = TeacherBranch.from_model(model)
+        start = 0
+        for bag in load_dataset(dataset).bags:
+            k = len(bag.features)
+            bag_rows, start = rows[start:start + k], start + k
+            assert [(row[0], int(row[1])) for row in bag_rows] == [(bag.id, i) for i in range(k)]
+            got = np.array([[float(v) for v in row[2:]] for row in bag_rows])
+            raw = model.bag_forward(bag.features).attention
+            _, conf = _instance_pool(teacher, [bag], "confidence", beta)
+            assert np.array_equal(got[:, 0], raw)
+            assert np.array_equal(got[:, 1], normalize_attention(raw))
+            assert np.array_equal(got[:, 2], conf)
+        assert start == len(rows)
 
     def test_mean_backbone_confidence_all_ones(self, dataset_file, tmp_path):
         trained = tmp_path / "mean_run"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledmil.distill import (
     NoiseConfig,
@@ -42,6 +44,20 @@ class TestNormalizeAttention:
         with pytest.raises(ValueError):
             normalize_attention([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_attention([1.0, bad, 2.0])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# the beta values the docs and tests use, then any finite beta up to 16
+BETAS = st.one_of(st.sampled_from([1.0, 2.0, 4.0, 6.0, 8.0]),
+                  st.floats(0.0, 16.0, exclude_min=True))
+
 
 class TestConvertConfidence:
     def test_endpoints_are_one(self):
@@ -79,6 +95,35 @@ class TestConvertConfidence:
             convert_confidence(1.2, 6.0)
         with pytest.raises(ValueError):
             convert_confidence(0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_attention(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            convert_confidence(bad, 6.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            convert_confidence(np.array([0.2, bad, 0.8]), 6.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_beta(self, bad):
+        with pytest.raises(ValueError, match="beta"):
+            convert_confidence(0.5, bad)
+        with pytest.raises(ValueError, match="beta"):
+            convert_confidence(np.array([0.2, 0.8]), bad)
+
+    def test_scalar_returns_python_float(self):
+        assert type(convert_confidence(np.float64(0.75), 6.0)) is float
+        assert type(convert_confidence(np.array(0.75), 6.0)) is float
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(a=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=500).map(np.array),
+           beta=BETAS, data=st.data())
+    def test_scalar_and_array_agree_bitwise(self, a, beta, data):
+        whole = convert_confidence(a, beta)
+        assert np.array_equal(bits(whole), bits(np.abs(2.0 * a - 1.0) ** beta))
+        for i, v in enumerate(a):
+            assert bits(convert_confidence(float(v), beta)) == bits(whole[i])
+        part = data.draw(st.slices(len(a)))
+        assert np.array_equal(bits(convert_confidence(a[part], beta)), bits(whole[part]))
 
 
 class TestNoisyAugment:
