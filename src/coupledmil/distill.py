@@ -72,8 +72,9 @@ def noisy_augment(x: np.ndarray, noise: NoiseConfig,
 
 
 class TeacherBranch:
-    """Frozen snapshot of the trained backbone; provides distillation targets
-    and per-bag attention scores. Its parameters are never written."""
+    """Frozen snapshot of the trained backbone: its embeddings and instance
+    probabilities are the distillation targets, its per-bag attention gives
+    the confidence weights. Its parameters are never written."""
 
     def __init__(self, model: MilModel):
         self.model = model
@@ -92,13 +93,6 @@ class TeacherBranch:
     def embed(self, x: np.ndarray) -> np.ndarray:
         h, _ = self.embedder.forward(x)
         return h
-
-    def instance_probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax_rows(self.classifier.logits(self.embed(x)))
-
-    def bag_attention(self, x_bag: np.ndarray) -> np.ndarray:
-        _, a, _ = self.aggregator.forward(self.embed(x_bag), self.classifier)
-        return a
 
 
 class StudentBranch:
@@ -119,20 +113,19 @@ class StudentBranch:
         return [self.model.embedder_group, self.model.classifier_group]
 
 
-def distill_step(teacher: TeacherBranch, student: StudentBranch,
-                 x: np.ndarray, x_noised: np.ndarray, confidence: np.ndarray,
+def distill_step(student: StudentBranch, h_t: np.ndarray, p_t: np.ndarray,
+                 x_noised: np.ndarray, confidence: np.ndarray,
                  alpha_w: float, optimizer: Adam) -> float:
     """One confidence-weighted distillation update on the student.
 
+    `h_t` and `p_t` are the frozen teacher's embeddings and class
+    probabilities of the clean instances whose noised copies are `x_noised`.
     Batch loss is mean_i confidence_i * (L_c,i + alpha_w * L_w,i), with
-    L_c,i = KL(teacher(x_i) || student(x_noised_i)) and L_w,i the same KL
-    against the student's classifier on the teacher's embedding of x_i; unit
-    confidence recovers the plain teacher-student step. Returns the batch loss.
+    L_c,i = KL(p_t,i || student(x_noised_i)) and L_w,i the same KL against
+    the student's classifier on h_t,i; unit confidence recovers the plain
+    teacher-student step. Returns the batch loss.
     """
-    n = x.shape[0]
-    h_t = teacher.embed(x)                   # constants: teacher is frozen
-    p_t = softmax_rows(teacher.classifier.logits(h_t))
-
+    n = h_t.shape[0]
     h_s, emb_cache = student.embedder.forward(x_noised)
     z_c = student.classifier.logits(h_s)
     q_c = softmax_rows(z_c)
@@ -152,13 +145,12 @@ def distill_step(teacher: TeacherBranch, student: StudentBranch,
     return loss
 
 
-def naive_pseudolabel_step(teacher: TeacherBranch, student: StudentBranch,
-                           x: np.ndarray, optimizer: Adam) -> float:
-    """Baseline fine-tuning: hard argmax pseudo-labels from the teacher
-    (ties to the lower class index), plain cross-entropy on the student."""
-    x = np.asarray(x, dtype=np.float64)
+def naive_pseudolabel_step(student: StudentBranch, x: np.ndarray, p_t: np.ndarray,
+                           optimizer: Adam) -> float:
+    """Baseline fine-tuning: hard argmax pseudo-labels from the teacher's
+    class probabilities `p_t` of `x` (ties to the lower class index), plain
+    cross-entropy on the student."""
     n = x.shape[0]
-    p_t = teacher.instance_probs(x)
     pseudo = np.argmax(p_t, axis=1)
     y = np.zeros_like(p_t)
     y[np.arange(n), pseudo] = 1.0

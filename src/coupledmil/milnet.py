@@ -370,10 +370,3 @@ class MilModel:
             instance_reps=h, attention=a, bag_rep=bag_rep, probs=probs,
             logits=logits, embed_cache=embed_cache, agg_cache=agg_cache,
         )
-
-    def bag_backward(self, trace: BagForwardTrace, dlogits: np.ndarray,
-                     train_embedder: bool = False) -> None:
-        dh = self.head_backward(trace.instance_reps, trace.bag_rep,
-                                trace.agg_cache, dlogits, train_embedder)
-        if train_embedder:
-            self.embedder.backward(trace.embed_cache, dh)

@@ -27,7 +27,7 @@ from .distill import (
     noisy_augment,
     normalize_attention,
 )
-from .gradcore import Adam, cross_entropy
+from .gradcore import Adam, cross_entropy, softmax_rows
 from .metrics import EvalResult, evaluate_scores
 from .milnet import BACKBONES, POSITIVE_CLASS, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
@@ -46,7 +46,9 @@ class CheckpointError(ValueError):
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A training phase produced a non-finite epoch loss."""
+    """A training phase produced non-finite numbers: an epoch loss, the
+    embedder parameters an embedder phase hands back, or the embedding of a
+    bag."""
 
 
 def _is_int(value) -> bool:
@@ -228,6 +230,9 @@ def _checked_loss(phase: str, epoch: int, loss: float) -> float:
 
 def _embedded_bag(model: MilModel, bag) -> Bag:
     h, _ = model.embedder.forward(features_matrix(bag))
+    if not np.isfinite(h).all():  # finite but huge weights overflow here
+        raise NonFiniteLossError(
+            f"classifier phase: the embedder maps bag {bag.id!r} to non-finite values")
     return Bag(id=bag.id, features=h, label=bag.label.copy())
 
 
@@ -278,15 +283,24 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
 
 
 def _instance_pool(teacher: TeacherBranch, train_bags, mode: str, beta: float):
-    xs, confs = [], []
-    for bag in train_bags:
-        x_bag = features_matrix(bag)
-        a_norm = normalize_attention(teacher.bag_attention(x_bag))
-        conf = convert_confidence(a_norm, beta) if mode == "confidence" \
-            else np.ones_like(a_norm)
-        xs.append(x_bag)
-        confs.append(conf)
-    return np.concatenate(xs), np.concatenate(confs)
+    """Every training instance as rows in bag order: its features, the frozen
+    teacher's embedding of it and its confidence weight. The teacher embeds
+    each bag once; in confidence mode that embedding also gives the bag's
+    attention."""
+    xs = [features_matrix(bag) for bag in train_bags]
+    x_all = np.concatenate(xs)
+    h_all = np.empty((len(x_all), teacher.embedder.dims[-1]))
+    conf_all = np.ones(len(x_all))
+    start = 0
+    for x_bag in xs:
+        stop = start + len(x_bag)
+        h = teacher.embed(x_bag)
+        h_all[start:stop] = h
+        if mode == "confidence":
+            _, a, _ = teacher.aggregator.forward(h, teacher.classifier)
+            conf_all[start:stop] = convert_confidence(normalize_attention(a), beta)
+        start = stop
+    return x_all, h_all, conf_all
 
 
 def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
@@ -294,7 +308,9 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
                        rng_distill: np.random.Generator) -> list[float]:
     """Fine-tune the embedder against a frozen teacher snapshot of the
     current model; the student's embedder is then copied into the model's,
-    its classifier is discarded. Returns per-pass mean losses."""
+    its classifier is discarded. The teacher's outputs are computed once for
+    the whole phase, since neither the teacher nor the clean instances change.
+    Returns per-pass mean losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("embedder phase needs a non-empty training set")
@@ -303,7 +319,9 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
     frozen = params_checksum(teacher.params)
     student = StudentBranch.from_teacher(teacher)
 
-    x_all, conf_all = _instance_pool(teacher, train_bags, config.mode, config.beta)
+    x_all, h_all, conf_all = _instance_pool(teacher, train_bags, config.mode,
+                                            config.beta)
+    p_all = softmax_rows(teacher.classifier.logits(h_all))
     n = x_all.shape[0]
     noise_cfg = config.noise_config
     optimizer = Adam(student.params, config.embedder_lr)
@@ -316,9 +334,9 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
             sel = order[start:start + config.batch_size]
             xb = x_all[sel]
             if config.mode == "naive":
-                loss = naive_pseudolabel_step(teacher, student, xb, optimizer)
+                loss = naive_pseudolabel_step(student, xb, p_all[sel], optimizer)
             else:
-                loss = distill_step(teacher, student, xb,
+                loss = distill_step(student, h_all[sel], p_all[sel],
                                     noisy_augment(xb, noise_cfg, rng_noise),
                                     conf_all[sel], config.alpha_w, optimizer)
             total += loss * len(sel)
@@ -326,6 +344,8 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
 
     if params_checksum(teacher.params) != frozen:
         raise RuntimeError("embedder phase modified the frozen teacher")
+    if not np.isfinite(student.model.embedder_group.value).all():
+        raise NonFiniteLossError("embedder phase: non-finite embedder parameters")
     model.embedder_group.value[:] = student.model.embedder_group.value
     return losses
 

@@ -8,9 +8,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from coupledmil.gradcore import Param, kl_rows
+from coupledmil.distill import (
+    StudentBranch,
+    TeacherBranch,
+    convert_confidence,
+    distill_step,
+    naive_pseudolabel_step,
+    noisy_augment,
+    normalize_attention,
+)
+from coupledmil.gradcore import Adam, Param, kl_rows, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
-from coupledmil.milnet import MilModel
+from coupledmil.milnet import BagForwardTrace, MilModel
 
 
 @dataclass
@@ -132,3 +141,62 @@ class ReferenceAdam:
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             p.value -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
             p.grad[:] = 0.0
+
+
+def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
+                 train_embedder: bool = False) -> None:
+    """Backward pass of `model.bag_forward`: accumulate the head's gradients,
+    and the embedder's too with `train_embedder`."""
+    dh = model.head_backward(trace.instance_reps, trace.bag_rep, trace.agg_cache,
+                             dlogits, train_embedder)
+    if train_embedder:
+        model.embedder.backward(trace.embed_cache, dh)
+
+
+def teacher_targets(teacher: TeacherBranch, x: np.ndarray):
+    """The frozen teacher's embeddings of the instance rows `x` and its class
+    probabilities for them: the `h_t` and `p_t` arguments of the steps."""
+    h_t = teacher.embed(x)
+    return h_t, softmax_rows(teacher.classifier.logits(h_t))
+
+
+def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
+    """The teacher's attention over the instances of one bag."""
+    _, a, _ = teacher.aggregator.forward(teacher.embed(x_bag), teacher.classifier)
+    return a
+
+
+def reference_embedder_phase(train_bags, model: MilModel, config,
+                             rng_noise: np.random.Generator,
+                             rng_distill: np.random.Generator):
+    """The embedder phase with the teacher run where each value is used: one
+    forward per bag for its attention, and one per batch for the targets.
+    Returns the student and the per-pass mean losses; `model` is not written."""
+    teacher = TeacherBranch.from_model(model)
+    student = StudentBranch.from_teacher(teacher)
+    xs, confs = [], []
+    for bag in train_bags:
+        a_norm = normalize_attention(bag_attention(teacher, bag.features))
+        confs.append(convert_confidence(a_norm, config.beta)
+                     if config.mode == "confidence" else np.ones_like(a_norm))
+        xs.append(bag.features)
+    x_all, conf_all = np.concatenate(xs), np.concatenate(confs)
+    n = len(x_all)
+    optimizer = Adam(student.params, config.embedder_lr)
+    losses = []
+    for _ in range(config.embedder_passes):
+        order = rng_distill.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            xb = x_all[sel]
+            h_t, p_t = teacher_targets(teacher, xb)
+            if config.mode == "naive":
+                loss = naive_pseudolabel_step(student, xb, p_t, optimizer)
+            else:
+                loss = distill_step(student, h_t, p_t,
+                                    noisy_augment(xb, config.noise_config, rng_noise),
+                                    conf_all[sel], config.alpha_w, optimizer)
+            total += loss * len(sel)
+        losses.append(total / n)
+    return student, losses

@@ -263,7 +263,7 @@ class TestExportAttention:
             assert [(row[0], int(row[1])) for row in bag_rows] == [(bag.id, i) for i in range(k)]
             got = np.array([[float(v) for v in row[2:]] for row in bag_rows])
             raw = model.bag_forward(bag.features).attention
-            _, conf = _instance_pool(teacher, [bag], "confidence", beta)
+            _, _, conf = _instance_pool(teacher, [bag], "confidence", beta)
             assert np.array_equal(got[:, 0], raw)
             assert np.array_equal(got[:, 1], normalize_attention(raw))
             assert np.array_equal(got[:, 2], conf)
@@ -384,6 +384,21 @@ def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "classifier phase" in err and "epoch" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_embedder_exits_3(tmp_path, capsys):
+    # one step with a huge rate: its loss is finite, the weights it leaves
+    # are finite too, and the next embedding overflows
+    dataset, out = tmp_path / "b.jsonl", tmp_path / "r"
+    assert run(["generate", "--out", str(dataset), "--bags", "40", "--k", "6",
+                "--d-raw", "4", "--rho", "0.3", "--delta", "3", "--seed", "1"]) == 0
+    code = run(["train", "--dataset", str(dataset), "--out-dir", str(out),
+                "--classifier-epochs", "2", "--embedder-passes", "1",
+                "--batch-size", "1000", "--embedder-lr", "1e308"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,7 +16,13 @@ from coupledmil.distill import (
 from coupledmil.gradcore import Adam, cross_entropy, kl_rows
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import params_checksum
-from oracles import ReferenceAdam, kl_divergence, views_of_own_arena
+from oracles import (
+    ReferenceAdam,
+    bag_attention,
+    kl_divergence,
+    teacher_targets,
+    views_of_own_arena,
+)
 
 
 def build_model(backbone="gated_attention", seed=0, d_raw=4):
@@ -160,7 +166,7 @@ class TestLosses:
         teacher, student = make_branches()
         x = np.random.default_rng(3).uniform(-2, 2, size=(6, 4))
         before = [p.value.copy() for p in student.params]
-        loss = distill_step(teacher, student, x, x, np.ones(6), 1.0,
+        loss = distill_step(student, *teacher_targets(teacher, x), x, np.ones(6), 1.0,
                             Adam(student.params, lr=1e-3))
         assert loss == 0.0
         for p, snap in zip(student.params, before):
@@ -175,8 +181,8 @@ class TestLosses:
         def perturbed_loss(delta):
             student = StudentBranch.from_teacher(teacher)
             student.classifier.w.value[0, 0] += delta
-            return distill_step(teacher, student, x, x, np.ones(9), 1.0,
-                                Adam(student.params, lr=1e-3))
+            return distill_step(student, *teacher_targets(teacher, x), x, np.ones(9),
+                                1.0, Adam(student.params, lr=1e-3))
 
         l1 = perturbed_loss(1e-3)
         l2 = perturbed_loss(2e-3)
@@ -195,9 +201,9 @@ class TestLosses:
 class TestDistillStep:
     def _batch(self, teacher, x, rng, beta=6.0):
         # mirror the trainer: per-bag attention -> min-max -> confidence;
-        # returns the step's (x, x_noised, confidence) arguments
-        conf = convert_confidence(normalize_attention(teacher.bag_attention(x)), beta)
-        return x, noisy_augment(x, NoiseConfig(), rng), conf
+        # returns the step's (h_t, p_t, x_noised, confidence) arguments
+        conf = convert_confidence(normalize_attention(bag_attention(teacher, x)), beta)
+        return (*teacher_targets(teacher, x), noisy_augment(x, NoiseConfig(), rng), conf)
 
     def test_zero_confidence_means_zero_loss_and_no_update(self):
         teacher, student = make_branches()
@@ -206,7 +212,8 @@ class TestDistillStep:
         noised = noisy_augment(x, NoiseConfig(), rng)
         opt = Adam(student.params, lr=1e-3)
         before = [p.value.copy() for p in student.params]
-        loss = distill_step(teacher, student, x, noised, np.zeros(5), 1.0, opt)
+        loss = distill_step(student, *teacher_targets(teacher, x), noised, np.zeros(5),
+                            1.0, opt)
         assert loss == 0.0
         for p, snap in zip(student.params, before):
             assert np.array_equal(p.value, snap)
@@ -218,13 +225,13 @@ class TestDistillStep:
         teacher = TeacherBranch.from_model(build_model(backbone, seed=3))
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(8, 4))
-        x, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
+        h_t, p_t, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
         assert np.array_equal(conf, np.ones(8))
         student_a = StudentBranch.from_teacher(teacher)
         student_b = StudentBranch.from_teacher(teacher)
-        loss_a = distill_step(teacher, student_a, x, noised, conf, 1.0,
+        loss_a = distill_step(student_a, h_t, p_t, noised, conf, 1.0,
                               Adam(student_a.params, lr=1e-3))
-        loss_b = distill_step(teacher, student_b, x, noised, np.ones(8), 1.0,
+        loss_b = distill_step(student_b, h_t, p_t, noised, np.ones(8), 1.0,
                               Adam(student_b.params, lr=1e-3))
         assert abs(loss_a - loss_b) <= 1e-12
         for pa, pb in zip(student_a.params, student_b.params):
@@ -238,8 +245,9 @@ class TestDistillStep:
 
         def run(instances, noised_rows, conf):
             student = StudentBranch.from_teacher(teacher)
-            return distill_step(teacher, student, instances, noised_rows,
-                                np.array(conf), 1.0, Adam(student.params, lr=1e-3))
+            return distill_step(student, *teacher_targets(teacher, instances),
+                                noised_rows, np.array(conf), 1.0,
+                                Adam(student.params, lr=1e-3))
 
         both = run(x, noised, [1.0, 0.0])
         single = run(x[:1], noised[:1], [1.0])
@@ -252,14 +260,14 @@ class TestDistillStep:
         opt = Adam(student.params, lr=1e-3)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(6, 4))
-            distill_step(teacher, student, *self._batch(teacher, x, rng), 0.7, opt)
+            distill_step(student, *self._batch(teacher, x, rng), 0.7, opt)
         assert params_checksum(teacher.params) == frozen
 
     def test_gradient_flows_only_to_student(self):
         teacher, student = make_branches(seed=12)
         rng = np.random.default_rng(13)
         x = rng.uniform(-2, 2, size=(6, 4))
-        distill_step(teacher, student, *self._batch(teacher, x, rng), 1.0,
+        distill_step(student, *self._batch(teacher, x, rng), 1.0,
                      Adam(student.params, lr=1e-3))
         for p in teacher.params:
             assert not p.grad.any()
@@ -271,13 +279,14 @@ class TestDistillStep:
             opt = Adam(student.params, lr=1e-4)
             for _ in range(3):
                 x = rng.uniform(-2, 2, size=(5, 4))
-                loss = distill_step(teacher, student, *self._batch(teacher, x, rng),
+                loss = distill_step(student, *self._batch(teacher, x, rng),
                                     1.0, opt)
                 assert loss >= 0.0
 
-    def test_one_embedder_forward_per_branch(self, monkeypatch):
+    def test_step_runs_only_the_student_embedder(self, monkeypatch):
         # the teacher's targets and its representations for the
-        # weight-similarity term come from one forward pass
+        # weight-similarity term arrive as rows; the step embeds only the
+        # noised batch, once
         teacher, student = make_branches(seed=6)
         rng = np.random.default_rng(7)
         batch = self._batch(teacher, rng.uniform(-2, 2, size=(4, 4)), rng)
@@ -286,8 +295,8 @@ class TestDistillStep:
             forward = branch.embedder.forward
             monkeypatch.setattr(branch.embedder, "forward",
                                 lambda x, f=forward, n=name: calls.append(n) or f(x))
-        distill_step(teacher, student, *batch, 1.0, Adam(student.params, lr=1e-3))
-        assert calls == ["teacher", "student"]
+        distill_step(student, *batch, 1.0, Adam(student.params, lr=1e-3))
+        assert calls == ["student"]
 
 
 class TestNaivePseudolabel:
@@ -297,26 +306,31 @@ class TestNaivePseudolabel:
         teacher.classifier.w.value[:] = 0.0
         teacher.classifier.b.value[:] = 0.0
         x = np.random.default_rng(0).uniform(-2, 2, size=(4, 4))
-        probs = teacher.instance_probs(x)
-        assert np.allclose(probs, 0.5)
-        assert np.all(np.argmax(probs, axis=1) == 0)
+        _, probs = teacher_targets(teacher, x)
+        assert np.array_equal(probs, np.full((4, 2), 0.5))
+        # so every pseudo-label is class 0: the loss is the student's
+        # cross-entropy against class 0
+        q = student.classifier.probs(student.embedder.forward(x)[0])
+        assert not np.allclose(q[:, 0], q[:, 1])
+        loss = naive_pseudolabel_step(student, x, probs, Adam(student.params, lr=1e-5))
+        assert loss == pytest.approx(-np.log(q[:, 0]).mean(), rel=1e-12)
 
     def test_loss_is_teacher_prediction_entropy_floor(self):
         teacher, student = make_branches(seed=21)
         x = np.random.default_rng(1).uniform(-2, 2, size=(5, 4))
-        p = teacher.instance_probs(x)
+        _, p = teacher_targets(teacher, x)
         expected = np.mean([
             cross_entropy(p[i], np.eye(2)[np.argmax(p[i])]) for i in range(5)
         ])
-        loss = naive_pseudolabel_step(teacher, student, x,
-                                      Adam(student.params, lr=1e-5))
+        loss = naive_pseudolabel_step(student, x, p, Adam(student.params, lr=1e-5))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_descent_on_fixed_batch(self):
         teacher, student = make_branches(seed=22)
         x = np.random.default_rng(2).uniform(-2, 2, size=(20, 4))
+        _, p = teacher_targets(teacher, x)
         opt = Adam(student.params, lr=1e-5)
-        losses = [naive_pseudolabel_step(teacher, student, x, opt) for _ in range(10)]
+        losses = [naive_pseudolabel_step(student, x, p, opt) for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -331,8 +345,8 @@ class TestSnapshots:
         opt = Adam(student.params, lr=1e-2)
         for _ in range(3):
             x = rng.uniform(-2, 2, size=(6, 4))
-            distill_step(teacher, student, x, noisy_augment(x, NoiseConfig(), rng),
-                         np.ones(6), 1.0, opt)
+            distill_step(student, *teacher_targets(teacher, x),
+                         noisy_augment(x, NoiseConfig(), rng), np.ones(6), 1.0, opt)
         for branch in (teacher, student):
             assert views_of_own_arena(branch.model)
         assert not np.array_equal(student.model.arena.value, frozen)
@@ -347,6 +361,7 @@ class TestSnapshots:
         x_all = rng.uniform(-2, 2, size=(40, 4))
         noised = noisy_augment(x_all, NoiseConfig(), rng)
         conf = rng.uniform(0, 1, size=40)
+        h_all, p_all = teacher_targets(teacher, x_all)
         students = []
         for per_tensor in (False, True):
             student = StudentBranch.from_teacher(teacher)
@@ -355,9 +370,9 @@ class TestSnapshots:
                    else Adam(student.params, lr=1e-3))
             for start in range(0, 40, 7):
                 sel = slice(start, start + 7)
-                distill_step(teacher, student, x_all[sel], noised[sel], conf[sel],
+                distill_step(student, h_all[sel], p_all[sel], noised[sel], conf[sel],
                              1.0, opt)
-            naive_pseudolabel_step(teacher, student, x_all[:9], opt)
+            naive_pseudolabel_step(student, x_all[:9], p_all[:9], opt)
             students.append(student)
         arena, reference = students
         assert not np.array_equal(arena.model.arena.value, teacher.model.arena.value)

@@ -12,8 +12,9 @@ from coupledmil.bagdata import (
     features_matrix,
     generate_synthetic,
 )
+from coupledmil.distill import StudentBranch, TeacherBranch
 from coupledmil.gradcore import cross_entropy
-from coupledmil.milnet import MilModel, ModelConfig
+from coupledmil.milnet import Embedder, MilModel, ModelConfig
 from coupledmil.orchestrator import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -30,7 +31,7 @@ from coupledmil.orchestrator import (
     split_for_run,
 )
 from coupledmil.seeding import rng_stream
-from oracles import ReferenceAdam
+from oracles import ReferenceAdam, reference_embedder_phase
 
 
 def small_dataset(seed=0, num_bags=30, k=8, d_raw=6, delta=3.0):
@@ -117,6 +118,18 @@ class TestClassifierPhase:
         run_classifier_phase(ds.bags, model, config,
                              rng_stream(1, "augment"), rng_stream(1, "shuffle"))
         assert params_checksum(model.embedder.params) == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_embedding_names_phase_and_bag(self):
+        # finite weights that overflow: the phase stops at the first bag
+        ds = small_dataset()
+        config = small_config()
+        model = build_model(config)
+        model.embedder_group.value[:] = 1e308
+        with pytest.raises(NonFiniteLossError,
+                           match=f"classifier phase: .* bag {ds.bags[0].id!r}"):
+            run_classifier_phase(ds.bags, model, config,
+                                 rng_stream(0, "augment"), rng_stream(0, "shuffle"))
 
     @pytest.mark.parametrize("backbone", ["mean", "gated_attention"])
     def test_matches_per_tensor_adam(self, monkeypatch, backbone):
@@ -235,6 +248,77 @@ class TestEmbedderPhase:
         with pytest.raises(NonFiniteLossError, match="embedder phase.*epoch 1"):
             run_embedder_phase(ds.bags, model, config,
                                rng_stream(0, "noise"), rng_stream(0, "distill"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_embedder_rejected_before_the_copy(self):
+        ds = small_dataset()
+        config = small_config(mode="naive", embedder_passes=0)
+        model = build_model(config)
+        model.embedder.layers[-1][0].value[0, 0] = np.inf
+        before = model.arena.value.copy()
+        with pytest.raises(NonFiniteLossError,
+                           match="embedder phase: non-finite embedder parameters"):
+            run_embedder_phase(ds.bags, model, config,
+                               rng_stream(0, "noise"), rng_stream(0, "distill"))
+        assert np.array_equal(model.arena.value, before)
+
+    @pytest.mark.parametrize("data", [
+        # bags of 3 to 17 instances, a batch size that does not divide the pool
+        dict(k=(3, 17), batch_size=29, dims=dict(hidden=(12,), embed_dim=8, attn_dim=4)),
+        # the desk model; every batch a multiple of 4 rows (see below)
+        dict(k=10, batch_size=32, dims=dict(hidden=(64,), embed_dim=32, attn_dim=16)),
+    ], ids=["ragged", "desk-dims"])
+    @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
+    @pytest.mark.parametrize("mode", ["naive", "vanilla", "confidence"])
+    def test_matches_per_batch_teacher(self, monkeypatch, mode, backbone, data):
+        # the teacher's rows, computed once per phase, give the same student
+        # bit for bit as a teacher run on every batch. Two groupings round
+        # differently on OpenBLAS, so the data avoids them: a bag of one
+        # instance (embedded by gemv, not by a gemm), and at embed_dim 32 a
+        # batch that is not a multiple of 4 rows (the 32 x 2 logits product
+        # rounds the rows past the last multiple of 4 differently)
+        ds = generate_synthetic(SyntheticSpec(
+            num_bags=24, instances_per_bag=data["k"], d_raw=6, rho=0.3, delta=2.0,
+            noise=0.8, positive_fraction=0.5, seed=4))
+        config = small_config(mode=mode, backbone=backbone, batch_size=data["batch_size"],
+                              embedder_passes=3, embedder_lr=1e-3, **data["dims"])
+        model = build_model(config, seed=6)
+        expected, expected_losses = reference_embedder_phase(
+            ds.bags, model.copy(), config, rng_stream(3, "noise"), rng_stream(3, "distill"))
+        students = []
+        from_teacher = StudentBranch.from_teacher
+        monkeypatch.setattr(StudentBranch, "from_teacher", classmethod(
+            lambda cls, teacher: students.append(from_teacher(teacher)) or students[-1]))
+        losses = run_embedder_phase(ds.bags, model, config,
+                                    rng_stream(3, "noise"), rng_stream(3, "distill"))
+        assert losses == expected_losses
+        assert np.array_equal(students[0].model.arena.value, expected.model.arena.value)
+        assert np.array_equal(model.embedder_group.value,
+                              expected.model.embedder_group.value)
+
+    @pytest.mark.parametrize("mode", ["naive", "confidence"])
+    def test_teacher_embeds_each_bag_once(self, monkeypatch, mode):
+        ds = generate_synthetic(SyntheticSpec(
+            num_bags=20, instances_per_bag=(2, 9), d_raw=6, rho=0.3, delta=2.0,
+            seed=1))
+        config = small_config(mode=mode, batch_size=7, embedder_passes=3)
+        n = sum(len(bag.features) for bag in ds.bags)
+        teachers, inputs = [], {}
+        from_model = TeacherBranch.from_model
+        monkeypatch.setattr(TeacherBranch, "from_model", classmethod(
+            lambda cls, model: teachers.append(from_model(model)) or teachers[-1]))
+        forward = Embedder.forward
+        monkeypatch.setattr(Embedder, "forward", lambda self, x: (
+            inputs.setdefault(id(self), []).append(x) or forward(self, x)))
+        run_embedder_phase(ds.bags, build_model(config), config,
+                           rng_stream(0, "noise"), rng_stream(0, "distill"))
+        (teacher,) = teachers
+        teacher_inputs = inputs.pop(id(teacher.embedder))
+        assert len(teacher_inputs) == len(ds.bags)
+        for x, bag in zip(teacher_inputs, ds.bags):
+            assert np.array_equal(x, bag.features)
+        (student_inputs,) = inputs.values()
+        assert len(student_inputs) == 3 * -(-n // 7)
 
     @pytest.mark.parametrize("mode", ["naive", "vanilla", "confidence"])
     def test_all_modes_run(self, mode):
