@@ -72,13 +72,12 @@ def noisy_augment(x: np.ndarray, noise: NoiseConfig,
 
 
 class TeacherBranch:
-    """Frozen snapshot of the trained backbone: its embeddings and instance
-    probabilities are the distillation targets, its per-bag attention gives
-    the confidence weights. Its parameters are never written."""
+    """Frozen snapshot of the trained backbone: its classifier gives the
+    distillation targets, its per-bag attention the confidence weights. Its
+    parameters are never written; the student is a plain copy of its model."""
 
     def __init__(self, model: MilModel):
         self.model = model
-        self.embedder = model.embedder
         self.classifier = model.classifier
         self.aggregator = model.aggregator
 
@@ -90,30 +89,8 @@ class TeacherBranch:
     def params(self):
         return [self.model.arena]
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        h, _ = self.embedder.forward(x)
-        return h
 
-
-class StudentBranch:
-    """Learnable copy of the teacher: the embedder to be fine-tuned plus the
-    hidden instance-level classifier. Its aggregator is never used."""
-
-    def __init__(self, model: MilModel):
-        self.model = model
-        self.embedder = model.embedder
-        self.classifier = model.classifier
-
-    @classmethod
-    def from_teacher(cls, teacher: TeacherBranch) -> "StudentBranch":
-        return cls(teacher.model.copy())
-
-    @property
-    def params(self):
-        return [self.model.embedder_group, self.model.classifier_group]
-
-
-def distill_step(student: StudentBranch, h_t: np.ndarray, p_t: np.ndarray,
+def distill_step(student: MilModel, h_t: np.ndarray, p_t: np.ndarray,
                  x_noised: np.ndarray, confidence: np.ndarray,
                  alpha_w: float, optimizer: Adam) -> float:
     """One confidence-weighted distillation update on the student.
@@ -145,7 +122,7 @@ def distill_step(student: StudentBranch, h_t: np.ndarray, p_t: np.ndarray,
     return loss
 
 
-def naive_pseudolabel_step(student: StudentBranch, x: np.ndarray, p_t: np.ndarray,
+def naive_pseudolabel_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
                            optimizer: Adam) -> float:
     """Baseline fine-tuning: hard argmax pseudo-labels from the teacher's
     class probabilities `p_t` of `x` (ties to the lower class index), plain

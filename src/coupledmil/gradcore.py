@@ -37,9 +37,6 @@ class Param:
         self.grad = np.zeros_like(self.value) if grad is None else grad
         self.name = name
 
-    def zero_grad(self) -> None:
-        self.grad[:] = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
 

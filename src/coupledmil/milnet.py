@@ -21,7 +21,6 @@ from .gradcore import (
     linear_backward,
     linear_forward,
     softmax,
-    softmax_rows,
 )
 
 BACKBONES = ("mean", "max", "gated_attention")
@@ -108,9 +107,6 @@ class BagClassifier:
 
     def logits(self, h: np.ndarray) -> np.ndarray:
         return linear_forward(h, self.w, self.b)
-
-    def probs(self, h: np.ndarray) -> np.ndarray:
-        return softmax_rows(self.logits(h))
 
     def backward(self, h: np.ndarray, dlogits: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:

@@ -19,7 +19,6 @@ from .augment import AugmentConfig, augment_pair
 from .bagdata import Bag, ConfigError, Dataset, features_matrix, split_dataset
 from .distill import (
     NoiseConfig,
-    StudentBranch,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -228,28 +227,45 @@ def _checked_loss(phase: str, epoch: int, loss: float) -> float:
     return loss
 
 
-def _embedded_bag(model: MilModel, bag) -> Bag:
-    h, _ = model.embedder.forward(features_matrix(bag))
-    if not np.isfinite(h).all():  # finite but huge weights overflow here
-        raise NonFiniteLossError(
-            f"classifier phase: the embedder maps bag {bag.id!r} to non-finite values")
-    return Bag(id=bag.id, features=h, label=bag.label.copy())
+def _row_slices(bags):
+    """Each bag with its slice of the rows that stack all bags' instances in
+    bag order."""
+    start = 0
+    for bag in bags:
+        yield bag, slice(start, start + len(bag))
+        start += len(bag)
 
 
-def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
-                         rng_augment: np.random.Generator,
+def embed_instances(model: MilModel, bags, h_all: np.ndarray) -> None:
+    """Fill `h_all` with the embedding of every instance of `bags`, in bag
+    order: one embedder forward per bag. Both phases read these rows, so the
+    run refills them whenever the embedder changes."""
+    for bag, rows in _row_slices(bags):
+        # finite but huge weights overflow here; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, _ = model.embedder.forward(features_matrix(bag))
+        if not np.isfinite(h).all():
+            raise NonFiniteLossError(
+                f"classifier phase: the embedder maps bag {bag.id!r} to non-finite values")
+        h_all[rows] = h
+
+
+def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
+                         config: TrainConfig, rng_augment: np.random.Generator,
                          rng_shuffle: np.random.Generator) -> list[float]:
     """Train aggregator + classifier on (optionally augmented) bags with
-    cross-entropy; the embedder is frozen for the whole phase. Returns the
+    cross-entropy; the embedder is frozen for the whole phase, and `h_all`
+    holds its rows for `train_bags` (`embed_instances`). Returns the
     per-epoch mean training losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("classifier phase needs a non-empty training set")
 
     frozen = params_checksum([model.embedder_group])
-    # embed once: selecting instances commutes with per-instance embedding,
-    # so augmentation can run directly in representation space
-    embedded = [_embedded_bag(model, bag) for bag in train_bags]
+    # selecting instances commutes with per-instance embedding, so
+    # augmentation runs directly in representation space
+    embedded = [Bag(id=bag.id, features=h_all[rows], label=bag.label.copy())
+                for bag, rows in _row_slices(train_bags)]
     base_samples = [(features_matrix(b), b.label) for b in embedded]
 
     aug_cfg = config.augment_config
@@ -282,49 +298,34 @@ def run_classifier_phase(train_bags, model: MilModel, config: TrainConfig,
     return losses
 
 
-def _instance_pool(teacher: TeacherBranch, train_bags, mode: str, beta: float):
-    """Every training instance as rows in bag order: its features, the frozen
-    teacher's embedding of it and its confidence weight. The teacher embeds
-    each bag once; in confidence mode that embedding also gives the bag's
-    attention."""
-    xs = [features_matrix(bag) for bag in train_bags]
-    x_all = np.concatenate(xs)
-    h_all = np.empty((len(x_all), teacher.embedder.dims[-1]))
-    conf_all = np.ones(len(x_all))
-    start = 0
-    for x_bag in xs:
-        stop = start + len(x_bag)
-        h = teacher.embed(x_bag)
-        h_all[start:stop] = h
-        if mode == "confidence":
-            _, a, _ = teacher.aggregator.forward(h, teacher.classifier)
-            conf_all[start:stop] = convert_confidence(normalize_attention(a), beta)
-        start = stop
-    return x_all, h_all, conf_all
-
-
-def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
-                       rng_noise: np.random.Generator,
+def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
+                       config: TrainConfig, rng_noise: np.random.Generator,
                        rng_distill: np.random.Generator) -> list[float]:
     """Fine-tune the embedder against a frozen teacher snapshot of the
     current model; the student's embedder is then copied into the model's,
-    its classifier is discarded. The teacher's outputs are computed once for
-    the whole phase, since neither the teacher nor the clean instances change.
-    Returns per-pass mean losses."""
+    its classifier is discarded. `h_all` holds the teacher's rows for
+    `train_bags` (`embed_instances`), so its attention and class
+    probabilities are computed once for the whole phase. Returns per-pass
+    mean losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("embedder phase needs a non-empty training set")
 
     teacher = TeacherBranch.from_model(model)
     frozen = params_checksum(teacher.params)
-    student = StudentBranch.from_teacher(teacher)
+    student = teacher.model.copy()
 
-    x_all, h_all, conf_all = _instance_pool(teacher, train_bags, config.mode,
-                                            config.beta)
-    p_all = softmax_rows(teacher.classifier.logits(h_all))
+    x_all = np.concatenate([features_matrix(bag) for bag in train_bags])
     n = x_all.shape[0]
+    conf_all = np.ones(n)
+    if config.mode == "confidence":  # vanilla and naive weigh every row by 1
+        for _, rows in _row_slices(train_bags):
+            _, a, _ = teacher.aggregator.forward(h_all[rows], teacher.classifier)
+            conf_all[rows] = convert_confidence(normalize_attention(a), config.beta)
+    p_all = softmax_rows(teacher.classifier.logits(h_all))
     noise_cfg = config.noise_config
-    optimizer = Adam(student.params, config.embedder_lr)
+    optimizer = Adam([student.embedder_group, student.classifier_group],
+                     config.embedder_lr)
 
     losses: list[float] = []
     for _ in range(config.embedder_passes):
@@ -344,9 +345,9 @@ def run_embedder_phase(train_bags, model: MilModel, config: TrainConfig,
 
     if params_checksum(teacher.params) != frozen:
         raise RuntimeError("embedder phase modified the frozen teacher")
-    if not np.isfinite(student.model.embedder_group.value).all():
+    if not np.isfinite(student.embedder_group.value).all():
         raise NonFiniteLossError("embedder phase: non-finite embedder parameters")
-    model.embedder_group.value[:] = student.model.embedder_group.value
+    model.embedder_group.value[:] = student.embedder_group.value
     return losses
 
 
@@ -395,19 +396,24 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
         result = evaluate(model, test.bags, config.threshold)
         report.evaluations.append({"iteration": iteration, **result.to_dict()})
 
+    # the training instances' rows under the current embedder, refilled in
+    # place after every embedder phase
+    h_all = np.empty((sum(map(len, train.bags)), config.embed_dim))
+    embed_instances(model, train.bags, h_all)
     report.classifier_losses.append(
-        run_classifier_phase(train.bags, model, config, rng_augment, rng_shuffle)
+        run_classifier_phase(train.bags, h_all, model, config, rng_augment, rng_shuffle)
     )
     record_eval(0)
 
     for iteration in range(1, config.iterations + 1):
         report.embedder_losses.append(
-            run_embedder_phase(train.bags, model, config, rng_noise, rng_distill)
+            run_embedder_phase(train.bags, h_all, model, config, rng_noise, rng_distill)
         )
+        embed_instances(model, train.bags, h_all)
         if not config.warm_start:
             model.init_head(rng_init)
         report.classifier_losses.append(
-            run_classifier_phase(train.bags, model, config, rng_augment, rng_shuffle)
+            run_classifier_phase(train.bags, h_all, model, config, rng_augment, rng_shuffle)
         )
         record_eval(iteration)
 

@@ -9,7 +9,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from coupledmil.distill import (
-    StudentBranch,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -20,6 +19,7 @@ from coupledmil.distill import (
 from coupledmil.gradcore import Adam, Param, kl_rows, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
 from coupledmil.milnet import BagForwardTrace, MilModel
+from coupledmil.orchestrator import embed_instances
 
 
 @dataclass
@@ -45,7 +45,7 @@ def grad_check(loss_fn: Callable[[], float], params: Sequence[Param],
     """
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad[:] = 0.0
     loss_fn()
     analytic = [p.grad.copy() for p in params]
 
@@ -153,16 +153,30 @@ def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
         model.embedder.backward(trace.embed_cache, dh)
 
 
+def student_params(student: MilModel) -> list[Param]:
+    """The two arena runs the embedder phase trains: embedder and classifier."""
+    return [student.embedder_group, student.classifier_group]
+
+
+def embedded_rows(model: MilModel, bags) -> np.ndarray:
+    """A fresh buffer filled by `embed_instances`: the rows both training
+    phases take for `bags`."""
+    h_all = np.empty((sum(len(bag) for bag in bags), model.config.embed_dim))
+    embed_instances(model, bags, h_all)
+    return h_all
+
+
 def teacher_targets(teacher: TeacherBranch, x: np.ndarray):
     """The frozen teacher's embeddings of the instance rows `x` and its class
     probabilities for them: the `h_t` and `p_t` arguments of the steps."""
-    h_t = teacher.embed(x)
+    h_t, _ = teacher.model.embedder.forward(x)
     return h_t, softmax_rows(teacher.classifier.logits(h_t))
 
 
 def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
     """The teacher's attention over the instances of one bag."""
-    _, a, _ = teacher.aggregator.forward(teacher.embed(x_bag), teacher.classifier)
+    h, _ = teacher.model.embedder.forward(x_bag)
+    _, a, _ = teacher.aggregator.forward(h, teacher.classifier)
     return a
 
 
@@ -173,7 +187,7 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
     forward per bag for its attention, and one per batch for the targets.
     Returns the student and the per-pass mean losses; `model` is not written."""
     teacher = TeacherBranch.from_model(model)
-    student = StudentBranch.from_teacher(teacher)
+    student = teacher.model.copy()
     xs, confs = [], []
     for bag in train_bags:
         a_norm = normalize_attention(bag_attention(teacher, bag.features))
@@ -182,7 +196,7 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
         xs.append(bag.features)
     x_all, conf_all = np.concatenate(xs), np.concatenate(confs)
     n = len(x_all)
-    optimizer = Adam(student.params, config.embedder_lr)
+    optimizer = Adam(student_params(student), config.embedder_lr)
     losses = []
     for _ in range(config.embedder_passes):
         order = rng_distill.permutation(n)

@@ -21,7 +21,6 @@ from coupledmil.bagdata import (
 )
 from coupledmil.distill import (
     NoiseConfig,
-    StudentBranch,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -52,9 +51,11 @@ from coupledmil.seeding import rng_stream, subseed
 from oracles import (
     bag_attention,
     bag_backward,
+    embedded_rows,
     grad_check,
     kl_divergence,
     pairwise_auc,
+    student_params,
     teacher_targets,
 )
 
@@ -148,8 +149,7 @@ def test_criterion_1_gradient_suite():
     for i in range(24):
         cfg = ModelConfig(d_raw=3, hidden=(4,), embed_dim=3, attn_dim=3)
         teacher = TeacherBranch.from_model(MilModel.build(cfg, rng))
-        student = StudentBranch.from_teacher(TeacherBranch.from_model(
-            MilModel.build(cfg, rng)))
+        student = MilModel.build(cfg, rng)
         x = rng.uniform(-2, 2, size=(int(rng.integers(1, 5)), 3))
         xn = x + rng.uniform(-0.3, 0.3, size=x.shape)
         h_t, p_t = teacher_targets(teacher, x)
@@ -170,7 +170,7 @@ def test_criterion_1_gradient_suite():
                 student.classifier.backward(h_t, (q - p_t) / n)
             return val
 
-        params = student.params if use_consistency else student.classifier.params
+        params = student_params(student) if use_consistency else student.classifier.params
         worst = max(worst, grad_check(loss, params).max_rel_error)
         configs += 1
 
@@ -223,12 +223,12 @@ def test_criterion_3_degeneracy_equivalence(backbone):
         losses = []
         students = []
         for weights in (conf, np.ones_like(conf)):
-            student = StudentBranch.from_teacher(teacher)
+            student = teacher.model.copy()
             losses.append(distill_step(student, h_t, p_t, noised, weights, 1.0,
-                                       Adam(student.params, lr=1e-4)))
+                                       Adam(student_params(student), lr=1e-4)))
             students.append(student)
         max_gap = max(max_gap, abs(losses[0] - losses[1]))
-        for pa, pb in zip(students[0].params, students[1].params):
+        for pa, pb in zip(student_params(students[0]), student_params(students[1])):
             assert np.array_equal(pa.value, pb.value)
     ok = max_gap <= 1e-12
     report_line(f"criterion 3 (degeneracy, {backbone} pooling)", ok,
@@ -255,7 +255,7 @@ def test_criterion_3_phase_level_degeneracy():
                             backbone=backbone),
                 np.random.default_rng(11))
             losses[mode] = run_embedder_phase(
-                ds.bags, model, config,
+                ds.bags, embedded_rows(model, ds.bags), model, config,
                 rng_stream(9, "noise"), rng_stream(9, "distill"))
             sums[mode] = params_checksum(model.embedder.params)
         assert sums["confidence"] == sums["vanilla"]
@@ -439,13 +439,14 @@ def test_criterion_9_frozen_part_contracts():
         rng_stream(2, "init"))
 
     emb_before = params_checksum(model.embedder.params)
-    run_classifier_phase(ds.bags, model, config,
+    h_all = embedded_rows(model, ds.bags)
+    run_classifier_phase(ds.bags, h_all, model, config,
                          rng_stream(2, "augment"), rng_stream(2, "shuffle"))
     emb_ok = params_checksum(model.embedder.params) == emb_before
 
     teacher = TeacherBranch.from_model(model)
     teacher_before = params_checksum(teacher.params)
-    run_embedder_phase(ds.bags, model, config,
+    run_embedder_phase(ds.bags, h_all, model, config,
                        rng_stream(2, "noise"), rng_stream(2, "distill"))
     # the phase snapshots its own teacher; verify this external copy of the
     # pre-phase model also never changed, and the head is bit-identical

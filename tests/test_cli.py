@@ -3,17 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from coupledmil import orchestrator
 from coupledmil.bagdata import DatasetParseError, DatasetSchemaError, load_dataset
 from coupledmil.cli import main
-from coupledmil.distill import TeacherBranch, convert_confidence, normalize_attention
+from coupledmil.distill import convert_confidence, normalize_attention
 from coupledmil.metrics import MetricError
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import (
     RunReport,
-    _instance_pool,
+    TrainConfig,
     load_checkpoint,
+    run_embedder_phase,
     save_checkpoint,
 )
+from oracles import embedded_rows
 
 
 def run(args):
@@ -235,7 +238,7 @@ class TestExportAttention:
         for _, _, _, a_norm, conf in self._rows(out):
             assert float(conf) == convert_confidence(float(a_norm), beta)
 
-    def test_export_prints_the_training_weights(self, tmp_path):
+    def test_export_prints_the_training_weights(self, tmp_path, monkeypatch):
         """Bags of 3 to 40 instances reach every SIMD tail length; each column
         must parse back to the exact floats training computes."""
         dataset, run_dir = tmp_path / "ds.jsonl", tmp_path / "run"
@@ -255,15 +258,22 @@ class TestExportAttention:
 
         rows = self._rows(tmp_path / "a1.tsv")
         model = load_checkpoint(run_dir / "checkpoint.bin")
-        teacher = TeacherBranch.from_model(model)
+        bags = load_dataset(dataset).bags
+        # the weights an embedder phase on these bags computes, one call per bag
+        weights = []
+        monkeypatch.setattr(orchestrator, "convert_confidence", lambda a, b: (
+            weights.append(convert_confidence(a, b)) or weights[-1]))
+        run_embedder_phase(bags, embedded_rows(model, bags), model,
+                           TrainConfig(beta=beta, embedder_passes=0),
+                           np.random.default_rng(0), np.random.default_rng(0))
+        assert len(weights) == len(bags)
         start = 0
-        for bag in load_dataset(dataset).bags:
+        for bag, conf in zip(bags, weights):
             k = len(bag.features)
             bag_rows, start = rows[start:start + k], start + k
             assert [(row[0], int(row[1])) for row in bag_rows] == [(bag.id, i) for i in range(k)]
             got = np.array([[float(v) for v in row[2:]] for row in bag_rows])
             raw = model.bag_forward(bag.features).attention
-            _, _, conf = _instance_pool(teacher, [bag], "confidence", beta)
             assert np.array_equal(got[:, 0], raw)
             assert np.array_equal(got[:, 1], normalize_attention(raw))
             assert np.array_equal(got[:, 2], conf)
@@ -387,10 +397,11 @@ def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_embedder_exits_3(tmp_path, capsys):
     # one step with a huge rate: its loss is finite, the weights it leaves
-    # are finite too, and the next embedding overflows
+    # are finite too, and the next embedding overflows, with the error and
+    # no numpy warning
     dataset, out = tmp_path / "b.jsonl", tmp_path / "r"
     assert run(["generate", "--out", str(dataset), "--bags", "40", "--k", "6",
                 "--d-raw", "4", "--rho", "0.3", "--delta", "3", "--seed", "1"]) == 0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from coupledmil.distill import (
     NoiseConfig,
-    StudentBranch,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -13,13 +12,14 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import Adam, cross_entropy, kl_rows
+from coupledmil.gradcore import Adam, cross_entropy, kl_rows, softmax_rows
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import params_checksum
 from oracles import (
     ReferenceAdam,
     bag_attention,
     kl_divergence,
+    student_params,
     teacher_targets,
     views_of_own_arena,
 )
@@ -33,7 +33,7 @@ def build_model(backbone="gated_attention", seed=0, d_raw=4):
 
 def make_branches(backbone="gated_attention", seed=0):
     teacher = TeacherBranch.from_model(build_model(backbone, seed))
-    return teacher, StudentBranch.from_teacher(teacher)
+    return teacher, teacher.model.copy()
 
 
 class TestNormalizeAttention:
@@ -165,11 +165,11 @@ class TestLosses:
         # both terms vanish, so every gradient is zero and Adam moves nothing
         teacher, student = make_branches()
         x = np.random.default_rng(3).uniform(-2, 2, size=(6, 4))
-        before = [p.value.copy() for p in student.params]
+        before = [p.value.copy() for p in student_params(student)]
         loss = distill_step(student, *teacher_targets(teacher, x), x, np.ones(6), 1.0,
-                            Adam(student.params, lr=1e-3))
+                            Adam(student_params(student), lr=1e-3))
         assert loss == 0.0
-        for p, snap in zip(student.params, before):
+        for p, snap in zip(student_params(student), before):
             assert np.array_equal(p.value, snap)
 
     def test_weight_similarity_quadratic_near_zero(self):
@@ -179,10 +179,10 @@ class TestLosses:
         x = np.random.default_rng(6).uniform(-2, 2, size=(9, 4))
 
         def perturbed_loss(delta):
-            student = StudentBranch.from_teacher(teacher)
+            student = teacher.model.copy()
             student.classifier.w.value[0, 0] += delta
             return distill_step(student, *teacher_targets(teacher, x), x, np.ones(9),
-                                1.0, Adam(student.params, lr=1e-3))
+                                1.0, Adam(student_params(student), lr=1e-3))
 
         l1 = perturbed_loss(1e-3)
         l2 = perturbed_loss(2e-3)
@@ -210,12 +210,12 @@ class TestDistillStep:
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=(5, 4))
         noised = noisy_augment(x, NoiseConfig(), rng)
-        opt = Adam(student.params, lr=1e-3)
-        before = [p.value.copy() for p in student.params]
+        opt = Adam(student_params(student), lr=1e-3)
+        before = [p.value.copy() for p in student_params(student)]
         loss = distill_step(student, *teacher_targets(teacher, x), noised, np.zeros(5),
                             1.0, opt)
         assert loss == 0.0
-        for p, snap in zip(student.params, before):
+        for p, snap in zip(student_params(student), before):
             assert np.array_equal(p.value, snap)
 
     @pytest.mark.parametrize("backbone", ["max", "mean"])
@@ -227,14 +227,14 @@ class TestDistillStep:
         x = rng.uniform(-2, 2, size=(8, 4))
         h_t, p_t, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
         assert np.array_equal(conf, np.ones(8))
-        student_a = StudentBranch.from_teacher(teacher)
-        student_b = StudentBranch.from_teacher(teacher)
+        student_a = teacher.model.copy()
+        student_b = teacher.model.copy()
         loss_a = distill_step(student_a, h_t, p_t, noised, conf, 1.0,
-                              Adam(student_a.params, lr=1e-3))
+                              Adam(student_params(student_a), lr=1e-3))
         loss_b = distill_step(student_b, h_t, p_t, noised, np.ones(8), 1.0,
-                              Adam(student_b.params, lr=1e-3))
+                              Adam(student_params(student_b), lr=1e-3))
         assert abs(loss_a - loss_b) <= 1e-12
-        for pa, pb in zip(student_a.params, student_b.params):
+        for pa, pb in zip(student_params(student_a), student_params(student_b)):
             assert np.array_equal(pa.value, pb.value)
 
     def test_confidence_one_zero_halves_single_loss(self):
@@ -244,10 +244,10 @@ class TestDistillStep:
         noised = noisy_augment(x, NoiseConfig(), np.random.default_rng(5))
 
         def run(instances, noised_rows, conf):
-            student = StudentBranch.from_teacher(teacher)
+            student = teacher.model.copy()
             return distill_step(student, *teacher_targets(teacher, instances),
                                 noised_rows, np.array(conf), 1.0,
-                                Adam(student.params, lr=1e-3))
+                                Adam(student_params(student), lr=1e-3))
 
         both = run(x, noised, [1.0, 0.0])
         single = run(x[:1], noised[:1], [1.0])
@@ -257,7 +257,7 @@ class TestDistillStep:
         teacher, student = make_branches(seed=8)
         frozen = params_checksum(teacher.params)
         rng = np.random.default_rng(9)
-        opt = Adam(student.params, lr=1e-3)
+        opt = Adam(student_params(student), lr=1e-3)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(6, 4))
             distill_step(student, *self._batch(teacher, x, rng), 0.7, opt)
@@ -268,7 +268,7 @@ class TestDistillStep:
         rng = np.random.default_rng(13)
         x = rng.uniform(-2, 2, size=(6, 4))
         distill_step(student, *self._batch(teacher, x, rng), 1.0,
-                     Adam(student.params, lr=1e-3))
+                     Adam(student_params(student), lr=1e-3))
         for p in teacher.params:
             assert not p.grad.any()
 
@@ -276,7 +276,7 @@ class TestDistillStep:
         rng = np.random.default_rng(14)
         for seed in range(10):
             teacher, student = make_branches(seed=seed)
-            opt = Adam(student.params, lr=1e-4)
+            opt = Adam(student_params(student), lr=1e-4)
             for _ in range(3):
                 x = rng.uniform(-2, 2, size=(5, 4))
                 loss = distill_step(student, *self._batch(teacher, x, rng),
@@ -291,11 +291,11 @@ class TestDistillStep:
         rng = np.random.default_rng(7)
         batch = self._batch(teacher, rng.uniform(-2, 2, size=(4, 4)), rng)
         calls = []
-        for name, branch in (("teacher", teacher), ("student", student)):
-            forward = branch.embedder.forward
-            monkeypatch.setattr(branch.embedder, "forward",
+        for name, model in (("teacher", teacher.model), ("student", student)):
+            forward = model.embedder.forward
+            monkeypatch.setattr(model.embedder, "forward",
                                 lambda x, f=forward, n=name: calls.append(n) or f(x))
-        distill_step(student, *batch, 1.0, Adam(student.params, lr=1e-3))
+        distill_step(student, *batch, 1.0, Adam(student_params(student), lr=1e-3))
         assert calls == ["student"]
 
 
@@ -310,9 +310,10 @@ class TestNaivePseudolabel:
         assert np.array_equal(probs, np.full((4, 2), 0.5))
         # so every pseudo-label is class 0: the loss is the student's
         # cross-entropy against class 0
-        q = student.classifier.probs(student.embedder.forward(x)[0])
+        q = softmax_rows(student.classifier.logits(student.embedder.forward(x)[0]))
         assert not np.allclose(q[:, 0], q[:, 1])
-        loss = naive_pseudolabel_step(student, x, probs, Adam(student.params, lr=1e-5))
+        loss = naive_pseudolabel_step(student, x, probs,
+                                      Adam(student_params(student), lr=1e-5))
         assert loss == pytest.approx(-np.log(q[:, 0]).mean(), rel=1e-12)
 
     def test_loss_is_teacher_prediction_entropy_floor(self):
@@ -322,14 +323,15 @@ class TestNaivePseudolabel:
         expected = np.mean([
             cross_entropy(p[i], np.eye(2)[np.argmax(p[i])]) for i in range(5)
         ])
-        loss = naive_pseudolabel_step(student, x, p, Adam(student.params, lr=1e-5))
+        loss = naive_pseudolabel_step(student, x, p,
+                                      Adam(student_params(student), lr=1e-5))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_descent_on_fixed_batch(self):
         teacher, student = make_branches(seed=22)
         x = np.random.default_rng(2).uniform(-2, 2, size=(20, 4))
         _, p = teacher_targets(teacher, x)
-        opt = Adam(student.params, lr=1e-5)
+        opt = Adam(student_params(student), lr=1e-5)
         losses = [naive_pseudolabel_step(student, x, p, opt) for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
@@ -339,17 +341,17 @@ class TestSnapshots:
         model = build_model(seed=5)
         before = model.arena.value.copy()
         teacher = TeacherBranch.from_model(model)
-        student = StudentBranch.from_teacher(teacher)
+        student = teacher.model.copy()
         frozen = teacher.model.arena.value.copy()
         rng = np.random.default_rng(6)
-        opt = Adam(student.params, lr=1e-2)
+        opt = Adam(student_params(student), lr=1e-2)
         for _ in range(3):
             x = rng.uniform(-2, 2, size=(6, 4))
             distill_step(student, *teacher_targets(teacher, x),
                          noisy_augment(x, NoiseConfig(), rng), np.ones(6), 1.0, opt)
-        for branch in (teacher, student):
-            assert views_of_own_arena(branch.model)
-        assert not np.array_equal(student.model.arena.value, frozen)
+        for branch in (teacher.model, student):
+            assert views_of_own_arena(branch)
+        assert not np.array_equal(student.arena.value, frozen)
         assert np.array_equal(teacher.model.arena.value, frozen)
         assert np.array_equal(model.arena.value, before)
 
@@ -364,10 +366,10 @@ class TestSnapshots:
         h_all, p_all = teacher_targets(teacher, x_all)
         students = []
         for per_tensor in (False, True):
-            student = StudentBranch.from_teacher(teacher)
+            student = teacher.model.copy()
             opt = (ReferenceAdam([*student.embedder.params, *student.classifier.params],
                                  lr=1e-3) if per_tensor
-                   else Adam(student.params, lr=1e-3))
+                   else Adam(student_params(student), lr=1e-3))
             for start in range(0, 40, 7):
                 sel = slice(start, start + 7)
                 distill_step(student, h_all[sel], p_all[sel], noised[sel], conf[sel],
@@ -375,7 +377,7 @@ class TestSnapshots:
             naive_pseudolabel_step(student, x_all[:9], p_all[:9], opt)
             students.append(student)
         arena, reference = students
-        assert not np.array_equal(arena.model.arena.value, teacher.model.arena.value)
-        for pa, pref in zip(arena.model.all_params, reference.model.all_params):
+        assert not np.array_equal(arena.arena.value, teacher.model.arena.value)
+        for pa, pref in zip(arena.all_params, reference.all_params):
             assert np.array_equal(pa.value, pref.value)
             assert not pa.grad.any() and not pref.grad.any()

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from coupledmil.gradcore import Adam, cross_entropy, softmax
+from coupledmil.gradcore import Adam, cross_entropy, softmax, softmax_rows
 from coupledmil.milnet import (
     BagClassifier,
     Embedder,
@@ -93,7 +93,7 @@ class TestAggregate:
 class TestClassify:
     def test_zero_parameters_uniform(self):
         clf = BagClassifier(4, 2)
-        p = clf.probs(np.random.default_rng(0).standard_normal((1, 4))).ravel()
+        p = softmax_rows(clf.logits(np.random.default_rng(0).standard_normal((1, 4)))).ravel()
         assert np.allclose(p, [0.5, 0.5])
 
     def test_probability_monotone_in_weight(self):
@@ -102,14 +102,14 @@ class TestClassify:
         probs = []
         for w in np.linspace(0.0, 5.0, 11):
             clf.w.value[:] = np.array([[0.0, w]])
-            probs.append(clf.probs(h)[0, 1])
+            probs.append(softmax_rows(clf.logits(h))[0, 1])
         assert all(b > a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > 0.9999
 
     def test_dimension_mismatch(self):
         clf = BagClassifier(4, 2)
         with pytest.raises(ValueError):
-            clf.probs(np.zeros((1, 3)))
+            clf.logits(np.zeros((1, 3)))
 
 
 class TestBagForward:
@@ -118,7 +118,7 @@ class TestBagForward:
         x = np.random.default_rng(1).uniform(-2, 2, size=(1, 4))
         trace = model.bag_forward(x)
         h, _ = model.embedder.forward(x)
-        assert np.allclose(trace.probs, model.classifier.probs(h).ravel())
+        assert np.allclose(trace.probs, softmax_rows(model.classifier.logits(h)).ravel())
 
     @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
     def test_permutation_invariance(self, backbone):
@@ -205,7 +205,7 @@ class TestGradients:
 
         def loss():
             h, cache = model.embedder.forward(x)
-            probs = model.classifier.probs(h).ravel()
+            probs = softmax_rows(model.classifier.logits(h)).ravel()
             val = cross_entropy(probs, y)
             dlogits = (probs - y)[None, :]
             dh = model.classifier.backward(h, dlogits)

@@ -7,12 +7,13 @@ import pytest
 from coupledmil import orchestrator
 from coupledmil.augment import AugmentConfig, augment_pair
 from coupledmil.bagdata import (
+    Bag,
     ConfigError,
     SyntheticSpec,
     features_matrix,
     generate_synthetic,
 )
-from coupledmil.distill import StudentBranch, TeacherBranch
+from coupledmil.distill import TeacherBranch
 from coupledmil.gradcore import cross_entropy
 from coupledmil.milnet import Embedder, MilModel, ModelConfig
 from coupledmil.orchestrator import (
@@ -21,6 +22,7 @@ from coupledmil.orchestrator import (
     NonFiniteLossError,
     RunReport,
     TrainConfig,
+    embed_instances,
     evaluate,
     load_checkpoint,
     params_checksum,
@@ -31,7 +33,7 @@ from coupledmil.orchestrator import (
     split_for_run,
 )
 from coupledmil.seeding import rng_stream
-from oracles import ReferenceAdam, reference_embedder_phase
+from oracles import ReferenceAdam, embedded_rows, reference_embedder_phase
 
 
 def small_dataset(seed=0, num_bags=30, k=8, d_raw=6, delta=3.0):
@@ -103,7 +105,7 @@ class TestClassifierPhase:
         config = small_config(classifier_epochs=200)
         model = build_model(config, d_raw=8, seed=1)
         losses = run_classifier_phase(
-            ds.bags, model, config,
+            ds.bags, embedded_rows(model, ds.bags), model, config,
             rng_stream(0, "augment"), rng_stream(0, "shuffle"),
         )
         assert len(losses) == 200
@@ -115,21 +117,21 @@ class TestClassifierPhase:
         config = small_config(augment=True)
         model = build_model(config)
         before = params_checksum(model.embedder.params)
-        run_classifier_phase(ds.bags, model, config,
+        run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                              rng_stream(1, "augment"), rng_stream(1, "shuffle"))
         assert params_checksum(model.embedder.params) == before
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_embedding_names_phase_and_bag(self):
-        # finite weights that overflow: the phase stops at the first bag
+        # finite weights that overflow: the embedding stops at the first bag,
+        # with the error and no numpy warning
         ds = small_dataset()
         config = small_config()
         model = build_model(config)
         model.embedder_group.value[:] = 1e308
         with pytest.raises(NonFiniteLossError,
                            match=f"classifier phase: .* bag {ds.bags[0].id!r}"):
-            run_classifier_phase(ds.bags, model, config,
-                                 rng_stream(0, "augment"), rng_stream(0, "shuffle"))
+            embedded_rows(model, ds.bags)
 
     @pytest.mark.parametrize("backbone", ["mean", "gated_attention"])
     def test_matches_per_tensor_adam(self, monkeypatch, backbone):
@@ -143,7 +145,7 @@ class TestClassifierPhase:
             if per_tensor:
                 monkeypatch.setattr(orchestrator, "Adam",
                                     lambda _, lr, m=model: ReferenceAdam(m.head_params, lr))
-            run_classifier_phase(ds.bags, model, config,
+            run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                  rng_stream(3, "augment"), rng_stream(3, "shuffle"))
             models.append(model)
         arena, reference = models
@@ -156,7 +158,7 @@ class TestClassifierPhase:
         config = small_config()
         model = build_model(config)
         with pytest.raises(ValueError, match="non-empty"):
-            run_classifier_phase([], model, config,
+            run_classifier_phase([], np.empty((0, config.embed_dim)), model, config,
                                  rng_stream(0, "augment"), rng_stream(0, "shuffle"))
 
     def test_degenerate_augmentation_matches_plain_bag_gradients(self):
@@ -172,16 +174,17 @@ class TestClassifierPhase:
 
         def head_grads(model, h, label):
             for p in model.head_params:
-                p.zero_grad()
+                p.grad[:] = 0.0
             bag_rep, _, logits, probs, agg_cache = model.head_forward(h)
             model.head_backward(h, bag_rep, agg_cache, (probs - label)[None, :])
             return [p.grad.copy() for p in model.head_params]
 
         grads_plain = head_grads(model_a, h_b, bag_b.label)
 
-        from coupledmil.orchestrator import _embedded_bag
-        emb_a = _embedded_bag(model_b, bag_a)
-        emb_b = _embedded_bag(model_b, bag_b)
+        # the classifier phase's bags: views of the rows of the shared buffer
+        h_all = embedded_rows(model_b, [bag_a, bag_b])
+        emb_a = Bag(id=bag_a.id, features=h_all[:len(bag_a)], label=bag_a.label)
+        emb_b = Bag(id=bag_b.id, features=h_all[len(bag_a):], label=bag_b.label)
         fused = augment_pair(emb_a, emb_b, AugmentConfig(n=1, gamma=1.0),
                              np.random.default_rng(0))
         grads_aug = head_grads(model_b, features_matrix(fused), fused.label)
@@ -199,8 +202,9 @@ class TestEmbedderPhase:
         for mode in ("confidence", "vanilla"):
             config = small_config(backbone="mean", mode=mode, embedder_passes=3)
             model = build_model(config, seed=4)
-            losses = run_embedder_phase(ds.bags, model, config,
-                                        rng_stream(2, "noise"), rng_stream(2, "distill"))
+            losses = run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model,
+                                        config, rng_stream(2, "noise"),
+                                        rng_stream(2, "distill"))
             results[mode] = (losses, params_checksum(model.embedder.params))
         assert results["confidence"][1] == results["vanilla"][1]
         for lc, lv in zip(results["confidence"][0], results["vanilla"][0]):
@@ -211,7 +215,7 @@ class TestEmbedderPhase:
         config = small_config(embedder_passes=0)
         model = build_model(config)
         before = params_checksum(model.embedder.params)
-        losses = run_embedder_phase(ds.bags, model, config,
+        losses = run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                     rng_stream(0, "noise"), rng_stream(0, "distill"))
         assert losses == []
         assert params_checksum(model.embedder.params) == before
@@ -222,7 +226,7 @@ class TestEmbedderPhase:
         for _ in range(2):
             config = small_config()
             model = build_model(config, seed=9)
-            run_embedder_phase(ds.bags, model, config,
+            run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                rng_stream(5, "noise"), rng_stream(5, "distill"))
             sums.append(params_checksum(model.embedder.params))
         assert sums[0] == sums[1]
@@ -232,7 +236,7 @@ class TestEmbedderPhase:
         config = small_config()
         model = build_model(config)
         before = params_checksum(model.embedder.params)
-        run_embedder_phase(ds.bags, model, config,
+        run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                            rng_stream(0, "noise"), rng_stream(0, "distill"))
         assert params_checksum(model.embedder.params) != before
 
@@ -246,7 +250,7 @@ class TestEmbedderPhase:
         config = small_config(embedder_lr=1e300)
         model = build_model(config)
         with pytest.raises(NonFiniteLossError, match="embedder phase.*epoch 1"):
-            run_embedder_phase(ds.bags, model, config,
+            run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                rng_stream(0, "noise"), rng_stream(0, "distill"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -254,11 +258,12 @@ class TestEmbedderPhase:
         ds = small_dataset()
         config = small_config(mode="naive", embedder_passes=0)
         model = build_model(config)
+        h_all = embedded_rows(model, ds.bags)
         model.embedder.layers[-1][0].value[0, 0] = np.inf
         before = model.arena.value.copy()
         with pytest.raises(NonFiniteLossError,
                            match="embedder phase: non-finite embedder parameters"):
-            run_embedder_phase(ds.bags, model, config,
+            run_embedder_phase(ds.bags, h_all, model, config,
                                rng_stream(0, "noise"), rng_stream(0, "distill"))
         assert np.array_equal(model.arena.value, before)
 
@@ -285,24 +290,30 @@ class TestEmbedderPhase:
         model = build_model(config, seed=6)
         expected, expected_losses = reference_embedder_phase(
             ds.bags, model.copy(), config, rng_stream(3, "noise"), rng_stream(3, "distill"))
-        students = []
-        from_teacher = StudentBranch.from_teacher
-        monkeypatch.setattr(StudentBranch, "from_teacher", classmethod(
-            lambda cls, teacher: students.append(from_teacher(teacher)) or students[-1]))
-        losses = run_embedder_phase(ds.bags, model, config,
+        h_all = embedded_rows(model, ds.bags)
+        copies = []
+        copy_model = MilModel.copy
+        monkeypatch.setattr(MilModel, "copy",
+                            lambda self: copies.append(copy_model(self)) or copies[-1])
+        losses = run_embedder_phase(ds.bags, h_all, model, config,
                                     rng_stream(3, "noise"), rng_stream(3, "distill"))
+        _, student = copies  # the teacher's snapshot, then the student
         assert losses == expected_losses
-        assert np.array_equal(students[0].model.arena.value, expected.model.arena.value)
-        assert np.array_equal(model.embedder_group.value,
-                              expected.model.embedder_group.value)
+        assert np.array_equal(student.arena.value, expected.arena.value)
+        assert np.array_equal(model.embedder_group.value, expected.embedder_group.value)
 
     @pytest.mark.parametrize("mode", ["naive", "confidence"])
     def test_teacher_embeds_each_bag_once(self, monkeypatch, mode):
+        # the teacher's rows are the run's one embedding per embedder state,
+        # so the phase itself embeds no training bag: its only embedder
+        # forwards are the student's, one per step
         ds = generate_synthetic(SyntheticSpec(
             num_bags=20, instances_per_bag=(2, 9), d_raw=6, rho=0.3, delta=2.0,
             seed=1))
         config = small_config(mode=mode, batch_size=7, embedder_passes=3)
         n = sum(len(bag.features) for bag in ds.bags)
+        model = build_model(config)
+        h_all = embedded_rows(model, ds.bags)
         teachers, inputs = [], {}
         from_model = TeacherBranch.from_model
         monkeypatch.setattr(TeacherBranch, "from_model", classmethod(
@@ -310,13 +321,11 @@ class TestEmbedderPhase:
         forward = Embedder.forward
         monkeypatch.setattr(Embedder, "forward", lambda self, x: (
             inputs.setdefault(id(self), []).append(x) or forward(self, x)))
-        run_embedder_phase(ds.bags, build_model(config), config,
+        run_embedder_phase(ds.bags, h_all, model, config,
                            rng_stream(0, "noise"), rng_stream(0, "distill"))
         (teacher,) = teachers
-        teacher_inputs = inputs.pop(id(teacher.embedder))
-        assert len(teacher_inputs) == len(ds.bags)
-        for x, bag in zip(teacher_inputs, ds.bags):
-            assert np.array_equal(x, bag.features)
+        assert id(teacher.model.embedder) not in inputs
+        assert id(model.embedder) not in inputs
         (student_inputs,) = inputs.values()
         assert len(student_inputs) == 3 * -(-n // 7)
 
@@ -325,12 +334,42 @@ class TestEmbedderPhase:
         ds = small_dataset()
         config = small_config(mode=mode, embedder_passes=1)
         model = build_model(config)
-        losses = run_embedder_phase(ds.bags, model, config,
+        losses = run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                     rng_stream(1, "noise"), rng_stream(1, "distill"))
         assert len(losses) == 1 and losses[0] >= 0.0
 
 
 class TestRunTraining:
+    @pytest.mark.parametrize("mode", ["confidence", "naive"])
+    def test_embeds_each_bag_once_per_embedder_state(self, monkeypatch, mode):
+        # once at the start and once after each embedder phase; both phases
+        # read those rows
+        ds = small_dataset()
+        config = small_config(mode=mode, iterations=2, classifier_epochs=2,
+                              embedder_passes=1)
+        train = split_for_run(ds, config)[0].bags
+        inputs = []
+        forward = Embedder.forward
+        monkeypatch.setattr(Embedder, "forward",
+                            lambda self, x: inputs.append(x) or forward(self, x))
+        run_training(ds, config)
+        for bag in train:
+            assert sum(x is bag.features for x in inputs) == config.iterations + 1
+
+    def test_embedded_rows_equal_each_bags_forward(self):
+        rng = np.random.default_rng(3)
+        bags = [Bag(id=f"b{i}", features=rng.uniform(-2, 2, size=(k, 6)),
+                    label=[1.0, 0.0]) for i, k in enumerate([1, 5, 3, 1, 12, 2])]
+        model = build_model(small_config())
+        h_all = np.full((24, 8), np.nan)
+        embed_instances(model, bags, h_all)
+        start = 0
+        for bag in bags:
+            h, _ = model.embedder.forward(bag.features)
+            assert np.array_equal(h_all[start:start + len(bag)], h)
+            start += len(bag)
+        assert start == len(h_all)
+
     def test_zero_iterations_is_baseline_only(self):
         ds = small_dataset()
         report, model = run_training(ds, small_config(iterations=0))
