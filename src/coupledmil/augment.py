@@ -93,17 +93,10 @@ def mixup_bags(a: Bag, b: Bag, lam: float, config: AugmentConfig,
     keep_a = [i for i in range(n) if mask[i] == 1]
     keep_b = [i for i in range(n) if mask[i] == 0]
 
+    # slot 0 holds a largest group, never empty, and goes to A or B; so the
+    # fused bag is never empty
     rows_a = _rows(groups_a, keep_a)
     rows_b = _rows(groups_b, keep_b)
-    if rows_a.size + rows_b.size == 0:
-        # both kept sides empty (tiny bags); keep one non-empty group overall
-        pool = [(0, i) for i, g in enumerate(groups_a) if g.size]
-        pool += [(1, i) for i, g in enumerate(groups_b) if g.size]
-        side, slot = pool[int(rng.integers(len(pool)))]
-        if side == 0:
-            rows_a = groups_a[slot]
-        else:
-            rows_b = groups_b[slot]
 
     if config.label_mode == "lambda_weighted":
         label = lam * a.label + (1.0 - lam) * b.label

@@ -88,9 +88,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.bags)
 
-    def __iter__(self):
-        return iter(self.bags)
-
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
     """Bitwise equality on ids, labels, and features."""

@@ -78,10 +78,10 @@ def cmd_generate(args) -> None:
 
 
 def _build_train_config(args) -> TrainConfig:
-    """The config file's values, overridden by every flag that was given;
-    each train flag's `dest` is its TrainConfig field."""
+    """The config file's values (train only), overridden by every flag that
+    was given; each config flag's `dest` is its TrainConfig field."""
     data: dict = {}
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except ValueError as exc:  # bad JSON or bad UTF-8
@@ -89,7 +89,7 @@ def _build_train_config(args) -> TrainConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
     for f in fields(TrainConfig):
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)
         if value is not None:
             data[f.name] = value
     return TrainConfig.from_dict(data)
@@ -125,9 +125,7 @@ def _load_model_and_dataset(args):
 
 
 def cmd_eval(args) -> None:
-    # checked like train's options, before any file is read
-    config = TrainConfig(seed=args.seed, fractions=args.fractions,
-                         threshold=args.threshold)
+    config = _build_train_config(args)  # checked before any file is read
     model, dataset = _load_model_and_dataset(args)
     bags = dataset.bags
     if args.split != "all":
@@ -143,7 +141,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_export_attention(args) -> None:
-    beta = TrainConfig(beta=args.beta).beta  # checked like train's --beta
+    beta = _build_train_config(args).beta  # checked before any file is read
     model, dataset = _load_model_and_dataset(args)
     lines = ["bag_id\tinstance_index\traw_attention\tnormalized_attention\tconfidence"]
     for bag in dataset.bags:
@@ -154,6 +152,26 @@ def cmd_export_attention(args) -> None:
         lines += (f"{bag.id}\t{i}\t{raw!r}\t{nrm!r}\t{c!r}" for i, (raw, nrm, c) in rows)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote attention table for {len(dataset.bags)} bags to {args.out}")
+
+
+# annotation of a TrainConfig field -> how its flag parses
+_FLAG_KINDS = {
+    "int": {"type": int},
+    "float": {"type": float},
+    "bool": {"action": argparse.BooleanOptionalAction},
+    "str": {},
+    "tuple[int, ...]": {"type": int, "nargs": "+"},
+    "tuple[float, float, float]": {"type": float, "nargs": 3},
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
+    """`--field-name` for each named TrainConfig field; a flag not given
+    stays None, so the field keeps its config-file or default value."""
+    annotations = {f.name: f.type for f in fields(TrainConfig)}
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                            **_FLAG_KINDS[annotations[name]])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,43 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--config", default=None, help="JSON config file")
     tr.add_argument("--out-dir", dest="out_dir", default="run")
-    tr.add_argument("--backbone", default=None,
-                    choices=["mean", "max", "gated_attention", "abmil"])
-    tr.add_argument("--mode", default=None,
-                    choices=["naive", "vanilla", "confidence"])
-    tr.add_argument("--iterations", type=int, default=None)
-    tr.add_argument("--beta", type=float, default=None)
-    tr.add_argument("--alpha-w", dest="alpha_w", type=float, default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--classifier-epochs", dest="classifier_epochs",
-                    type=int, default=None)
-    tr.add_argument("--classifier-lr", dest="classifier_lr", type=float, default=None)
-    tr.add_argument("--embedder-lr", dest="embedder_lr", type=float, default=None)
-    tr.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    tr.add_argument("--embedder-passes", dest="embedder_passes",
-                    type=int, default=None)
-    aug = tr.add_mutually_exclusive_group()
-    aug.add_argument("--augment", dest="augment", action="store_true", default=None)
-    aug.add_argument("--no-augment", dest="augment", action="store_false")
-    tr.add_argument("--augment-ratio", dest="augment_ratio", type=float, default=None)
-    tr.add_argument("--augment-n", dest="augment_n", type=int, default=None)
-    tr.add_argument("--augment-alpha", dest="augment_alpha", type=float, default=None)
-    tr.add_argument("--augment-gamma", dest="augment_gamma", type=float, default=None)
-    tr.add_argument("--label-mode", dest="augment_label_mode", default=None,
-                    choices=["lambda_weighted", "kept_fraction"])
-    tr.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
-    tr.add_argument("--noise-dropout", dest="noise_dropout", type=float, default=None)
-    tr.add_argument("--threshold", type=float, default=None)
-    tr.add_argument("--fractions", type=float, nargs=3, default=None,
-                    metavar=("TRAIN", "VAL", "TEST"))
-    tr.add_argument("--hidden", type=int, nargs="+", default=None)
-    tr.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    tr.add_argument("--attn-dim", dest="attn_dim", type=int, default=None)
-    tr.add_argument("--full-scale", dest="full_scale", action="store_true",
-                    default=None,
-                    help="restore the 200-epoch classifier-phase protocol")
-    tr.add_argument("--warm-start", dest="warm_start", action="store_true",
-                    default=None)
+    _add_config_flags(tr, [f.name for f in fields(TrainConfig)])
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -227,11 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--split", default="all",
                     choices=["all", "train", "val", "test"])
-    ev.add_argument("--seed", type=int, default=0,
-                    help="run seed whose split to reproduce")
-    ev.add_argument("--fractions", type=float, nargs=3, default=(0.7, 0.1, 0.2),
-                    metavar=("TRAIN", "VAL", "TEST"))
-    ev.add_argument("--threshold", type=float, default=0.5)
+    _add_config_flags(ev, ["seed", "fractions", "threshold"])
     ev.add_argument("--out", default=None, help="also write the result as JSON")
     ev.set_defaults(func=cmd_eval)
 
@@ -240,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--checkpoint", required=True)
     ex.add_argument("--dataset", required=True)
     ex.add_argument("--out", required=True)
-    ex.add_argument("--beta", type=float, default=6.0)
+    _add_config_flags(ex, ["beta"])
     ex.set_defaults(func=cmd_export_attention)
     return parser
 

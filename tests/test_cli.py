@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from coupledmil import orchestrator
 from coupledmil.bagdata import DatasetParseError, DatasetSchemaError, load_dataset
-from coupledmil.cli import main
+from coupledmil.cli import _build_train_config, build_parser, main
 from coupledmil.distill import convert_confidence, normalize_attention
 from coupledmil.metrics import MetricError
 from coupledmil.milnet import MilModel, ModelConfig
@@ -102,14 +103,15 @@ class TestTrain:
         cfg.write_text(json.dumps({
             "classifier_epochs": 3, "embedder_passes": 1, "batch_size": 16,
             "hidden": [10], "embed_dim": 8, "attn_dim": 4,
-            "iterations": 0, "seed": 5, "mode": "vanilla",
+            "iterations": 0, "seed": 5, "mode": "vanilla", "augment": True,
         }))
         out = tmp_path / "runc"
         code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
-                    "--config", str(cfg), "--mode", "naive"])
+                    "--config", str(cfg), "--mode", "naive", "--no-augment"])
         assert code == 0
         report = RunReport.from_json((out / "report.json").read_text())
         assert report.config["mode"] == "naive"  # flag beats file
+        assert report.config["augment"] is False
         assert report.config["classifier_epochs"] == 3
 
     def test_unknown_config_key_exits_2(self, dataset_file, tmp_path, capsys):
@@ -145,6 +147,36 @@ class TestTrain:
                 (out / "checkpoint.bin").read_bytes(),
             ))
         assert outs[0] == outs[1]
+
+
+# a value other than the default for every TrainConfig field
+NON_DEFAULT = {
+    "backbone": "mean", "classifier_epochs": 7, "classifier_lr": 1e-3,
+    "embedder_lr": 3e-4, "batch_size": 9, "embedder_passes": 0, "iterations": 2,
+    "mode": "naive", "beta": 2.5, "alpha_w": 0.5, "augment": True,
+    "augment_ratio": 0.5, "augment_n": 3, "augment_alpha": 2.0,
+    "augment_gamma": 0.25, "augment_label_mode": "kept_fraction",
+    "noise_scale": 0.2, "noise_dropout": 0.0, "hidden": (8, 4), "embed_dim": 5,
+    "attn_dim": 3, "warm_start": True, "fractions": (0.6, 0.2, 0.2),
+    "threshold": 0.25, "seed": 11,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
+def test_every_config_field_is_a_train_flag(name):
+    value = NON_DEFAULT[name]
+    assert value != getattr(TrainConfig(), name)
+    argv = ["train", "--dataset", "d.jsonl", "--" + name.replace("_", "-")]
+    if not isinstance(value, bool):
+        argv += map(str, value if isinstance(value, tuple) else [value])
+    config = _build_train_config(build_parser().parse_args(argv))
+    assert config == TrainConfig.from_dict({name: value})
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["export-attention", "--out", "a.tsv"]])
+def test_eval_and_export_defaults_are_train_config_defaults(argv):
+    args = build_parser().parse_args(argv + ["--checkpoint", "c.bin", "--dataset", "d"])
+    assert _build_train_config(args) == TrainConfig()
 
 
 class TestEval:
@@ -357,6 +389,11 @@ BAD_TRAIN_INPUTS = {
     "attn-dim": (["--attn-dim", "-1"], "attn_dim"),
     "config-float-epochs": (["--config", "{cfg}"], "classifier_epochs"),
     "config-missing": (["--config", "{missing}"], "config"),
+    "backbone": (["--backbone", "cnn"], "backbone"),
+    "mode": (["--mode", "softlabel"], "mode"),
+    "augment-label-mode": (["--augment-label-mode", "mean"], "augment_label_mode"),
+    "full-scale": (["--full-scale"], "--full-scale"),
+    "config-full-scale": (["--config", "{full_scale}"], "full_scale"),
 }
 
 
@@ -364,9 +401,11 @@ BAD_TRAIN_INPUTS = {
                          ids=BAD_TRAIN_INPUTS.keys())
 def test_bad_train_input_exits_2_before_training(dataset_file, tmp_path, capsys,
                                                  flags, field):
-    cfg = tmp_path / "cfg.json"
+    cfg, full_scale = tmp_path / "cfg.json", tmp_path / "full_scale.json"
     cfg.write_text(json.dumps({"classifier_epochs": 1.5}))
-    flags = [f.format(cfg=cfg, missing=tmp_path / "missing.json") for f in flags]
+    full_scale.write_text(json.dumps({"full_scale": True}))
+    flags = [f.format(cfg=cfg, full_scale=full_scale, missing=tmp_path / "missing.json")
+             for f in flags]
     out = tmp_path / "run"
     code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out)] + flags)
     assert code == 2
@@ -386,14 +425,16 @@ def test_empty_training_split_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # a failed run leaves no output directory
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
+    # the first epoch overflows the head; its loss check reports it, and
+    # numpy warns about nothing
     out = tmp_path / "run"
     code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
                 "--classifier-lr", "1e300"] + TRAIN_FAST)
     assert code == 3
-    err = capsys.readouterr().err
-    assert "classifier phase" in err and "epoch" in err
+    assert capsys.readouterr().err == (
+        "error: classifier phase: non-finite loss nan in epoch 1\n")
     assert not out.exists()
 
 

@@ -72,10 +72,6 @@ class TestTrainConfig:
     def test_abmil_alias(self):
         assert TrainConfig(backbone="abmil").backbone == "gated_attention"
 
-    def test_full_scale_restores_200_epochs(self):
-        assert small_config(full_scale=True).effective_classifier_epochs == 200
-        assert small_config().effective_classifier_epochs == 5
-
     @pytest.mark.parametrize("field,value", [
         ("mode", "softlabel"), ("backbone", "cnn"), ("iterations", -1),
         ("classifier_lr", 0.0), ("embedder_lr", -1e-5), ("classifier_epochs", 0),
