@@ -242,23 +242,33 @@ def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
     return bag
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a dataset file; raises DatasetParseError (with line number) on
-    malformed, truncated or non-finite input, DatasetSchemaError on records
-    that contradict the manifest."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+# Bytes per read of a dataset file. With Python's 8 KiB default, reading a
+# large file line by line costs more than one whole read; at 1 MiB it does not.
+_READ_BUFFER = 1 << 20
+
+
+def _lines(fh):
+    """(line number, text) for each line of a binary file, numbered as
+    `str.splitlines` numbers the whole decoded text. Each newline-ended piece
+    is decoded and split on its own: no UTF-8 sequence holds a newline byte,
+    and every separator (`\\r\\n` included) ends inside the piece it closes.
+    Invalid UTF-8 is reported on line 1 + the newline bytes before it."""
+    lineno = 0
+    for newlines_before, piece in enumerate(fh):
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetParseError(
+                f"not UTF-8: {exc.reason}", newlines_before + 1) from exc
+        for line in text.splitlines():
+            lineno += 1
+            yield lineno, line
+
+
+def _parse_manifest(raw: str) -> tuple[int, int, int]:
+    """(d_raw, C, count) of the manifest line."""
     try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError(
-            f"not UTF-8: {exc.reason}", blob[:exc.start].count(b"\n") + 1
-        ) from exc
-    lines = text.splitlines()
-    if not lines:
-        raise DatasetParseError("missing manifest", 1)
-    try:
-        manifest = json.loads(lines[0])
+        manifest = json.loads(raw)
     except (ValueError, RecursionError) as exc:
         raise DatasetParseError(f"bad manifest: {exc}", 1) from exc
     if not isinstance(manifest, dict):
@@ -270,19 +280,31 @@ def load_dataset(path) -> Dataset:
     num_classes = _manifest_int(manifest, "C", 2)
     if num_classes != 2:  # the package is binary; class 1 is the positive class
         raise DatasetParseError(f"manifest 'C' must be 2, got {num_classes}", 1)
-    count = _manifest_int(manifest, "count", 0)
-    if len(lines) - 1 < count:
+    return d_raw, num_classes, _manifest_int(manifest, "count", 0)
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a dataset file one line at a time; raises DatasetParseError
+    (with line number) on malformed, truncated or non-finite input,
+    DatasetSchemaError on records that contradict the manifest. Of several
+    faults, the first in file order is reported."""
+    bags: list[Bag] = []
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        lines = _lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise DatasetParseError("missing manifest", 1)
+        d_raw, num_classes, count = _parse_manifest(first[1])
+        for lineno, raw in lines:
+            if lineno > count + 1:
+                raise DatasetParseError(
+                    f"trailing data: manifest promises {count} records", lineno)
+            bags.append(_parse_record(raw, lineno, d_raw, num_classes))
+    if len(bags) < count:
         raise DatasetParseError(
-            f"truncated file: manifest promises {count} records, found {len(lines) - 1}",
-            len(lines) + 1,
+            f"truncated file: manifest promises {count} records, found {len(bags)}",
+            len(bags) + 2,
         )
-    if len(lines) - 1 > count:
-        raise DatasetParseError(
-            f"trailing data: manifest promises {count} records, found {len(lines) - 1}",
-            count + 2,
-        )
-    bags = [_parse_record(raw, lineno, d_raw, num_classes)
-            for lineno, raw in enumerate(lines[1:], start=2)]
     return Dataset(bags=bags, d_raw=d_raw, num_classes=num_classes)
 
 

@@ -32,6 +32,7 @@ from .orchestrator import (
     NonFiniteLossError,
     TrainConfig,
     evaluate,
+    forward_bag,
     load_checkpoint,
     run_training,
     save_checkpoint,
@@ -141,16 +142,28 @@ def cmd_eval(args) -> None:
 
 
 def cmd_export_attention(args) -> None:
+    """Each bag's rows are written as soon as its forward pass is done, to
+    `<out>.partial`, which replaces `<out>` once every bag is written. A
+    failed export removes it, so it leaves `<out>` as it was."""
     beta = _build_train_config(args).beta  # checked before any file is read
     model, dataset = _load_model_and_dataset(args)
-    lines = ["bag_id\tinstance_index\traw_attention\tnormalized_attention\tconfidence"]
-    for bag in dataset.bags:
-        trace = model.bag_forward(features_matrix(bag))
-        a_norm = normalize_attention(trace.attention)
-        conf = convert_confidence(a_norm, beta)
-        rows = enumerate(zip(trace.attention.tolist(), a_norm.tolist(), conf.tolist()))
-        lines += (f"{bag.id}\t{i}\t{raw!r}\t{nrm!r}\t{c!r}" for i, (raw, nrm, c) in rows)
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    partial = Path(args.out + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write("bag_id\tinstance_index\traw_attention\tnormalized_attention\t"
+                     "confidence\n")
+            for bag in dataset.bags:
+                trace = forward_bag(model, bag.id, features_matrix(bag))
+                a_norm = normalize_attention(trace.attention)
+                conf = convert_confidence(a_norm, beta)
+                rows = enumerate(zip(trace.attention.tolist(), a_norm.tolist(),
+                                     conf.tolist()))
+                fh.write("".join([f"{bag.id}\t{i}\t{raw!r}\t{nrm!r}\t{c!r}\n"
+                                  for i, (raw, nrm, c) in rows]))
+        partial.replace(args.out)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     print(f"wrote attention table for {len(dataset.bags)} bags to {args.out}")
 
 

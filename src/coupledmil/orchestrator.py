@@ -28,7 +28,7 @@ from .distill import (
 )
 from .gradcore import Adam, cross_entropy, softmax_rows
 from .metrics import EvalResult, evaluate_scores
-from .milnet import BACKBONES, POSITIVE_CLASS, MilModel, ModelConfig
+from .milnet import BACKBONES, POSITIVE_CLASS, BagForwardTrace, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
 
 FINE_TUNE_MODES = ("naive", "vanilla", "confidence")
@@ -45,9 +45,10 @@ class CheckpointError(ValueError):
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A training phase produced non-finite numbers: an epoch loss, the
-    embedder parameters an embedder phase hands back, or the embedding of a
-    bag."""
+    """A model produced non-finite numbers: an epoch loss, the embedder
+    parameters an embedder phase hands back, or a bag's embedding, attention
+    or class probabilities, in training, evaluation or the attention
+    export."""
 
 
 def _is_int(value) -> bool:
@@ -236,18 +237,32 @@ def _row_slices(bags):
         start += len(bag)
 
 
+def _check_finite(source: str, bag_id: str, *arrays: np.ndarray) -> None:
+    """Finite but huge weights overflow in a forward pass run under
+    `np.errstate`; report it as one NonFiniteLossError naming the bag."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteLossError(f"{source} maps bag {bag_id!r} to non-finite values")
+
+
 def embed_instances(model: MilModel, bags, h_all: np.ndarray) -> None:
     """Fill `h_all` with the embedding of every instance of `bags`, in bag
     order: one embedder forward per bag. Both phases read these rows, so the
     run refills them whenever the embedder changes."""
     for bag, rows in _row_slices(bags):
-        # finite but huge weights overflow here; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             h, _ = model.embedder.forward(features_matrix(bag))
-        if not np.isfinite(h).all():
-            raise NonFiniteLossError(
-                f"classifier phase: the embedder maps bag {bag.id!r} to non-finite values")
+        _check_finite("classifier phase: the embedder", bag.id, h)
         h_all[rows] = h
+
+
+def forward_bag(model: MilModel, bag_id: str, x: np.ndarray) -> BagForwardTrace:
+    """`model.bag_forward(x)` for evaluation and the attention export, with
+    its embedding, attention and class probabilities checked to be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = model.bag_forward(x)
+    _check_finite("the model", bag_id,
+                  trace.instance_reps, trace.attention, trace.probs)
+    return trace
 
 
 def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
@@ -357,7 +372,7 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
 def evaluate(model: MilModel, bags, threshold: float = 0.5) -> EvalResult:
     """Test-set metrics; the score is the positive-class probability."""
     bags = list(bags)
-    scores = [float(model.bag_forward(features_matrix(bag)).probs[POSITIVE_CLASS])
+    scores = [forward_bag(model, bag.id, features_matrix(bag)).probs[POSITIVE_CLASS]
               for bag in bags]
     labels = [int(np.argmax(bag.label)) for bag in bags]
     return evaluate_scores(np.array(scores), np.array(labels), threshold)

@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from coupledmil.bagdata import DatasetParseError
 from coupledmil.distill import (
     TeacherBranch,
     convert_confidence,
@@ -214,3 +215,15 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
             total += loss * len(sel)
         losses.append(total / n)
     return student, losses
+
+
+def whole_text_lines(blob: bytes) -> list[tuple[int, str]]:
+    """The dataset loader's (line number, text) pairs as one whole read gives
+    them: the decoded file's `splitlines()`, numbered from 1. Invalid UTF-8
+    raises DatasetParseError on line 1 + the newline bytes before it."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"not UTF-8: {exc.reason}",
+                                blob[:exc.start].count(b"\n") + 1) from exc
+    return list(enumerate(text.splitlines(), start=1))

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coupledmil import bagdata
 from coupledmil.bagdata import (
     Bag,
     Dataset,
@@ -235,6 +237,73 @@ class TestRoundTrip:
             for row in json.loads(line)["features"]:
                 for v in row:
                     assert float(f"{v:.9g}") == v
+
+
+def _dataset_file(tmp_path, **spec):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(generate_synthetic(SyntheticSpec(**spec)), path)
+    return path
+
+
+class TestLoadErrors:
+    """Each fault is reported with its line, and of several faults the first
+    in file order."""
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(DatasetParseError, match="line 1: missing manifest"):
+            load_dataset(path)
+
+    def test_trailing_data(self, tmp_path):
+        path = _dataset_file(tmp_path, num_bags=3, instances_per_bag=2, d_raw=2, seed=1)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not even json\n{}\n")
+        with pytest.raises(DatasetParseError, match="line 5: trailing data"):
+            load_dataset(path)
+
+    def test_invalid_utf8_reports_its_line(self, tmp_path):
+        path = _dataset_file(tmp_path, num_bags=4, instances_per_bag=2, d_raw=2, seed=1)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b'"bag', b'"\xff\xfebag')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetParseError, match="line 4: not UTF-8"):
+            load_dataset(path)
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # a bad record on line 2, invalid UTF-8 on line 4 and one record too
+        # few: line 2 is reported
+        path = _dataset_file(tmp_path, num_bags=4, instances_per_bag=2, d_raw=2, seed=1)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"[]\n"
+        lines[3] = b"\xff" + lines[3]
+        path.write_bytes(b"".join(lines[:-1]))
+        with pytest.raises(DatasetParseError, match="line 2: bad record"):
+            load_dataset(path)
+
+    def test_crlf_file_loads_equal(self, tmp_path):
+        path = _dataset_file(tmp_path, num_bags=5, instances_per_bag=(1, 4), d_raw=3,
+                             seed=4)
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert datasets_equal(load_dataset(crlf), load_dataset(path))
+
+
+def test_load_holds_one_line_at_a_time(tmp_path):
+    # beyond what the dataset keeps, the loader holds its read buffer and one
+    # record's temporaries; a whole read held the bytes, the decoded text and
+    # its list of lines at once, about three times the file
+    path = _dataset_file(tmp_path, num_bags=150, instances_per_bag=100, d_raw=16, seed=5)
+    size = path.stat().st_size
+    assert size > 3_000_000
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 150
+    assert peak - retained < bagdata._READ_BUFFER + size / 4
 
 
 class TestSplit:

@@ -454,6 +454,56 @@ def test_overflowing_embedder_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture()
+def overflowing(tmp_path):
+    """A 6-bag dataset and a checkpoint whose every parameter is 1e300: it
+    loads, and its forward pass overflows on the first bag."""
+    dataset, checkpoint = tmp_path / "six.jsonl", tmp_path / "huge.bin"
+    assert run(["generate", "--out", str(dataset), "--bags", "6", "--k", "5",
+                "--d-raw", "4", "--rho", "0.3", "--delta", "3", "--seed", "1"]) == 0
+    model = MilModel(ModelConfig(d_raw=4, hidden=(8,), embed_dim=4, attn_dim=2))
+    model.arena.value[:] = 1e300
+    save_checkpoint(model, checkpoint)
+    return ["--checkpoint", str(checkpoint), "--dataset", str(dataset)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "export-attention"])
+def test_overflowing_checkpoint_exits_3(overflowing, tmp_path, capsys, command):
+    # one error line naming the bag, no numpy warning, and no table
+    out = tmp_path / "attention.tsv"
+    code = run([command, *overflowing, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: the model maps bag 'bag0000' to non-finite values\n")
+    assert not out.exists()
+    assert not (tmp_path / "attention.tsv.partial").exists()
+
+
+def test_failed_export_leaves_existing_table(tmp_path, capsys):
+    # the third bag overflows the embedder after two bags' rows are written:
+    # the partial table is removed and the old one stays byte for byte
+    cfg = ModelConfig(d_raw=2, hidden=(), embed_dim=2, attn_dim=1)
+    model = MilModel(cfg)
+    model.arena.value[:] = 1.0
+    checkpoint, dataset = tmp_path / "ones.bin", tmp_path / "three.jsonl"
+    save_checkpoint(model, checkpoint)
+    bags = [[[0.5, -0.5], [1.0, 2.0]], [[0.1, 0.2]], [[1e308, 1e308], [0.0, 1.0]]]
+    dataset.write_text("\n".join(
+        [json.dumps({"d_raw": 2, "C": 2, "count": 3})]
+        + [json.dumps({"id": f"b{i}", "label": [1.0, 0.0], "features": f})
+           for i, f in enumerate(bags)]) + "\n")
+    out = tmp_path / "attention.tsv"
+    out.write_bytes(b"the previous table\r\n")
+    code = run(["export-attention", "--checkpoint", str(checkpoint),
+                "--dataset", str(dataset), "--out", str(out)])
+    assert code == 3
+    assert "bag 'b2'" in capsys.readouterr().err
+    assert out.read_bytes() == b"the previous table\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "attention.tsv", "ones.bin", "three.jsonl"]
+
+
 def test_generate_negative_seed_exits_2(tmp_path, capsys):
     assert run(["generate", "--out", str(tmp_path / "x.jsonl"), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err

@@ -2,11 +2,14 @@
 `load_checkpoint` is given, it returns a valid object or raises its typed
 error, never anything else."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coupledmil import bagdata
 from coupledmil.bagdata import (
     Dataset,
     DatasetParseError,
@@ -18,6 +21,7 @@ from coupledmil.bagdata import (
 )
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import CheckpointError, load_checkpoint, save_checkpoint
+from oracles import whole_text_lines
 
 FUZZ = settings(max_examples=100, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -112,3 +116,39 @@ def test_checkpoint_mutated_file(tmp_path, checkpoint_bytes, data):
     path = tmp_path / "fuzz.bin"
     path.write_bytes(data.draw(mutated(checkpoint_bytes)))
     _check_checkpoint(path)
+
+
+# every separator `str.splitlines` breaks on, `\r\n` as one, among text with
+# one- to four-byte UTF-8 characters, and bytes that are no UTF-8
+LINE_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                   "\x85", "\u2028", "\u2029"]
+TEXT_PIECES = st.sampled_from(LINE_SEPARATORS + ["a", "{}", " ", "\u00e9", "\u20ac",
+                                                  "\U0001f600"])
+BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80", b"\xed\xa0\x80"])
+
+
+def _streamed_lines(blob: bytes):
+    try:
+        return list(bagdata._lines(io.BytesIO(blob)))
+    except DatasetParseError as exc:
+        return exc.line
+
+
+def _whole_lines(blob: bytes):
+    try:
+        return whole_text_lines(blob)
+    except DatasetParseError as exc:
+        return exc.line
+
+
+@FUZZ
+@given(pieces=st.lists(TEXT_PIECES, max_size=40),
+       bad=st.lists(st.tuples(st.integers(0, 40), BAD_UTF8), max_size=2))
+def test_streamed_lines_match_whole_text(pieces, bad):
+    # the same lines, numbered the same, as the decoded file's splitlines();
+    # invalid UTF-8 on the same line as a whole decode reports it
+    blob = "".join(pieces).encode("utf-8")
+    for pos, junk in bad:
+        pos = min(pos, len(blob))
+        blob = blob[:pos] + junk + blob[pos:]
+    assert _streamed_lines(blob) == _whole_lines(blob)
