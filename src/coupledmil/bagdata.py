@@ -89,21 +89,10 @@ class Dataset:
         return len(self.bags)
 
 
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Bitwise equality on ids, labels, and features."""
-    if (a.d_raw, a.num_classes, len(a)) != (b.d_raw, b.num_classes, len(b)):
-        return False
-    for x, y in zip(a.bags, b.bags):
-        if x.id != y.id or not np.array_equal(x.label, y.label):
-            return False
-        if not np.array_equal(x.features, y.features):
-            return False
-    return True
-
-
 def partition_pseudobags(bag, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Uniformly random partition of a bag's instance indices into n groups
-    with sizes differing by <= 1, larger groups first.
+    with sizes differing by <= 1, larger groups first. `bag` is a Bag or its
+    feature rows: only its length is read.
 
     Bags smaller than n yield singleton groups plus empty ones; indices are
     sorted within each group.

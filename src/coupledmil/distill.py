@@ -9,24 +9,10 @@ optionally scaled by an attention-derived confidence weight |2a-1|^beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gradcore import LOG_FLOOR, Adam, kl_rows, softmax_rows
 from .milnet import MilModel
-
-
-@dataclass
-class NoiseConfig:
-    scale: float = 0.1    # additive Gaussian noise
-    dropout: float = 0.1  # per-feature zeroing probability
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError(f"noise scale must be >= 0, got {self.scale}")
-        if not (0.0 <= self.dropout <= 1.0):
-            raise ValueError(f"dropout must be in [0, 1], got {self.dropout}")
 
 
 def normalize_attention(scores) -> np.ndarray:
@@ -59,15 +45,16 @@ def convert_confidence(a_norm, beta: float):
     return float(out[0]) if a.ndim == 0 else out
 
 
-def noisy_augment(x: np.ndarray, noise: NoiseConfig,
+def noisy_augment(x: np.ndarray, scale: float, dropout: float,
                   rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise followed by independent feature dropout."""
+    """Additive Gaussian noise of standard deviation `scale`, then each
+    feature zeroed with probability `dropout`."""
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
-    if noise.scale > 0:
-        out += noise.scale * rng.standard_normal(x.shape)
-    if noise.dropout > 0:
-        out[rng.random(x.shape) < noise.dropout] = 0.0
+    if scale > 0:
+        out += scale * rng.standard_normal(x.shape)
+    if dropout > 0:
+        out[rng.random(x.shape) < dropout] = 0.0
     return out
 
 

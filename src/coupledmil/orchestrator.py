@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_pair
-from .bagdata import Bag, ConfigError, Dataset, features_matrix, split_dataset
+from .augment import LABEL_MODES, augment_pair
+from .bagdata import ConfigError, Dataset, features_matrix, split_dataset
 from .distill import (
-    NoiseConfig,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -71,13 +70,12 @@ _FIELD_TYPES = {
                                    and all(map(_is_number, v)), "a list of numbers"),
 }
 _AT_LEAST = {"classifier_epochs": 1, "batch_size": 1, "embedder_passes": 0,
-             "iterations": 0, "alpha_w": 0, "augment_ratio": 0, "embed_dim": 1,
-             "attn_dim": 1, "seed": 0}
-_ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta")
-# TrainConfig field behind each AugmentConfig and NoiseConfig field
-_AUGMENT_FIELDS = {"n": "augment_n", "alpha_beta": "augment_alpha",
-                   "gamma": "augment_gamma", "label_mode": "augment_label_mode"}
-_NOISE_FIELDS = {"scale": "noise_scale", "dropout": "noise_dropout"}
+             "iterations": 0, "alpha_w": 0, "augment_ratio": 0, "augment_n": 1,
+             "noise_scale": 0, "embed_dim": 1, "attn_dim": 1, "seed": 0}
+_ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta", "augment_alpha")
+_UNIT_INTERVAL = ("augment_gamma", "noise_dropout")
+_CHOICES = {"backbone": BACKBONES, "mode": FINE_TUNE_MODES,
+            "augment_label_mode": LABEL_MODES}
 
 
 @dataclass
@@ -121,20 +119,19 @@ class TrainConfig:
         self.fractions = tuple(float(f) for f in self.fractions)
         if self.backbone == "abmil":  # common alias for the gated-attention backbone
             self.backbone = "gated_attention"
-        if self.backbone not in BACKBONES:
-            raise ConfigError(
-                f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}"
-            )
-        if self.mode not in FINE_TUNE_MODES:
-            raise ConfigError(
-                f"unknown mode {self.mode!r}; expected one of {FINE_TUNE_MODES}"
-            )
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(
+                    f"unknown {name} {getattr(self, name)!r}; expected one of {choices}")
         for name, low in _AT_LEAST.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         for name in _ABOVE_ZERO:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in _UNIT_INTERVAL:
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
         if min(self.hidden, default=1) < 1:
             raise ConfigError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
         if (len(self.fractions) != 3 or not all(f >= 0 for f in self.fractions)
@@ -144,17 +141,6 @@ class TrainConfig:
                 "fractions must be three non-negative values summing to 1 with a "
                 f"positive train fraction, got {self.fractions}"
             )
-        self.augment_config = self._sub_config(AugmentConfig, _AUGMENT_FIELDS)
-        self.noise_config = self._sub_config(NoiseConfig, _NOISE_FIELDS)
-
-    def _sub_config(self, cls, names: dict):
-        """Build `cls` from the fields named in `names`. Its errors name its
-        own fields, so the ConfigError adds ours with their values."""
-        try:
-            return cls(**{sub: getattr(self, name) for sub, name in names.items()})
-        except ValueError as exc:
-            given = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.values())
-            raise ConfigError(f"{given}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -279,26 +265,23 @@ def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
     frozen = params_checksum([model.embedder_group])
     # selecting instances commutes with per-instance embedding, so
     # augmentation runs directly in representation space
-    embedded = [Bag(id=bag.id, features=h_all[rows], label=bag.label.copy())
-                for bag, rows in _row_slices(train_bags)]
-    base_samples = [(features_matrix(b), b.label) for b in embedded]
+    base_samples = [(h_all[rows], bag.label) for bag, rows in _row_slices(train_bags)]
 
-    aug_cfg = config.augment_config
     optimizer = Adam([model.head_group], config.classifier_lr)
     losses: list[float] = []
     # a diverging step overflows mid-epoch; the epoch-loss check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(config.classifier_epochs):
             samples = list(base_samples)
-            if config.augment and len(embedded) >= 2:
-                n_aug = int(round(config.augment_ratio * len(embedded)))
+            if config.augment and len(base_samples) >= 2:
+                n_aug = int(round(config.augment_ratio * len(base_samples)))
                 for _ in range(n_aug):
-                    i = int(rng_augment.integers(len(embedded)))
-                    j = int(rng_augment.integers(len(embedded) - 1))
+                    i = int(rng_augment.integers(len(base_samples)))
+                    j = int(rng_augment.integers(len(base_samples) - 1))
                     if j >= i:
                         j += 1
-                    fused = augment_pair(embedded[i], embedded[j], aug_cfg, rng_augment)
-                    samples.append((features_matrix(fused), fused.label))
+                    samples.append(augment_pair(base_samples[i], base_samples[j],
+                                                config, rng_augment))
             order = rng_shuffle.permutation(len(samples))
             total = 0.0
             for idx in order:
@@ -341,7 +324,6 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
             _, a, _ = teacher.aggregator.forward(h_all[rows], teacher.classifier)
             conf_all[rows] = convert_confidence(normalize_attention(a), config.beta)
     p_all = softmax_rows(teacher.classifier.logits(h_all))
-    noise_cfg = config.noise_config
     optimizer = Adam([student.embedder_group, student.classifier_group],
                      config.embedder_lr)
 
@@ -356,7 +338,8 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                 loss = naive_pseudolabel_step(student, xb, p_all[sel], optimizer)
             else:
                 loss = distill_step(student, h_all[sel], p_all[sel],
-                                    noisy_augment(xb, noise_cfg, rng_noise),
+                                    noisy_augment(xb, config.noise_scale,
+                                                  config.noise_dropout, rng_noise),
                                     conf_all[sel], config.alpha_w, optimizer)
             total += loss * len(sel)
         losses.append(_checked_loss("embedder", len(losses) + 1, total / n))

@@ -3,12 +3,14 @@ against; the package itself never calls them."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from coupledmil.bagdata import DatasetParseError
+from coupledmil.augment import _draw_mask
+from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
 from coupledmil.distill import (
     TeacherBranch,
     convert_confidence,
@@ -210,7 +212,8 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
                 loss = naive_pseudolabel_step(student, xb, p_t, optimizer)
             else:
                 loss = distill_step(student, h_t, p_t,
-                                    noisy_augment(xb, config.noise_config, rng_noise),
+                                    noisy_augment(xb, config.noise_scale,
+                                                  config.noise_dropout, rng_noise),
                                     conf_all[sel], config.alpha_w, optimizer)
             total += loss * len(sel)
         losses.append(total / n)
@@ -227,3 +230,41 @@ def whole_text_lines(blob: bytes) -> list[tuple[int, str]]:
         raise DatasetParseError(f"not UTF-8: {exc.reason}",
                                 blob[:exc.start].count(b"\n") + 1) from exc
     return list(enumerate(text.splitlines(), start=1))
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Bitwise equality on ids, labels, and features."""
+    if (a.d_raw, a.num_classes, len(a)) != (b.d_raw, b.num_classes, len(b)):
+        return False
+    for x, y in zip(a.bags, b.bags):
+        if x.id != y.id or not np.array_equal(x.label, y.label):
+            return False
+        if not np.array_equal(x.features, y.features):
+            return False
+    return True
+
+
+def encoded_bag(source: int, k: int, label) -> tuple[np.ndarray, np.ndarray]:
+    """A `(features, label)` bag whose row i is (source, i): the rows an
+    augmenter keeps can be read back from its output with `decoded_rows`."""
+    features = np.column_stack([np.full(k, float(source)), np.arange(k, dtype=np.float64)])
+    return features, np.array(label, dtype=np.float64)
+
+
+def decoded_rows(features: np.ndarray, source: int) -> np.ndarray:
+    """The row indices, in output order, that `features` took from the
+    `encoded_bag` of `source`."""
+    return features[features[:, 0] == source, 1].astype(np.int64)
+
+
+def replay_mixup_slots(k_a: int, k_b: int, lam: float, n: int,
+                       rng: np.random.Generator):
+    """The pseudo-bags `mixup_bags` keeps from sources of k_a and k_b rows
+    when called with `rng`, replayed on a copy of it: (groups kept from A,
+    groups kept from B), in fused order. `rng` is not advanced."""
+    rng = copy.deepcopy(rng)
+    groups_a = partition_pseudobags(range(k_a), n, rng)
+    groups_b = partition_pseudobags(range(k_b), n, rng)
+    mask = _draw_mask(n, lam, rng)
+    return ([g for g, m in zip(groups_a, mask) if m == 1],
+            [g for g, m in zip(groups_b, mask) if m == 0])

@@ -12,15 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from coupledmil.augment import AugmentConfig, mixup_bags, sample_lambda
+from coupledmil.augment import mixup_bags, sample_lambda
 from coupledmil.bagdata import (
-    Bag,
     SyntheticSpec,
     features_matrix,
     generate_synthetic,
 )
 from coupledmil.distill import (
-    NoiseConfig,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -51,10 +49,13 @@ from coupledmil.seeding import rng_stream, subseed
 from oracles import (
     bag_attention,
     bag_backward,
+    decoded_rows,
     embedded_rows,
+    encoded_bag,
     grad_check,
     kl_divergence,
     pairwise_auc,
+    replay_mixup_slots,
     student_params,
     teacher_targets,
 )
@@ -219,7 +220,7 @@ def test_criterion_3_degeneracy_equivalence(backbone):
         h_t, p_t = teacher_targets(teacher, x)
         a = normalize_attention(bag_attention(teacher, x))
         conf = convert_confidence(a, 6.0)
-        noised = noisy_augment(x, NoiseConfig(), np.random.default_rng(trial))
+        noised = noisy_augment(x, 0.1, 0.1, np.random.default_rng(trial))
         losses = []
         students = []
         for weights in (conf, np.ones_like(conf)):
@@ -272,30 +273,23 @@ def test_criterion_4_augmentation_invariants():
     lams = []
     slot_ok = True
     convex_ok = True
-    bags = {}
     for trial in range(10_000):
         n = int(rng.integers(1, 9))
         lam = sample_lambda(1.0, rng)
         lams.append(lam)
         if trial % 20 == 0:  # full bag fusion on a subsample, arithmetic always
-            key = (trial % 7, trial % 5)
-            if key not in bags:
-                d = 3
-                mk = lambda bid, k, label, s: Bag(
-                    id=f"{bid}{s}",
-                    features=np.stack([np.random.default_rng(s + i).uniform(-1, 1, d)
-                                       for i in range(k)]),
-                    label=np.array(label),
-                )
-                bags[key] = (mk("A", 4 + key[0], (0.0, 1.0), trial),
-                             mk("B", 3 + key[1], (1.0, 0.0), trial + 1))
-            a, b = bags[key]
-            fused = mixup_bags(a, b, lam, AugmentConfig(n=n), rng)
-            prov = fused.provenance
-            slot_ok &= (prov.kept_a_groups + prov.kept_b_groups == n)
-            t = fused.label[1]
-            convex_ok &= bool(-1e-12 <= t <= 1 + 1e-12
-                              and abs(fused.label.sum() - 1.0) <= 1e-9)
+            # rows encode (source, index), so the fused rows name their slots
+            a = encoded_bag(0, 4 + trial % 7, (0.0, 1.0))
+            b = encoded_bag(1, 3 + trial % 5, (1.0, 0.0))
+            kept_a, kept_b = replay_mixup_slots(len(a[0]), len(b[0]), lam, n, rng)
+            x, y = mixup_bags(a, b, lam, n, "lambda_weighted", rng)
+            rows_a, rows_b = np.concatenate([[], *kept_a]), np.concatenate([[], *kept_b])
+            slot_ok &= (len(kept_a) + len(kept_b) == n
+                        and np.array_equal(decoded_rows(x, 0), rows_a)
+                        and np.array_equal(decoded_rows(x, 1), rows_b)
+                        and len(x) == rows_a.size + rows_b.size)
+            t = y[1]
+            convex_ok &= bool(-1e-12 <= t <= 1 + 1e-12 and abs(y.sum() - 1.0) <= 1e-9)
         else:  # arithmetic identity floor(lam*n) + (n - floor(lam*n)) == n
             kept_b = int(np.floor(lam * n))
             slot_ok &= (kept_b + (n - kept_b) == n)

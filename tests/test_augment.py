@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from coupledmil.augment import (
-    AugmentConfig,
-    AugmentedBag,
     augment_pair,
     masked_single_bag,
     mixup_bags,
     sample_lambda,
 )
-from coupledmil.bagdata import Bag
+from coupledmil.orchestrator import TrainConfig
+from oracles import decoded_rows, encoded_bag, replay_mixup_slots
+
+A, B = 0, 1  # the source markers of encoded_bag
 
 
-def make_bag(bag_id, k, label, d=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return Bag(
-        id=bag_id,
-        features=rng.standard_normal((k, d)),
-        label=np.array(label),
-    )
+def mix(a, b, lam, n, rng, label_mode="lambda_weighted"):
+    """`mixup_bags` with the groups the oracle says it keeps from each
+    source: (features, label, kept A groups, kept B groups)."""
+    kept_a, kept_b = replay_mixup_slots(len(a[0]), len(b[0]), lam, n, rng)
+    x, y = mixup_bags(a, b, lam, n, label_mode, rng)
+    return x, y, kept_a, kept_b
 
 
 class TestSampleLambda:
@@ -53,58 +53,52 @@ class TestSampleLambda:
 
 class TestMixup:
     def test_spec_arithmetic_case(self):
-        a = make_bag("A", 8, (0.0, 1.0), seed=1)
-        b = make_bag("B", 8, (1.0, 0.0), seed=2)
-        cfg = AugmentConfig(n=4)
-        fused = mixup_bags(a, b, 0.6, cfg, np.random.default_rng(3))
+        a = encoded_bag(A, 8, (0.0, 1.0))
+        b = encoded_bag(B, 8, (1.0, 0.0))
+        x, y, kept_a, kept_b = mix(a, b, 0.6, 4, np.random.default_rng(3))
         # floor(0.6*4)=2 slots to B, 2 remain with A
-        assert fused.provenance.kept_a_groups == 2
-        assert fused.provenance.kept_b_groups == 2
-        assert fused.provenance.kept_a_groups + fused.provenance.kept_b_groups == 4
-        assert np.allclose(fused.label, [0.4, 0.6])
+        assert len(kept_a) == 2
+        assert len(kept_b) == 2
+        assert np.array_equal(decoded_rows(x, A), np.concatenate(kept_a))
+        assert np.array_equal(decoded_rows(x, B), np.concatenate(kept_b))
+        assert np.allclose(y, [0.4, 0.6])
 
     def test_lambda_near_zero_keeps_a_labels_b(self):
-        a = make_bag("A", 8, (0.0, 1.0), seed=1)
-        b = make_bag("B", 8, (1.0, 0.0), seed=2)
-        cfg = AugmentConfig(n=4)
-        fused = mixup_bags(a, b, 0.01, cfg, np.random.default_rng(3))
+        a = encoded_bag(A, 8, (0.0, 1.0))
+        b = encoded_bag(B, 8, (1.0, 0.0))
+        x, y, kept_a, kept_b = mix(a, b, 0.01, 4, np.random.default_rng(3))
         # floor(0.01*4)=0: A fully kept, B fully masked, label ~ y_B
-        assert fused.provenance.kept_a_groups == 4
-        assert fused.provenance.kept_b_groups == 0
-        assert fused.provenance.rows_b.size == 0
-        assert sorted(fused.provenance.rows_a) == list(range(8))
-        assert np.allclose(fused.label, 0.01 * a.label + 0.99 * b.label)
+        assert len(kept_a) == 4
+        assert len(kept_b) == 0
+        assert decoded_rows(x, B).size == 0
+        assert sorted(decoded_rows(x, A)) == list(range(8))
+        assert np.allclose(y, 0.01 * a[1] + 0.99 * b[1])
 
     def test_identical_labels_fixed_point(self):
-        a = make_bag("A", 6, (0.3, 0.7), seed=1)
-        b = make_bag("B", 6, (0.3, 0.7), seed=2)
+        a = encoded_bag(A, 6, (0.3, 0.7))
+        b = encoded_bag(B, 6, (0.3, 0.7))
         for mode in ("lambda_weighted", "kept_fraction"):
-            cfg = AugmentConfig(n=3, label_mode=mode)
-            fused = mixup_bags(a, b, 0.37, cfg, np.random.default_rng(0))
-            assert np.allclose(fused.label, [0.3, 0.7])
+            _, y = mixup_bags(a, b, 0.37, 3, mode, np.random.default_rng(0))
+            assert np.allclose(y, [0.3, 0.7])
 
     def test_kept_fraction_mode(self):
-        a = make_bag("A", 8, (0.0, 1.0), seed=1)
-        b = make_bag("B", 8, (1.0, 0.0), seed=2)
-        cfg = AugmentConfig(n=4, label_mode="kept_fraction")
-        fused = mixup_bags(a, b, 0.6, cfg, np.random.default_rng(3))
-        ka, kb = fused.provenance.kept_a_groups, fused.provenance.kept_b_groups
-        assert np.allclose(fused.label, (ka / 4) * a.label + (kb / 4) * b.label)
-
-    def test_same_bag_rejected(self):
-        a = make_bag("A", 4, (1.0, 0.0))
-        with pytest.raises(ValueError, match="distinct"):
-            mixup_bags(a, a, 0.5, AugmentConfig(), np.random.default_rng(0))
+        a = encoded_bag(A, 8, (0.0, 1.0))
+        b = encoded_bag(B, 8, (1.0, 0.0))
+        _, y, kept_a, kept_b = mix(a, b, 0.6, 4, np.random.default_rng(3),
+                                   label_mode="kept_fraction")
+        ka, kb = len(kept_a), len(kept_b)
+        assert np.allclose(y, (ka / 4) * a[1] + (kb / 4) * b[1])
 
     def test_sources_not_mutated(self):
-        a = make_bag("A", 5, (0.0, 1.0), seed=1)
-        b = make_bag("B", 5, (1.0, 0.0), seed=2)
-        snap_a, snap_b = a.features.copy(), b.features.copy()
-        label_a, label_b = a.label.copy(), b.label.copy()
-        fused = mixup_bags(a, b, 0.4, AugmentConfig(), np.random.default_rng(5))
-        fused.features[:] = 0.0  # the fused matrix is a copy, not a view
-        assert np.array_equal(a.features, snap_a) and np.array_equal(b.features, snap_b)
-        assert np.array_equal(a.label, label_a) and np.array_equal(b.label, label_b)
+        a = encoded_bag(A, 5, (0.0, 1.0))
+        b = encoded_bag(B, 5, (1.0, 0.0))
+        snap_a, snap_b = a[0].copy(), b[0].copy()
+        label_a, label_b = a[1].copy(), b[1].copy()
+        x, y = mixup_bags(a, b, 0.4, 4, "lambda_weighted", np.random.default_rng(5))
+        x[:] = 0.0  # the fused matrix is a copy, not a view
+        y[:] = 0.0
+        assert np.array_equal(a[0], snap_a) and np.array_equal(b[0], snap_b)
+        assert np.array_equal(a[1], label_a) and np.array_equal(b[1], label_b)
 
     def test_invariants_sweep(self):
         rng = np.random.default_rng(11)
@@ -115,58 +109,64 @@ class TestMixup:
             kept_a = n - kept_b
             # fused slot count is exactly n for every (lambda, n)
             assert kept_a + kept_b == n
-        # and on real bags: provenance disjointness + convex labels
+        # and on real bags: disjoint source rows + convex labels
         for trial in range(300):
             n = int(rng.integers(1, 9))
             ka = int(rng.integers(1, 12))
             kb = int(rng.integers(1, 12))
-            a = make_bag("A", ka, (0.0, 1.0), seed=trial)
-            b = make_bag("B", kb, (1.0, 0.0), seed=1000 + trial)
+            a = encoded_bag(A, ka, (0.0, 1.0))
+            b = encoded_bag(B, kb, (1.0, 0.0))
             lam = sample_lambda(1.0, rng)
-            fused = mixup_bags(a, b, lam, AugmentConfig(n=n), rng)
-            prov = fused.provenance
-            assert prov.kept_a_groups + prov.kept_b_groups == n
-            assert prov.rows_a.size + prov.rows_b.size == len(fused)
-            for rows, k in ((prov.rows_a, ka), (prov.rows_b, kb)):
+            x, y, kept_a, kept_b = mix(a, b, lam, n, rng)
+            rows_a, rows_b = decoded_rows(x, A), decoded_rows(x, B)
+            assert len(kept_a) + len(kept_b) == n
+            assert rows_a.size + rows_b.size == len(x)
+            assert np.array_equal(rows_a, np.concatenate([[], *kept_a]))
+            assert np.array_equal(rows_b, np.concatenate([[], *kept_b]))
+            for rows, k in ((rows_a, ka), (rows_b, kb)):
                 assert len(set(rows.tolist())) == rows.size
                 assert ((rows >= 0) & (rows < k)).all()
-            assert np.array_equal(fused.features, np.concatenate(
-                [a.features[prov.rows_a], b.features[prov.rows_b]]))
-            assert (fused.label >= -1e-12).all() and (fused.label <= 1 + 1e-12).all()
-            assert abs(fused.label.sum() - 1.0) <= 1e-9
+            # A's rows come first, then B's
+            assert np.array_equal(x, np.concatenate([a[0][rows_a], b[0][rows_b]]))
+            assert (y >= -1e-12).all() and (y <= 1 + 1e-12).all()
+            assert abs(y.sum() - 1.0) <= 1e-9
             # label on the segment between y_A and y_B
-            t = fused.label[1]  # y_A=[0,1], y_B=[1,0]: first coord = 1-t
+            t = y[1]  # y_A=[0,1], y_B=[1,0]: first coord = 1-t
             assert -1e-12 <= t <= 1 + 1e-12
-            assert np.allclose(fused.label, t * a.label + (1 - t) * b.label)
+            assert np.allclose(y, t * a[1] + (1 - t) * b[1])
 
 
 class TestAugmentPair:
+    # with bags of at least n rows every slot is non-empty, so the mix-up
+    # branch always keeps rows of A and the masked branch never does
+
     def test_gamma_one_always_returns_masked_b(self):
-        a = make_bag("A", 8, (0.0, 1.0), seed=1)
-        b = make_bag("B", 8, (1.0, 0.0), seed=2)
-        cfg = AugmentConfig(n=4, gamma=1.0)
+        a = encoded_bag(A, 8, (0.0, 1.0))
+        b = encoded_bag(B, 8, (1.0, 0.0))
+        cfg = TrainConfig(augment_n=4, augment_gamma=1.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            out = augment_pair(a, b, cfg, rng)
-            assert np.array_equal(out.label, b.label)
-            assert out.provenance.source_b is None
+            x, y = augment_pair(a, b, cfg, rng)
+            assert np.array_equal(y, b[1])
+            assert decoded_rows(x, A).size == 0
 
     def test_gamma_zero_always_fuses(self):
-        a = make_bag("A", 8, (0.0, 1.0), seed=1)
-        b = make_bag("B", 8, (1.0, 0.0), seed=2)
-        cfg = AugmentConfig(n=4, gamma=0.0)
+        a = encoded_bag(A, 8, (0.0, 1.0))
+        b = encoded_bag(B, 8, (1.0, 0.0))
+        cfg = TrainConfig(augment_n=4, augment_gamma=0.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            out = augment_pair(a, b, cfg, rng)
-            assert out.provenance.source_b == "B"
+            x, y = augment_pair(a, b, cfg, rng)
+            assert decoded_rows(x, A).size > 0
+            assert not np.array_equal(y, b[1])
 
     def test_branch_frequency(self):
-        a = make_bag("A", 6, (0.0, 1.0), seed=1)
-        b = make_bag("B", 6, (1.0, 0.0), seed=2)
-        cfg = AugmentConfig(n=2, gamma=0.5)
+        a = encoded_bag(A, 6, (0.0, 1.0))
+        b = encoded_bag(B, 6, (1.0, 0.0))
+        cfg = TrainConfig(augment_n=2, augment_gamma=0.5)
         rng = np.random.default_rng(123)
         hits = sum(
-            augment_pair(a, b, cfg, rng).provenance.source_b is None
+            decoded_rows(augment_pair(a, b, cfg, rng)[0], A).size == 0
             for _ in range(10_000)
         )
         assert abs(hits / 10_000 - 0.5) <= 0.02
@@ -174,45 +174,26 @@ class TestAugmentPair:
     def test_single_pseudobag_returns_whole_bag(self):
         # n=1: the masked-B branch keeps zero slots, so the non-empty fallback
         # must hand back the whole bag in original instance order
-        b = make_bag("B", 7, (1.0, 0.0), seed=4)
-        cfg = AugmentConfig(n=1, gamma=1.0)
-        out = augment_pair(make_bag("A", 7, (0.0, 1.0)), b, cfg,
-                           np.random.default_rng(9))
-        assert np.array_equal(out.features, b.features)
-        assert np.array_equal(out.provenance.rows_a, np.arange(7))
+        b = encoded_bag(B, 7, (1.0, 0.0))
+        cfg = TrainConfig(augment_n=1, augment_gamma=1.0)
+        x, y = augment_pair(encoded_bag(A, 7, (0.0, 1.0)), b, cfg,
+                            np.random.default_rng(9))
+        assert np.array_equal(x, b[0])
+        assert np.array_equal(decoded_rows(x, B), np.arange(7))
+        assert np.array_equal(y, b[1])
 
     def test_small_bags_never_empty(self):
         rng = np.random.default_rng(31)
-        cfg = AugmentConfig(n=6, gamma=0.5)
-        for trial in range(500):
-            a = make_bag("A", int(rng.integers(1, 4)), (0.0, 1.0), seed=trial)
-            b = make_bag("B", int(rng.integers(1, 4)), (1.0, 0.0), seed=900 + trial)
-            out = augment_pair(a, b, cfg, rng)
-            assert len(out) >= 1
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AugmentConfig(n=0)
-    with pytest.raises(ValueError):
-        AugmentConfig(alpha_beta=0.0)
-    with pytest.raises(ValueError):
-        AugmentConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        AugmentConfig(label_mode="nonsense")
+        cfg = TrainConfig(augment_n=6, augment_gamma=0.5)
+        for _ in range(500):
+            a = encoded_bag(A, int(rng.integers(1, 4)), (0.0, 1.0))
+            b = encoded_bag(B, int(rng.integers(1, 4)), (1.0, 0.0))
+            x, _ = augment_pair(a, b, cfg, rng)
+            assert len(x) >= 1
 
 
 def test_masked_single_bag_label_is_exact_copy():
-    b = make_bag("B", 9, (0.25, 0.75), seed=3)
-    out = masked_single_bag(b, 0.8, AugmentConfig(n=3), np.random.default_rng(1))
-    assert np.array_equal(out.label, b.label)
-    assert out.label is not b.label
-
-
-def test_augmented_bag_is_a_validated_bag():
-    out = augment_pair(make_bag("A", 5, (0.0, 1.0)), make_bag("B", 5, (1.0, 0.0)),
-                       AugmentConfig(n=2), np.random.default_rng(0))
-    assert isinstance(out, Bag)
-    with pytest.raises(ValueError, match="sum"):
-        AugmentedBag(id="x", features=out.features, label=[0.5, 0.4],
-                     provenance=out.provenance)
+    b = encoded_bag(B, 9, (0.25, 0.75))
+    _, y = masked_single_bag(b, 0.8, 3, np.random.default_rng(1))
+    assert np.array_equal(y, b[1])
+    assert y is not b[1]

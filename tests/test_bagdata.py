@@ -11,7 +11,6 @@ from coupledmil.bagdata import (
     DatasetParseError,
     DatasetSchemaError,
     SyntheticSpec,
-    datasets_equal,
     features_matrix,
     generate_synthetic,
     load_dataset,
@@ -20,6 +19,7 @@ from coupledmil.bagdata import (
     split_dataset,
 )
 from coupledmil.metrics import roc_auc
+from oracles import datasets_equal
 
 
 def make_bag(bag_id="b0", k=5, d=3, seed=0, label=(1.0, 0.0)):

@@ -438,6 +438,20 @@ def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_bag_ids_train_with_augment(dataset_file, tmp_path):
+    # nothing keys on bag ids, so a file whose ids all repeat loads, and
+    # mix-up still fuses two different bags of it
+    same = tmp_path / "same.jsonl"
+    manifest, *records = dataset_file.read_text().splitlines()
+    same.write_text("\n".join([manifest] + [json.dumps({**json.loads(r), "id": "same"})
+                                            for r in records]) + "\n")
+    out = tmp_path / "run"
+    code = run(["train", "--dataset", str(same), "--out-dir", str(out), "--augment",
+                "--classifier-epochs", "2"] + TRAIN_FAST[2:])
+    assert code == 0
+    assert (out / "report.json").is_file()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_embedder_exits_3(tmp_path, capsys):
     # one step with a huge rate: its loss is finite, the weights it leaves

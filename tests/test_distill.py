@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledmil.distill import (
-    NoiseConfig,
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -135,28 +134,24 @@ class TestConvertConfidence:
 class TestNoisyAugment:
     def test_no_noise_identity(self):
         x = np.random.default_rng(0).standard_normal((5, 3))
-        out = noisy_augment(x, NoiseConfig(scale=0.0, dropout=0.0),
-                            np.random.default_rng(1))
+        out = noisy_augment(x, 0.0, 0.0, np.random.default_rng(1))
         assert np.array_equal(out, x)
         assert out is not x
 
     def test_full_dropout_zeroes_everything(self):
         x = np.random.default_rng(0).standard_normal((5, 3))
-        out = noisy_augment(x, NoiseConfig(scale=0.0, dropout=1.0),
-                            np.random.default_rng(1))
+        out = noisy_augment(x, 0.0, 1.0, np.random.default_rng(1))
         assert not out.any()
 
     def test_gaussian_perturbation_mean(self):
         x = np.zeros((10_000, 1))
-        out = noisy_augment(x, NoiseConfig(scale=0.1, dropout=0.0),
-                            np.random.default_rng(2))
+        out = noisy_augment(x, 0.1, 0.0, np.random.default_rng(2))
         assert abs(out.mean()) <= 0.01
 
     def test_deterministic_per_stream(self):
         x = np.random.default_rng(0).standard_normal((4, 3))
-        cfg = NoiseConfig()
-        a = noisy_augment(x, cfg, np.random.default_rng(5))
-        b = noisy_augment(x, cfg, np.random.default_rng(5))
+        a = noisy_augment(x, 0.1, 0.1, np.random.default_rng(5))
+        b = noisy_augment(x, 0.1, 0.1, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
 
@@ -203,13 +198,13 @@ class TestDistillStep:
         # mirror the trainer: per-bag attention -> min-max -> confidence;
         # returns the step's (h_t, p_t, x_noised, confidence) arguments
         conf = convert_confidence(normalize_attention(bag_attention(teacher, x)), beta)
-        return (*teacher_targets(teacher, x), noisy_augment(x, NoiseConfig(), rng), conf)
+        return (*teacher_targets(teacher, x), noisy_augment(x, 0.1, 0.1, rng), conf)
 
     def test_zero_confidence_means_zero_loss_and_no_update(self):
         teacher, student = make_branches()
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=(5, 4))
-        noised = noisy_augment(x, NoiseConfig(), rng)
+        noised = noisy_augment(x, 0.1, 0.1, rng)
         opt = Adam(student_params(student), lr=1e-3)
         before = [p.value.copy() for p in student_params(student)]
         loss = distill_step(student, *teacher_targets(teacher, x), noised, np.zeros(5),
@@ -241,7 +236,7 @@ class TestDistillStep:
         teacher, _ = make_branches(seed=11)
         rng = np.random.default_rng(4)
         x = rng.uniform(-2, 2, size=(2, 4))
-        noised = noisy_augment(x, NoiseConfig(), np.random.default_rng(5))
+        noised = noisy_augment(x, 0.1, 0.1, np.random.default_rng(5))
 
         def run(instances, noised_rows, conf):
             student = teacher.model.copy()
@@ -348,7 +343,7 @@ class TestSnapshots:
         for _ in range(3):
             x = rng.uniform(-2, 2, size=(6, 4))
             distill_step(student, *teacher_targets(teacher, x),
-                         noisy_augment(x, NoiseConfig(), rng), np.ones(6), 1.0, opt)
+                         noisy_augment(x, 0.1, 0.1, rng), np.ones(6), 1.0, opt)
         for branch in (teacher.model, student):
             assert views_of_own_arena(branch)
         assert not np.array_equal(student.arena.value, frozen)
@@ -361,7 +356,7 @@ class TestSnapshots:
         teacher, _ = make_branches(seed=17)
         rng = np.random.default_rng(18)
         x_all = rng.uniform(-2, 2, size=(40, 4))
-        noised = noisy_augment(x_all, NoiseConfig(), rng)
+        noised = noisy_augment(x_all, 0.1, 0.1, rng)
         conf = rng.uniform(0, 1, size=40)
         h_all, p_all = teacher_targets(teacher, x_all)
         students = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coupledmil import orchestrator
-from coupledmil.augment import AugmentConfig, augment_pair
+from coupledmil.augment import augment_pair
 from coupledmil.bagdata import (
     Bag,
     ConfigError,
@@ -82,17 +82,13 @@ class TestTrainConfig:
         ("hidden", (0,)), ("hidden", 5), ("embed_dim", 0), ("attn_dim", -1),
         ("augment_n", 0), ("augment_alpha", 0.0), ("augment_gamma", 2.0),
         ("augment_label_mode", "mean"), ("noise_scale", -1.0), ("noise_dropout", 2.0),
+        ("augment_gamma", -0.1), ("noise_dropout", -0.1),
         ("classifier_epochs", 1.5), ("batch_size", True), ("augment", "yes"),
         ("classifier_lr", float("inf")), ("threshold", float("nan")), ("mode", 3),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
-
-    def test_sub_configs_built_once(self):
-        cfg = small_config(augment_n=3, noise_scale=0.2)
-        assert cfg.augment_config.n == 3
-        assert cfg.noise_config.scale == 0.2
 
 
 class TestClassifierPhase:
@@ -177,13 +173,14 @@ class TestClassifierPhase:
 
         grads_plain = head_grads(model_a, h_b, bag_b.label)
 
-        # the classifier phase's bags: views of the rows of the shared buffer
+        # the classifier phase's samples: views of the rows of the shared
+        # buffer, with their bags' labels
         h_all = embedded_rows(model_b, [bag_a, bag_b])
-        emb_a = Bag(id=bag_a.id, features=h_all[:len(bag_a)], label=bag_a.label)
-        emb_b = Bag(id=bag_b.id, features=h_all[len(bag_a):], label=bag_b.label)
-        fused = augment_pair(emb_a, emb_b, AugmentConfig(n=1, gamma=1.0),
+        fused = augment_pair((h_all[:len(bag_a)], bag_a.label),
+                             (h_all[len(bag_a):], bag_b.label),
+                             small_config(augment_n=1, augment_gamma=1.0),
                              np.random.default_rng(0))
-        grads_aug = head_grads(model_b, features_matrix(fused), fused.label)
+        grads_aug = head_grads(model_b, *fused)
 
         for ga, gb in zip(grads_plain, grads_aug):
             assert np.array_equal(ga, gb)
