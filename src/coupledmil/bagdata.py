@@ -274,10 +274,11 @@ def _parse_manifest(raw: str) -> tuple[int, int, int]:
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset file one line at a time; raises DatasetParseError
-    (with line number) on malformed, truncated or non-finite input,
-    DatasetSchemaError on records that contradict the manifest. Of several
-    faults, the first in file order is reported."""
+    (with line number) on malformed, truncated or non-finite input or a
+    repeated bag id, DatasetSchemaError on records that contradict the
+    manifest. Of several faults, the first in file order is reported."""
     bags: list[Bag] = []
+    first_lines: dict[str, int] = {}  # bag id -> line of its record
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         lines = _lines(fh)
         first = next(lines, None)
@@ -288,7 +289,12 @@ def load_dataset(path) -> Dataset:
             if lineno > count + 1:
                 raise DatasetParseError(
                     f"trailing data: manifest promises {count} records", lineno)
-            bags.append(_parse_record(raw, lineno, d_raw, num_classes))
+            bag = _parse_record(raw, lineno, d_raw, num_classes)
+            if bag.id in first_lines:
+                raise DatasetParseError(f"repeated bag id {bag.id!r} (first on line "
+                                        f"{first_lines[bag.id]})", lineno)
+            first_lines[bag.id] = lineno
+            bags.append(bag)
     if len(bags) < count:
         raise DatasetParseError(
             f"truncated file: manifest promises {count} records, found {len(bags)}",

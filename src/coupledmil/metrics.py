@@ -1,13 +1,10 @@
-"""Evaluation metrics: ROC AUC (trapezoidal, tie-aware), F1, accuracy."""
+"""Evaluation metrics: ROC AUC (exact, tie-aware), F1, accuracy."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
-
 
 class MetricError(ValueError):
     """Metric undefined for the given inputs (e.g. single-class labels)."""
@@ -20,15 +17,6 @@ class EvalResult:
     acc: float
     count: int
     threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "f1": self.f1,
-            "acc": self.acc,
-            "count": self.count,
-            "threshold": self.threshold,
-        }
 
 
 def _validate_binary(scores, labels):
@@ -47,8 +35,10 @@ def _validate_binary(scores, labels):
 
 
 def roc_auc(scores, labels) -> float:
-    """Trapezoidal area under the ROC curve; tied scores collapse into one
-    threshold point, which counts each tied pair as 1/2."""
+    """Area under the ROC curve; tied scores collapse into one threshold
+    point, which counts each tied pair as 1/2. The trapezoids are summed in
+    integer counts, so the result is the exact fraction of concordant pairs,
+    rounded once."""
     scores, labels = _validate_binary(scores, labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
@@ -62,11 +52,10 @@ def roc_auc(scores, labels) -> float:
     # last index of each distinct-score block
     ends = np.flatnonzero(np.diff(s) != 0)
     ends = np.append(ends, s.size - 1)
-    tps = np.cumsum(y)[ends]
-    fps = (ends + 1) - tps
-    tpr = np.concatenate(([0.0], tps / n_pos))
-    fpr = np.concatenate(([0.0], fps / n_neg))
-    return float(_trapezoid(tpr, fpr))
+    tps = np.concatenate(([0], np.cumsum(y)[ends]))
+    fps = np.concatenate(([0], ends + 1)) - tps
+    twice_area = int((np.diff(fps) * (tps[1:] + tps[:-1])).sum())
+    return twice_area / (2 * n_pos * n_neg)
 
 
 def f1_accuracy(scores, labels, threshold: float = 0.5) -> tuple[float, float]:

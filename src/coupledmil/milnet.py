@@ -1,10 +1,12 @@
-"""MIL backbone: instance embedder MLP, pooling aggregators, bag classifier.
+"""MIL backbone: instance embedder MLP, pooling aggregator, bag classifier.
 
-Every aggregator realizes the bag representation as H = sum_k a_k h_k with
-normalized scores a: mean pooling uses a_k = 1/K, max pooling a one-hot at
-the instance with the highest positive-class logit, and gated attention a
-softmax over omega^T (tanh(V1 h_k) * sigm(V2 h_k)). Backward passes are
-hand-derived; tests check them against central finite differences.
+Every backbone realizes the bag representation as one operator, the weighted
+average H = a @ h of the instance embeddings with normalized weights a.
+`FixedPooling` has no parameters: mean pooling uses a_k = 1/K, max pooling a
+one-hot at the instance with the highest positive-class logit. Gated
+attention learns a as a softmax over omega^T (tanh(V1 h_k) * sigm(V2 h_k)).
+Backward passes are hand-derived; tests check them against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -113,9 +115,16 @@ class BagClassifier:
         return linear_backward(h, self.w, self.b, dlogits, input_grad)
 
 
-class MeanPooling:
-    kind = "mean"
+class FixedPooling:
+    """Parameter-free pooling: `mean` weighs every instance 1/K, `max` puts
+    all weight on the instance with the highest positive-class logit under
+    the current classifier. The weights a carry no gradient, so the cache
+    is a itself."""
+
     params: list[Param] = []
+
+    def __init__(self, backbone: str):
+        self.backbone = backbone
 
     def init(self, rng) -> None:
         pass
@@ -124,52 +133,24 @@ class MeanPooling:
         k = h.shape[0]
         if k == 0:
             raise ValueError("cannot aggregate an empty bag")
-        a = np.full(k, 1.0 / k)
-        return h.mean(axis=0, keepdims=True), a, k
+        if self.backbone == "mean":
+            a = np.full(k, 1.0 / k)
+        else:
+            if classifier is None:
+                raise ValueError("max pooling needs the classifier to rank instances")
+            logits = h @ classifier.w.value[:, POSITIVE_CLASS]
+            logits += classifier.b.value[0, POSITIVE_CLASS]
+            a = np.zeros(k)
+            a[int(np.argmax(logits))] = 1.0
+        return a[None, :] @ h, a, a
 
-    def backward(self, cache, d_bag: np.ndarray,
+    def backward(self, a: np.ndarray, d_bag: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
-        k = cache
-        return np.repeat(d_bag / k, k, axis=0) if input_grad else None
-
-
-class MaxPooling:
-    """One-hot attention at the instance with the highest positive-class
-    logit under the current classifier; the selection itself carries no
-    gradient."""
-
-    kind = "max"
-    params: list[Param] = []
-
-    def init(self, rng) -> None:
-        pass
-
-    def forward(self, h: np.ndarray, classifier: BagClassifier | None = None):
-        if h.shape[0] == 0:
-            raise ValueError("cannot aggregate an empty bag")
-        if classifier is None:
-            raise ValueError("max pooling needs the classifier to rank instances")
-        logits = h @ classifier.w.value[:, POSITIVE_CLASS]
-        logits += classifier.b.value[0, POSITIVE_CLASS]
-        k_star = int(np.argmax(logits))
-        a = np.zeros(h.shape[0])
-        a[k_star] = 1.0
-        return h[k_star:k_star + 1].copy(), a, (h.shape[0], k_star)
-
-    def backward(self, cache, d_bag: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
-        if not input_grad:
-            return None
-        k, k_star = cache
-        dh = np.zeros((k, d_bag.shape[1]))
-        dh[k_star] = d_bag[0]
-        return dh
+        return a[:, None] * d_bag if input_grad else None
 
 
 class GatedAttention:
     """Tanh/sigmoid-gated attention with softmax-normalized scores."""
-
-    kind = "gated_attention"
 
     def __init__(self, embed_dim: int, attn_dim: int):
         self.embed_dim = embed_dim
@@ -264,17 +245,8 @@ class BagForwardTrace:
     attention: np.ndarray        # K, sums to 1
     bag_rep: np.ndarray          # 1 x M
     probs: np.ndarray            # C, class distribution
-    logits: np.ndarray           # 1 x C
     embed_cache: object = None
     agg_cache: object = None
-
-
-def _make_aggregator(config: ModelConfig):
-    if config.backbone == "mean":
-        return MeanPooling()
-    if config.backbone == "max":
-        return MaxPooling()
-    return GatedAttention(config.embed_dim, config.attn_dim)
 
 
 class MilModel:
@@ -291,7 +263,9 @@ class MilModel:
     def __init__(self, config: ModelConfig):
         self.config = config
         self.embedder = Embedder((config.d_raw, *config.hidden, config.embed_dim))
-        self.aggregator = _make_aggregator(config)
+        self.aggregator = (GatedAttention(config.embed_dim, config.attn_dim)
+                           if config.backbone == "gated_attention"
+                           else FixedPooling(config.backbone))
         self.classifier = BagClassifier(config.embed_dim, config.num_classes)
         self.arena = Param(np.zeros((1, config.num_params)), "arena")
         start = 0
@@ -348,9 +322,8 @@ class MilModel:
 
     def head_forward(self, h: np.ndarray):
         bag_rep, a, agg_cache = self.aggregator.forward(h, self.classifier)
-        logits = self.classifier.logits(bag_rep)
-        probs = softmax(logits.ravel())
-        return bag_rep, a, logits, probs, agg_cache
+        probs = softmax(self.classifier.logits(bag_rep).ravel())
+        return bag_rep, a, probs, agg_cache
 
     def head_backward(self, h: np.ndarray, bag_rep: np.ndarray, agg_cache,
                       dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -361,8 +334,8 @@ class MilModel:
 
     def bag_forward(self, x: np.ndarray) -> BagForwardTrace:
         h, embed_cache = self.embedder.forward(x)
-        bag_rep, a, logits, probs, agg_cache = self.head_forward(h)
+        bag_rep, a, probs, agg_cache = self.head_forward(h)
         return BagForwardTrace(
             instance_reps=h, attention=a, bag_rep=bag_rep, probs=probs,
-            logits=logits, embed_cache=embed_cache, agg_cache=agg_cache,
+            embed_cache=embed_cache, agg_cache=agg_cache,
         )

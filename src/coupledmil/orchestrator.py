@@ -10,8 +10,7 @@ import hashlib
 import json
 import math
 import struct
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +34,6 @@ FINE_TUNE_MODES = ("naive", "vanilla", "confidence")
 CHECKPOINT_MAGIC = b"MILCKPT1"
 CHECKPOINT_VERSION = 1
 
-_BACKBONE_CODES = {name: i for i, name in enumerate(BACKBONES)}
 _TANH_CODE = 0  # the header's activation code; hidden layers are always tanh
 
 
@@ -165,38 +163,21 @@ class TrainConfig:
 
 @dataclass
 class RunReport:
-    """Loss traces and per-iteration test metrics for one seeded run.
-
-    `wall_clock_seconds` is informational only and deliberately excluded from
-    the serialized form: reports must be byte-identical across reruns."""
+    """Loss traces and per-iteration test metrics for one seeded run. It
+    holds no wall-clock time, so reruns serialize byte-identically."""
 
     config: dict
     seed: int
     evaluations: list = field(default_factory=list)
     classifier_losses: list = field(default_factory=list)
     embedder_losses: list = field(default_factory=list)
-    wall_clock_seconds: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "seed": self.seed,
-            "evaluations": self.evaluations,
-            "classifier_losses": self.classifier_losses,
-            "embedder_losses": self.embedder_losses,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            config=data["config"],
-            seed=data["seed"],
-            evaluations=data["evaluations"],
-            classifier_losses=data["classifier_losses"],
-            embedder_losses=data["embedder_losses"],
-        )
+        return cls(**json.loads(text))
 
 
 def params_checksum(params) -> str:
@@ -286,7 +267,7 @@ def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
             total = 0.0
             for idx in order:
                 h, label = samples[idx]
-                bag_rep, _, logits, probs, agg_cache = model.head_forward(h)
+                bag_rep, _, probs, agg_cache = model.head_forward(h)
                 total += cross_entropy(probs, label)
                 dlogits = (probs - label)[None, :]
                 model.head_backward(h, bag_rep, agg_cache, dlogits, input_grad=False)
@@ -370,7 +351,6 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
     """Full run: baseline classifier phase, then `iterations` repetitions of
     embedder phase + fresh classifier phase, evaluating on the test split
     after every classifier phase."""
-    started = time.perf_counter()
     train, _, test = split_for_run(dataset, config)
     if not train.bags:
         raise ConfigError(f"fractions {list(config.fractions)} leave no training bag "
@@ -395,7 +375,7 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
 
     def record_eval(iteration: int) -> None:
         result = evaluate(model, test.bags, config.threshold)
-        report.evaluations.append({"iteration": iteration, **result.to_dict()})
+        report.evaluations.append({"iteration": iteration, **asdict(result)})
 
     # the training instances' rows under the current embedder, refilled in
     # place after every embedder phase
@@ -418,7 +398,6 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
         )
         record_eval(iteration)
 
-    report.wall_clock_seconds = time.perf_counter() - started
     return report, model
 
 
@@ -429,7 +408,7 @@ def save_checkpoint(model: MilModel, path) -> None:
     dims = model.embedder.dims
     header = struct.pack(
         "<6I",
-        _BACKBONE_CODES[cfg.backbone],
+        BACKBONES.index(cfg.backbone),
         _TANH_CODE,
         POSITIVE_CLASS,
         cfg.num_classes,
@@ -469,8 +448,7 @@ def load_checkpoint(path) -> MilModel:
     except struct.error as exc:
         raise CheckpointError(f"checkpoint truncated in its header: {exc}") from exc
 
-    backbones = {v: k for k, v in _BACKBONE_CODES.items()}
-    if backbone_code not in backbones:
+    if backbone_code >= len(BACKBONES):
         raise CheckpointError(f"unknown backbone code {backbone_code}")
     if act_code != _TANH_CODE or positive_class != POSITIVE_CLASS:
         raise CheckpointError(
@@ -486,7 +464,7 @@ def load_checkpoint(path) -> MilModel:
             embed_dim=dims[-1],
             attn_dim=attn_dim,
             num_classes=num_classes,
-            backbone=backbones[backbone_code],
+            backbone=BACKBONES[backbone_code],
         )
     except ValueError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc

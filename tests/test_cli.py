@@ -438,9 +438,9 @@ def test_non_finite_loss_exits_3(dataset_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_repeated_bag_ids_train_with_augment(dataset_file, tmp_path):
-    # nothing keys on bag ids, so a file whose ids all repeat loads, and
-    # mix-up still fuses two different bags of it
+def test_repeated_bag_ids_exit_2(dataset_file, tmp_path, capsys):
+    # export rows and error messages name bags by id, so a file whose ids
+    # repeat is rejected at the record that repeats one
     same = tmp_path / "same.jsonl"
     manifest, *records = dataset_file.read_text().splitlines()
     same.write_text("\n".join([manifest] + [json.dumps({**json.loads(r), "id": "same"})
@@ -448,8 +448,10 @@ def test_repeated_bag_ids_train_with_augment(dataset_file, tmp_path):
     out = tmp_path / "run"
     code = run(["train", "--dataset", str(same), "--out-dir", str(out), "--augment",
                 "--classifier-epochs", "2"] + TRAIN_FAST[2:])
-    assert code == 0
-    assert (out / "report.json").is_file()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: repeated bag id 'same' (first on line 2)\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,23 @@ class TestRocAuc:
     def test_pairwise_concordance_three_quarters(self):
         # pairs: (.9,.6)+, (.9,.2)+, (.3,.6)-, (.3,.2)+  ->  3/4
         assert roc_auc([0.9, 0.6, 0.3, 0.2], [1, 0, 1, 0]) == pytest.approx(0.75)
+
+    def test_exact_fraction(self):
+        # 7 of 12 pairs concordant; a float sum of the trapezoid areas lands
+        # one ULP below the double nearest 7/12 on this ranking
+        assert roc_auc([0, 4, 0, 2, 0, 1, 2, 2, 2, 0],
+                       [1, 0, 0, 1, 1, 0, 1, 1, 1, 0]) == 7 / 12
+
+    def test_equals_pairwise_fraction_bit_for_bit(self):
+        # both are an exact count of half-pairs divided once
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(2, 80))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[rng.integers(n)] = 1 - labels[0]
+            scores = rng.integers(0, 3 + trial % 20, size=n)
+            assert roc_auc(scores, labels) == pairwise_auc(scores, labels)
 
     def test_all_ties_give_half(self):
         assert roc_auc([0.4, 0.4, 0.4, 0.4], [1, 0, 1, 0]) == pytest.approx(0.5)
@@ -93,7 +112,7 @@ def test_evaluate_scores_fields():
     res = evaluate_scores([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0])
     assert res.auc == 1.0 and res.f1 == 1.0 and res.acc == 1.0
     assert res.count == 4 and res.threshold == 0.5
-    assert set(res.to_dict()) == {"auc", "f1", "acc", "count", "threshold"}
+    assert set(asdict(res)) == {"auc", "f1", "acc", "count", "threshold"}
     assert 0.0 <= res.auc <= 1.0 and 0.0 <= res.f1 <= 1.0 and 0.0 <= res.acc <= 1.0
 
 

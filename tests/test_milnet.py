@@ -7,9 +7,8 @@ from coupledmil.gradcore import Adam, cross_entropy, softmax, softmax_rows
 from coupledmil.milnet import (
     BagClassifier,
     Embedder,
+    FixedPooling,
     GatedAttention,
-    MaxPooling,
-    MeanPooling,
     MilModel,
     ModelConfig,
 )
@@ -59,7 +58,7 @@ class TestAggregate:
         assert np.allclose(bag_rep, row[None, :])
 
     def test_mean_arithmetic(self):
-        bag_rep, a, _ = MeanPooling().forward(np.array([[1.0, 3.0], [3.0, 1.0]]))
+        bag_rep, a, _ = FixedPooling("mean").forward(np.array([[1.0, 3.0], [3.0, 1.0]]))
         assert np.allclose(bag_rep, [[2.0, 2.0]])
         assert np.allclose(a, [0.5, 0.5])
 
@@ -67,13 +66,31 @@ class TestAggregate:
         clf = BagClassifier(2, 2)
         clf.w.value[:] = np.array([[0.0, 1.0], [0.0, 0.0]])  # logit_1 = first feature
         h = np.array([[0.1, 9.0], [5.0, -1.0], [2.0, 0.0]])
-        bag_rep, a, _ = MaxPooling().forward(h, clf)
+        bag_rep, a, _ = FixedPooling("max").forward(h, clf)
         assert np.allclose(a, [0.0, 1.0, 0.0])
         assert np.allclose(bag_rep, [[5.0, -1.0]])
 
+    def test_max_is_the_selected_row_and_routes_its_gradient(self):
+        # a one-hot weighted average is the selected row bit for bit, and
+        # only that row receives the bag gradient
+        rng = np.random.default_rng(5)
+        model = build_model(backbone="max", seed=2)
+        for k in (1, 4, 33):
+            h = rng.standard_normal((k, 5)) * 1e3
+            bag_rep, a, cache = model.aggregator.forward(h, model.classifier)
+            k_star = int(np.argmax(h @ model.classifier.w.value[:, 1]
+                                   + model.classifier.b.value[0, 1]))
+            assert np.array_equal(a, np.eye(k)[k_star])
+            assert np.array_equal(bag_rep, h[k_star:k_star + 1])
+            d_bag = rng.standard_normal((1, 5))
+            dh = model.aggregator.backward(cache, d_bag)
+            assert np.array_equal(dh[k_star], d_bag[0])
+            assert not np.delete(dh, k_star, axis=0).any()
+            assert model.aggregator.backward(cache, d_bag, input_grad=False) is None
+
     def test_max_requires_classifier(self):
         with pytest.raises(ValueError, match="classifier"):
-            MaxPooling().forward(np.zeros((2, 3)))
+            FixedPooling("max").forward(np.zeros((2, 3)))
 
     def test_empty_bag_rejected(self):
         model = build_model()
@@ -280,7 +297,7 @@ def test_classifier_phase_head_gradients_equal_bag_backward(backbone):
         via_bag = model.head_group.grad.copy()
         model.arena.grad[:] = 0.0
         h = trace.instance_reps
-        bag_rep, _, _, probs, agg_cache = model.head_forward(h)
+        bag_rep, _, probs, agg_cache = model.head_forward(h)
         assert np.array_equal(probs, trace.probs)
         assert model.head_backward(h, bag_rep, agg_cache, dlogits, input_grad=False) is None
         assert via_bag.any()

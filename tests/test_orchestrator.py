@@ -167,7 +167,7 @@ class TestClassifierPhase:
         def head_grads(model, h, label):
             for p in model.head_params:
                 p.grad[:] = 0.0
-            bag_rep, _, logits, probs, agg_cache = model.head_forward(h)
+            bag_rep, _, probs, agg_cache = model.head_forward(h)
             model.head_backward(h, bag_rep, agg_cache, (probs - label)[None, :])
             return [p.grad.copy() for p in model.head_params]
 
@@ -400,8 +400,8 @@ class TestRunTraining:
         ds = small_dataset()
         report, _ = run_training(ds, small_config(iterations=0, classifier_epochs=2))
         again = RunReport.from_json(report.to_json())
+        assert again == report
         assert again.to_json() == report.to_json()
-        assert report.wall_clock_seconds > 0.0
         assert "wall_clock" not in report.to_json()
 
     def test_warm_start_differs_from_reinit(self):
