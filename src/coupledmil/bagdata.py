@@ -24,10 +24,6 @@ class DatasetParseError(ValueError):
         self.line = line
 
 
-class DatasetSchemaError(ValueError):
-    """Structurally valid file whose records contradict the manifest."""
-
-
 class ConfigError(ValueError):
     """An option value no run can use: the CLI's usage error (exit code 2)."""
 
@@ -221,13 +217,11 @@ def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
     except ValueError as exc:
         raise DatasetParseError(str(exc), lineno) from exc
     if bag.label.size != num_classes:
-        raise DatasetSchemaError(
-            f"line {lineno}: label length {bag.label.size} != C={num_classes}"
-        )
+        raise DatasetParseError(
+            f"label length {bag.label.size} != C={num_classes}", lineno)
     if bag.features.shape[1] != d_raw:
-        raise DatasetSchemaError(
-            f"line {lineno}: feature length {bag.features.shape[1]} != d_raw={d_raw}"
-        )
+        raise DatasetParseError(
+            f"feature length {bag.features.shape[1]} != d_raw={d_raw}", lineno)
     return bag
 
 
@@ -274,9 +268,9 @@ def _parse_manifest(raw: str) -> tuple[int, int, int]:
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset file one line at a time; raises DatasetParseError
-    (with line number) on malformed, truncated or non-finite input or a
-    repeated bag id, DatasetSchemaError on records that contradict the
-    manifest. Of several faults, the first in file order is reported."""
+    (with line number) on malformed, truncated or non-finite input, a record
+    that contradicts the manifest or a repeated bag id. Of several faults,
+    the first in file order is reported."""
     bags: list[Bag] = []
     first_lines: dict[str, int] = {}  # bag id -> line of its record
     with open(path, "rb", buffering=_READ_BUFFER) as fh:

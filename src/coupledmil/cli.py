@@ -19,7 +19,6 @@ import numpy as np
 from .bagdata import (
     ConfigError,
     DatasetParseError,
-    DatasetSchemaError,
     SyntheticSpec,
     features_matrix,
     generate_synthetic,
@@ -49,7 +48,6 @@ EXIT_RUNTIME = 3
 EXIT_CODES = {
     ConfigError: EXIT_USAGE,  # also a missing input file
     DatasetParseError: EXIT_USAGE,
-    DatasetSchemaError: EXIT_USAGE,
     CheckpointError: EXIT_RUNTIME,
     MetricError: EXIT_RUNTIME,
     NonFiniteLossError: EXIT_RUNTIME,

@@ -300,17 +300,10 @@ class MilModel:
     @classmethod
     def build(cls, config: ModelConfig, rng: np.random.Generator) -> "MilModel":
         model = cls(config)
-        model.init(rng)
+        model.embedder.init(rng)
+        model.aggregator.init(rng)
+        model.classifier.init(rng)
         return model
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.embedder.init(rng)
-        self.aggregator.init(rng)
-        self.classifier.init(rng)
-
-    def init_head(self, rng: np.random.Generator) -> None:
-        self.aggregator.init(rng)
-        self.classifier.init(rng)
 
     @property
     def head_params(self) -> list[Param]:

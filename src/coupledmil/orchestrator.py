@@ -233,15 +233,18 @@ def forward_bag(model: MilModel, bag_id: str, x: np.ndarray) -> BagForwardTrace:
 
 
 def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
-                         config: TrainConfig, rng_augment: np.random.Generator,
-                         rng_shuffle: np.random.Generator) -> list[float]:
+                         config: TrainConfig) -> list[float]:
     """Train aggregator + classifier on (optionally augmented) bags with
     cross-entropy; the embedder is frozen for the whole phase, and `h_all`
-    holds its rows for `train_bags` (`embed_instances`). Returns the
-    per-epoch mean training losses."""
+    holds its rows for `train_bags` (`embed_instances`). The run's `augment`
+    and `shuffle` streams start afresh on every call, so every classifier
+    phase of a run replays the same draws. Returns the per-epoch mean
+    training losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("classifier phase needs a non-empty training set")
+    rng_augment = rng_stream(config.seed, "augment")
+    rng_shuffle = rng_stream(config.seed, "shuffle")
 
     frozen = params_checksum([model.embedder_group])
     # selecting instances commutes with per-instance embedding, so
@@ -309,21 +312,23 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                      config.embedder_lr)
 
     losses: list[float] = []
-    for _ in range(config.embedder_passes):
-        order = rng_distill.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            sel = order[start:start + config.batch_size]
-            xb = x_all[sel]
-            if config.mode == "naive":
-                loss = naive_pseudolabel_step(student, xb, p_all[sel], optimizer)
-            else:
-                loss = distill_step(student, h_all[sel], p_all[sel],
-                                    noisy_augment(xb, config.noise_scale,
-                                                  config.noise_dropout, rng_noise),
-                                    conf_all[sel], config.alpha_w, optimizer)
-            total += loss * len(sel)
-        losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
+    # a diverging step overflows mid-pass; the pass-loss check reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(config.embedder_passes):
+            order = rng_distill.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                sel = order[start:start + config.batch_size]
+                xb = x_all[sel]
+                if config.mode == "naive":
+                    loss = naive_pseudolabel_step(student, xb, p_all[sel], optimizer)
+                else:
+                    loss = distill_step(student, h_all[sel], p_all[sel],
+                                        noisy_augment(xb, config.noise_scale,
+                                                      config.noise_dropout, rng_noise),
+                                        conf_all[sel], config.alpha_w, optimizer)
+                total += loss * len(sel)
+            losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
 
     if params_checksum(teacher.params) != frozen:
         raise RuntimeError("embedder phase modified the frozen teacher")
@@ -348,20 +353,18 @@ def split_for_run(dataset: Dataset, config: TrainConfig):
 
 
 def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilModel]:
-    """Full run: baseline classifier phase, then `iterations` repetitions of
-    embedder phase + fresh classifier phase, evaluating on the test split
-    after every classifier phase."""
+    """Full run: a classifier phase, then `iterations` repetitions of
+    embedder phase + classifier phase, evaluating on the test split after
+    every classifier phase. Each classifier phase starts from the run's
+    initial head (or the trained one under `warm_start`) and replays the
+    augment and shuffle draws, so iterations differ only in their embedder."""
     train, _, test = split_for_run(dataset, config)
     if not train.bags:
         raise ConfigError(f"fractions {list(config.fractions)} leave no training bag "
                           f"among the dataset's {len(dataset.bags)}")
 
-    rng_init = rng_stream(config.seed, "init")
-    rng_augment = rng_stream(config.seed, "augment")
     rng_noise = rng_stream(config.seed, "noise")
-    rng_shuffle = rng_stream(config.seed, "shuffle")
     rng_distill = rng_stream(config.seed, "distill")
-
     model_cfg = ModelConfig(
         d_raw=dataset.d_raw,
         hidden=config.hidden,
@@ -370,33 +373,24 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
         num_classes=dataset.num_classes,
         backbone=config.backbone,
     )
-    model = MilModel.build(model_cfg, rng_init)
+    model = MilModel.build(model_cfg, rng_stream(config.seed, "init"))
+    initial_head = model.head_group.value.copy()
     report = RunReport(config=config.to_dict(), seed=config.seed)
-
-    def record_eval(iteration: int) -> None:
-        result = evaluate(model, test.bags, config.threshold)
-        report.evaluations.append({"iteration": iteration, **asdict(result)})
 
     # the training instances' rows under the current embedder, refilled in
     # place after every embedder phase
     h_all = np.empty((sum(map(len, train.bags)), config.embed_dim))
-    embed_instances(model, train.bags, h_all)
-    report.classifier_losses.append(
-        run_classifier_phase(train.bags, h_all, model, config, rng_augment, rng_shuffle)
-    )
-    record_eval(0)
-
-    for iteration in range(1, config.iterations + 1):
-        report.embedder_losses.append(
-            run_embedder_phase(train.bags, h_all, model, config, rng_noise, rng_distill)
-        )
+    for iteration in range(config.iterations + 1):
+        if iteration > 0:
+            report.embedder_losses.append(
+                run_embedder_phase(train.bags, h_all, model, config, rng_noise, rng_distill)
+            )
+            if not config.warm_start:
+                model.head_group.value[:] = initial_head
         embed_instances(model, train.bags, h_all)
-        if not config.warm_start:
-            model.init_head(rng_init)
-        report.classifier_losses.append(
-            run_classifier_phase(train.bags, h_all, model, config, rng_augment, rng_shuffle)
-        )
-        record_eval(iteration)
+        report.classifier_losses.append(run_classifier_phase(train.bags, h_all, model, config))
+        result = evaluate(model, test.bags, config.threshold)
+        report.evaluations.append({"iteration": iteration, **asdict(result)})
 
     return report, model
 

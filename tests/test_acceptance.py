@@ -434,8 +434,7 @@ def test_criterion_9_frozen_part_contracts():
 
     emb_before = params_checksum(model.embedder.params)
     h_all = embedded_rows(model, ds.bags)
-    run_classifier_phase(ds.bags, h_all, model, config,
-                         rng_stream(2, "augment"), rng_stream(2, "shuffle"))
+    run_classifier_phase(ds.bags, h_all, model, config)
     emb_ok = params_checksum(model.embedder.params) == emb_before
 
     teacher = TeacherBranch.from_model(model)

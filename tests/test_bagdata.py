@@ -9,7 +9,6 @@ from coupledmil.bagdata import (
     Bag,
     Dataset,
     DatasetParseError,
-    DatasetSchemaError,
     SyntheticSpec,
     features_matrix,
     generate_synthetic,
@@ -218,8 +217,10 @@ class TestRoundTrip:
         path.write_text(
             json.dumps({"d_raw": 2, "C": 2, "count": 1}) + "\n" + json.dumps(rec) + "\n"
         )
-        with pytest.raises(DatasetSchemaError, match="d_raw"):
+        with pytest.raises(DatasetParseError,
+                           match=r"^line 2: feature length 3 != d_raw=2$") as info:
             load_dataset(path)
+        assert info.value.line == 2
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "ds.jsonl"

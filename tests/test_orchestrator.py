@@ -97,9 +97,7 @@ class TestClassifierPhase:
         config = small_config(classifier_epochs=200)
         model = build_model(config, d_raw=8, seed=1)
         losses = run_classifier_phase(
-            ds.bags, embedded_rows(model, ds.bags), model, config,
-            rng_stream(0, "augment"), rng_stream(0, "shuffle"),
-        )
+            ds.bags, embedded_rows(model, ds.bags), model, config)
         assert len(losses) == 200
         assert losses[-1] < losses[0]
         assert evaluate(model, ds.bags).acc >= 0.95
@@ -109,8 +107,7 @@ class TestClassifierPhase:
         config = small_config(augment=True)
         model = build_model(config)
         before = params_checksum(model.embedder.params)
-        run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
-                             rng_stream(1, "augment"), rng_stream(1, "shuffle"))
+        run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config)
         assert params_checksum(model.embedder.params) == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -137,8 +134,7 @@ class TestClassifierPhase:
             if per_tensor:
                 monkeypatch.setattr(orchestrator, "Adam",
                                     lambda _, lr, m=model: ReferenceAdam(m.head_params, lr))
-            run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
-                                 rng_stream(3, "augment"), rng_stream(3, "shuffle"))
+            run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config)
             models.append(model)
         arena, reference = models
         assert not np.array_equal(arena.head_group.value,
@@ -150,8 +146,20 @@ class TestClassifierPhase:
         config = small_config()
         model = build_model(config)
         with pytest.raises(ValueError, match="non-empty"):
-            run_classifier_phase([], np.empty((0, config.embed_dim)), model, config,
-                                 rng_stream(0, "augment"), rng_stream(0, "shuffle"))
+            run_classifier_phase([], np.empty((0, config.embed_dim)), model, config)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_replays_its_draws_from_the_same_head(self, augment):
+        # every call opens the run's augment and shuffle streams afresh
+        ds = small_dataset()
+        config = small_config(augment=augment)
+        first = build_model(config, seed=5)
+        second = first.copy()
+        h_all = embedded_rows(first, ds.bags)
+        losses = [run_classifier_phase(ds.bags, h_all, model, config)
+                  for model in (first, second)]
+        assert losses[0] == losses[1]
+        assert np.array_equal(first.arena.value, second.arena.value)
 
     def test_degenerate_augmentation_matches_plain_bag_gradients(self):
         # n=1 and gamma=1 forces the whole source bag back out of the
@@ -377,6 +385,35 @@ class TestRunTraining:
         assert [e["iteration"] for e in report.evaluations] == [0, 1, 2]
         assert len(report.classifier_losses) == 3
         assert len(report.embedder_losses) == 2
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("backbone", ["gated_attention", "mean", "max"])
+    def test_zero_passes_repeat_the_baseline(self, backbone, augment):
+        # the embedder never changes, so every iteration replays iteration 0
+        ds = small_dataset()
+        report, _ = run_training(ds, small_config(
+            backbone=backbone, augment=augment, embedder_passes=0, iterations=2))
+        baseline = {**report.evaluations[0], "iteration": None}
+        assert len(report.evaluations) == len(report.classifier_losses) == 3
+        for losses, evaluation in zip(report.classifier_losses, report.evaluations):
+            assert losses == report.classifier_losses[0]
+            assert {**evaluation, "iteration": None} == baseline
+
+    def test_every_classifier_phase_starts_from_the_initial_head(self, monkeypatch):
+        ds = small_dataset()
+        config = small_config(iterations=2, classifier_epochs=2, embedder_passes=1)
+        heads = []
+        phase = orchestrator.run_classifier_phase
+        monkeypatch.setattr(
+            orchestrator, "run_classifier_phase",
+            lambda bags, h_all, model, *rest: heads.append(model.head_group.value.copy())
+            or phase(bags, h_all, model, *rest))
+        _, model = run_training(ds, config)
+        initial = MilModel.build(model.config, rng_stream(config.seed, "init"))
+        assert len(heads) == 3
+        for head in heads:
+            assert np.array_equal(head, initial.head_group.value)
+        assert not np.array_equal(model.head_group.value, initial.head_group.value)
 
     def test_metrics_in_unit_interval(self):
         ds = small_dataset()
