@@ -4,7 +4,8 @@ A bag here is a `(features, label)` pair: its K x d instance rows and its
 label. A single binary mask over the n pseudo-bag slots drives both sources:
 bag A keeps the slots where the mask is 1, bag B the slots where it is 0.
 With a Beta-sampled coefficient lambda, floor(lambda*n) slots go to B and
-the rest to A, so the fused bag always carries exactly n pseudo-bags.
+the rest to A, so the fused bag always carries exactly n pseudo-bags, and
+its label weights each source's label by the share of the n slots it holds.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 import numpy as np
 
 from .bagdata import partition_pseudobags
-
-LABEL_MODES = ("lambda_weighted", "kept_fraction")
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
@@ -43,13 +42,11 @@ def _rows(groups, slots) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *(groups[s] for s in slots)])
 
 
-def mixup_bags(a, b, lam: float, n: int, label_mode: str,
+def mixup_bags(a, b, lam: float, n: int,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse masked pseudo-bags of two bags: A's kept rows, then B's.
-
-    Label modes: `lambda_weighted` mixes labels as lam*y_A + (1-lam)*y_B;
-    `kept_fraction` weights each label by that source's share of kept slots.
-    Fresh partitions are drawn per call.
+    """Fuse masked pseudo-bags of two bags: A's kept rows, then B's,
+    labelled (|keep_A|/n)*y_A + (|keep_B|/n)*y_B, each source weighted by
+    its share of the n slots. Fresh partitions are drawn per call.
     """
     (x_a, y_a), (x_b, y_b) = a, b
     groups_a = partition_pseudobags(x_a, n, rng)
@@ -58,10 +55,7 @@ def mixup_bags(a, b, lam: float, n: int, label_mode: str,
     keep_a = [i for i in range(n) if mask[i] == 1]
     keep_b = [i for i in range(n) if mask[i] == 0]
 
-    if label_mode == "lambda_weighted":
-        label = lam * y_a + (1.0 - lam) * y_b
-    else:
-        label = (len(keep_a) / n) * y_a + (len(keep_b) / n) * y_b
+    label = (len(keep_a) / n) * y_a + (len(keep_b) / n) * y_b
     # slot 0 holds a largest group, never empty, and goes to A or B; so the
     # fused bag is never empty
     rows_a, rows_b = _rows(groups_a, keep_a), _rows(groups_b, keep_b)
@@ -84,10 +78,10 @@ def masked_single_bag(b, lam: float, n: int,
 
 def augment_pair(a, b, config, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample lambda and either return the masked B (probability gamma) or the
-    mix-up fusion of the pair. `config` is the run's TrainConfig; its
-    `augment_n`, `augment_alpha`, `augment_gamma` and `augment_label_mode`
-    drive the draw."""
+    mix-up fusion of the pair, labelled by each source's share of the slots.
+    `config` is the run's TrainConfig; its `augment_n`, `augment_alpha` and
+    `augment_gamma` drive the draw."""
     lam = sample_lambda(config.augment_alpha, rng)
     if rng.random() < config.augment_gamma:
         return masked_single_bag(b, lam, config.augment_n, rng)
-    return mixup_bags(a, b, lam, config.augment_n, config.augment_label_mode, rng)
+    return mixup_bags(a, b, lam, config.augment_n, rng)

@@ -1,9 +1,8 @@
 """Embedder fine-tuning via teacher-student distillation.
 
 The frozen teacher (embedder + classifier + aggregator from the classifier
-phase) guides a fully learnable student. Per-instance losses combine a
-consistency term KL(teacher(x) || student(x')) on noised inputs with a
-weight-similarity term tethering the student classifier to the teacher's,
+phase) guides a fully learnable student. The per-instance loss is the
+consistency term KL(teacher(x) || student(x')) on noised inputs x',
 optionally scaled by an attention-derived confidence weight |2a-1|^beta.
 """
 
@@ -77,33 +76,21 @@ class TeacherBranch:
         return [self.model.arena]
 
 
-def distill_step(student: MilModel, h_t: np.ndarray, p_t: np.ndarray,
-                 x_noised: np.ndarray, confidence: np.ndarray,
-                 alpha_w: float, optimizer: Adam) -> float:
+def distill_step(student: MilModel, p_t: np.ndarray, x_noised: np.ndarray,
+                 confidence: np.ndarray, optimizer: Adam) -> float:
     """One confidence-weighted distillation update on the student.
 
-    `h_t` and `p_t` are the frozen teacher's embeddings and class
-    probabilities of the clean instances whose noised copies are `x_noised`.
-    Batch loss is mean_i confidence_i * (L_c,i + alpha_w * L_w,i), with
-    L_c,i = KL(p_t,i || student(x_noised_i)) and L_w,i the same KL against
-    the student's classifier on h_t,i; unit confidence recovers the plain
-    teacher-student step. Returns the batch loss.
+    `p_t` holds the frozen teacher's class probabilities of the clean
+    instances whose noised copies are `x_noised`. Batch loss is
+    mean_i confidence_i * KL(p_t,i || student(x_noised_i)); unit confidence
+    recovers the plain teacher-student step. Returns the batch loss.
     """
-    n = h_t.shape[0]
+    n = x_noised.shape[0]
     h_s, emb_cache = student.embedder.forward(x_noised)
-    z_c = student.classifier.logits(h_s)
-    q_c = softmax_rows(z_c)
-    z_w = student.classifier.logits(h_t)
-    q_w = softmax_rows(z_w)
+    q = softmax_rows(student.classifier.logits(h_s))
+    loss = float((confidence * kl_rows(p_t, q)).mean())
 
-    l_c = kl_rows(p_t, q_c)
-    l_w = kl_rows(p_t, q_w)
-    loss = float((confidence * (l_c + alpha_w * l_w)).mean())
-
-    dz_c = (confidence / n)[:, None] * (q_c - p_t)
-    dz_w = (alpha_w * confidence / n)[:, None] * (q_w - p_t)
-    dh_s = student.classifier.backward(h_s, dz_c)
-    student.classifier.backward(h_t, dz_w, input_grad=False)  # h_t is constant
+    dh_s = student.classifier.backward(h_s, (confidence / n)[:, None] * (q - p_t))
     student.embedder.backward(emb_cache, dh_s)
     optimizer.step()
     return loss

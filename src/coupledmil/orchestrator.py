@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .augment import LABEL_MODES, augment_pair
+from .augment import augment_pair
 from .bagdata import ConfigError, Dataset, features_matrix, split_dataset
 from .distill import (
     TeacherBranch,
@@ -68,12 +68,11 @@ _FIELD_TYPES = {
                                    and all(map(_is_number, v)), "a list of numbers"),
 }
 _AT_LEAST = {"classifier_epochs": 1, "batch_size": 1, "embedder_passes": 0,
-             "iterations": 0, "alpha_w": 0, "augment_ratio": 0, "augment_n": 1,
+             "iterations": 0, "augment_ratio": 0, "augment_n": 1,
              "noise_scale": 0, "embed_dim": 1, "attn_dim": 1, "seed": 0}
 _ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta", "augment_alpha")
 _UNIT_INTERVAL = ("augment_gamma", "noise_dropout")
-_CHOICES = {"backbone": BACKBONES, "mode": FINE_TUNE_MODES,
-            "augment_label_mode": LABEL_MODES}
+_CHOICES = {"backbone": BACKBONES, "mode": FINE_TUNE_MODES}
 
 
 @dataclass
@@ -90,19 +89,16 @@ class TrainConfig:
     iterations: int = 1
     mode: str = "confidence"
     beta: float = 6.0
-    alpha_w: float = 1.0
     augment: bool = False
     augment_ratio: float = 1.0
     augment_n: int = 4
     augment_alpha: float = 1.0
     augment_gamma: float = 0.5
-    augment_label_mode: str = "lambda_weighted"
     noise_scale: float = 0.1
     noise_dropout: float = 0.1
     hidden: tuple[int, ...] = (64,)
     embed_dim: int = 32
     attn_dim: int = 16
-    warm_start: bool = False
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     threshold: float = 0.5
     seed: int = 0
@@ -323,10 +319,10 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                 if config.mode == "naive":
                     loss = naive_pseudolabel_step(student, xb, p_all[sel], optimizer)
                 else:
-                    loss = distill_step(student, h_all[sel], p_all[sel],
+                    loss = distill_step(student, p_all[sel],
                                         noisy_augment(xb, config.noise_scale,
                                                       config.noise_dropout, rng_noise),
-                                        conf_all[sel], config.alpha_w, optimizer)
+                                        conf_all[sel], optimizer)
                 total += loss * len(sel)
             losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
 
@@ -356,12 +352,13 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
     """Full run: a classifier phase, then `iterations` repetitions of
     embedder phase + classifier phase, evaluating on the test split after
     every classifier phase. Each classifier phase starts from the run's
-    initial head (or the trained one under `warm_start`) and replays the
-    augment and shuffle draws, so iterations differ only in their embedder."""
+    initial head and replays the augment and shuffle draws, so iterations
+    differ only in their embedder."""
     train, _, test = split_for_run(dataset, config)
-    if not train.bags:
-        raise ConfigError(f"fractions {list(config.fractions)} leave no training bag "
-                          f"among the dataset's {len(dataset.bags)}")
+    for name, split in (("training", train), ("test", test)):
+        if not split.bags:
+            raise ConfigError(f"fractions {list(config.fractions)} leave no {name} "
+                              f"bag among the dataset's {len(dataset.bags)}")
 
     rng_noise = rng_stream(config.seed, "noise")
     rng_distill = rng_stream(config.seed, "distill")
@@ -385,8 +382,7 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
             report.embedder_losses.append(
                 run_embedder_phase(train.bags, h_all, model, config, rng_noise, rng_distill)
             )
-            if not config.warm_start:
-                model.head_group.value[:] = initial_head
+            model.head_group.value[:] = initial_head
         embed_instances(model, train.bags, h_all)
         report.classifier_losses.append(run_classifier_phase(train.bags, h_all, model, config))
         result = evaluate(model, test.bags, config.threshold)

@@ -169,11 +169,11 @@ def embedded_rows(model: MilModel, bags) -> np.ndarray:
     return h_all
 
 
-def teacher_targets(teacher: TeacherBranch, x: np.ndarray):
-    """The frozen teacher's embeddings of the instance rows `x` and its class
-    probabilities for them: the `h_t` and `p_t` arguments of the steps."""
+def teacher_targets(teacher: TeacherBranch, x: np.ndarray) -> np.ndarray:
+    """The frozen teacher's class probabilities for the instance rows `x`:
+    the `p_t` argument of the steps."""
     h_t, _ = teacher.model.embedder.forward(x)
-    return h_t, softmax_rows(teacher.classifier.logits(h_t))
+    return softmax_rows(teacher.classifier.logits(h_t))
 
 
 def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
@@ -207,14 +207,14 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
         for start in range(0, n, config.batch_size):
             sel = order[start:start + config.batch_size]
             xb = x_all[sel]
-            h_t, p_t = teacher_targets(teacher, xb)
+            p_t = teacher_targets(teacher, xb)
             if config.mode == "naive":
                 loss = naive_pseudolabel_step(student, xb, p_t, optimizer)
             else:
-                loss = distill_step(student, h_t, p_t,
+                loss = distill_step(student, p_t,
                                     noisy_augment(xb, config.noise_scale,
                                                   config.noise_dropout, rng_noise),
-                                    conf_all[sel], config.alpha_w, optimizer)
+                                    conf_all[sel], optimizer)
             total += loss * len(sel)
         losses.append(total / n)
     return student, losses

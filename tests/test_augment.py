@@ -13,11 +13,11 @@ from oracles import decoded_rows, encoded_bag, replay_mixup_slots
 A, B = 0, 1  # the source markers of encoded_bag
 
 
-def mix(a, b, lam, n, rng, label_mode="lambda_weighted"):
+def mix(a, b, lam, n, rng):
     """`mixup_bags` with the groups the oracle says it keeps from each
     source: (features, label, kept A groups, kept B groups)."""
     kept_a, kept_b = replay_mixup_slots(len(a[0]), len(b[0]), lam, n, rng)
-    x, y = mixup_bags(a, b, lam, n, label_mode, rng)
+    x, y = mixup_bags(a, b, lam, n, rng)
     return x, y, kept_a, kept_b
 
 
@@ -61,40 +61,33 @@ class TestMixup:
         assert len(kept_b) == 2
         assert np.array_equal(decoded_rows(x, A), np.concatenate(kept_a))
         assert np.array_equal(decoded_rows(x, B), np.concatenate(kept_b))
-        assert np.allclose(y, [0.4, 0.6])
+        assert np.allclose(y, [0.5, 0.5])
 
-    def test_lambda_near_zero_keeps_a_labels_b(self):
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("lam", [0.01, 0.3, 0.6, 0.9])
+    def test_label_weights_each_source_by_its_slots(self, lam, n):
+        # n divides both bag sizes, so every slot of A holds 8/n rows and
+        # every slot of B 4/n: the fused rows tell how many slots each holds
         a = encoded_bag(A, 8, (0.0, 1.0))
-        b = encoded_bag(B, 8, (1.0, 0.0))
-        x, y, kept_a, kept_b = mix(a, b, 0.01, 4, np.random.default_rng(3))
-        # floor(0.01*4)=0: A fully kept, B fully masked, label ~ y_B
-        assert len(kept_a) == 4
-        assert len(kept_b) == 0
-        assert decoded_rows(x, B).size == 0
-        assert sorted(decoded_rows(x, A)) == list(range(8))
-        assert np.allclose(y, 0.01 * a[1] + 0.99 * b[1])
+        b = encoded_bag(B, 4, (1.0, 0.0))
+        x, y = mixup_bags(a, b, lam, n, np.random.default_rng(3))
+        slots_a = decoded_rows(x, A).size * n // 8
+        slots_b = decoded_rows(x, B).size * n // 4
+        assert (slots_a, slots_b) == (n - int(np.floor(lam * n)), int(np.floor(lam * n)))
+        assert np.array_equal(y, (slots_a / n) * a[1] + (slots_b / n) * b[1])
 
     def test_identical_labels_fixed_point(self):
         a = encoded_bag(A, 6, (0.3, 0.7))
         b = encoded_bag(B, 6, (0.3, 0.7))
-        for mode in ("lambda_weighted", "kept_fraction"):
-            _, y = mixup_bags(a, b, 0.37, 3, mode, np.random.default_rng(0))
-            assert np.allclose(y, [0.3, 0.7])
-
-    def test_kept_fraction_mode(self):
-        a = encoded_bag(A, 8, (0.0, 1.0))
-        b = encoded_bag(B, 8, (1.0, 0.0))
-        _, y, kept_a, kept_b = mix(a, b, 0.6, 4, np.random.default_rng(3),
-                                   label_mode="kept_fraction")
-        ka, kb = len(kept_a), len(kept_b)
-        assert np.allclose(y, (ka / 4) * a[1] + (kb / 4) * b[1])
+        _, y = mixup_bags(a, b, 0.37, 3, np.random.default_rng(0))
+        assert np.allclose(y, [0.3, 0.7])
 
     def test_sources_not_mutated(self):
         a = encoded_bag(A, 5, (0.0, 1.0))
         b = encoded_bag(B, 5, (1.0, 0.0))
         snap_a, snap_b = a[0].copy(), b[0].copy()
         label_a, label_b = a[1].copy(), b[1].copy()
-        x, y = mixup_bags(a, b, 0.4, 4, "lambda_weighted", np.random.default_rng(5))
+        x, y = mixup_bags(a, b, 0.4, 4, np.random.default_rng(5))
         x[:] = 0.0  # the fused matrix is a copy, not a view
         y[:] = 0.0
         assert np.array_equal(a[0], snap_a) and np.array_equal(b[0], snap_b)

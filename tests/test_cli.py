@@ -153,11 +153,11 @@ class TestTrain:
 NON_DEFAULT = {
     "backbone": "mean", "classifier_epochs": 7, "classifier_lr": 1e-3,
     "embedder_lr": 3e-4, "batch_size": 9, "embedder_passes": 0, "iterations": 2,
-    "mode": "naive", "beta": 2.5, "alpha_w": 0.5, "augment": True,
+    "mode": "naive", "beta": 2.5, "augment": True,
     "augment_ratio": 0.5, "augment_n": 3, "augment_alpha": 2.0,
-    "augment_gamma": 0.25, "augment_label_mode": "kept_fraction",
+    "augment_gamma": 0.25,
     "noise_scale": 0.2, "noise_dropout": 0.0, "hidden": (8, 4), "embed_dim": 5,
-    "attn_dim": 3, "warm_start": True, "fractions": (0.6, 0.2, 0.2),
+    "attn_dim": 3, "fractions": (0.6, 0.2, 0.2),
     "threshold": 0.25, "seed": 11,
 }
 
@@ -382,7 +382,7 @@ BAD_TRAIN_INPUTS = {
     "noise-dropout": (["--noise-dropout", "2"], "noise_dropout"),
     "beta": (["--beta", "0"], "beta"),
     "beta-unused": (["--mode", "vanilla", "--beta", "0"], "beta"),
-    "alpha-w": (["--alpha-w", "-5"], "alpha_w"),
+    "alpha-w": (["--alpha-w", "1"], "--alpha-w"),
     "seed": (["--seed", "-1"], "seed"),
     "embed-dim": (["--embed-dim", "0"], "embed_dim"),
     "hidden": (["--hidden", "0"], "hidden"),
@@ -391,7 +391,10 @@ BAD_TRAIN_INPUTS = {
     "config-missing": (["--config", "{missing}"], "config"),
     "backbone": (["--backbone", "cnn"], "backbone"),
     "mode": (["--mode", "softlabel"], "mode"),
-    "augment-label-mode": (["--augment-label-mode", "mean"], "augment_label_mode"),
+    "augment-label-mode": (["--augment-label-mode", "kept_fraction"],
+                           "--augment-label-mode"),
+    "warm-start": (["--warm-start"], "--warm-start"),
+    "config-warm-start": (["--config", "{warm_start}"], "warm_start"),
     "full-scale": (["--full-scale"], "--full-scale"),
     "config-full-scale": (["--config", "{full_scale}"], "full_scale"),
 }
@@ -401,10 +404,12 @@ BAD_TRAIN_INPUTS = {
                          ids=BAD_TRAIN_INPUTS.keys())
 def test_bad_train_input_exits_2_before_training(dataset_file, tmp_path, capsys,
                                                  flags, field):
-    cfg, full_scale = tmp_path / "cfg.json", tmp_path / "full_scale.json"
-    cfg.write_text(json.dumps({"classifier_epochs": 1.5}))
-    full_scale.write_text(json.dumps({"full_scale": True}))
-    flags = [f.format(cfg=cfg, full_scale=full_scale, missing=tmp_path / "missing.json")
+    files = {"cfg": {"classifier_epochs": 1.5}, "full_scale": {"full_scale": True},
+             "warm_start": {"warm_start": True}}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    flags = [f.format(missing=tmp_path / "missing.json",
+                      **{name: tmp_path / f"{name}.json" for name in files})
              for f in flags]
     out = tmp_path / "run"
     code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out)] + flags)
@@ -423,6 +428,16 @@ def test_empty_training_split_exits_2(tmp_path, capsys):
     assert code == 2
     assert "no training bag" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # a failed run leaves no output directory
+
+
+def test_empty_test_split_exits_2(dataset_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                "--fractions", "0.8", "0.2", "0.0"] + TRAIN_FAST)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: fractions [0.8, 0.2, 0.0] leave no test bag among the dataset's 30\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

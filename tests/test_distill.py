@@ -157,27 +157,27 @@ class TestNoisyAugment:
 
 class TestLosses:
     def test_consistency_zero_for_identical_branches_and_inputs(self):
-        # both terms vanish, so every gradient is zero and Adam moves nothing
+        # the KL vanishes, so every gradient is zero and Adam moves nothing
         teacher, student = make_branches()
         x = np.random.default_rng(3).uniform(-2, 2, size=(6, 4))
         before = [p.value.copy() for p in student_params(student)]
-        loss = distill_step(student, *teacher_targets(teacher, x), x, np.ones(6), 1.0,
+        loss = distill_step(student, teacher_targets(teacher, x), x, np.ones(6),
                             Adam(student_params(student), lr=1e-3))
         assert loss == 0.0
         for p, snap in zip(student_params(student), before):
             assert np.array_equal(p.value, snap)
 
     def test_weight_similarity_quadratic_near_zero(self):
-        # the loss is a KL, so it grows with the square of a small
-        # perturbation of the student's classifier
+        # the loss is a KL against the teacher, so it grows with the square
+        # of a small perturbation of the student's classifier weights
         teacher, _ = make_branches()
         x = np.random.default_rng(6).uniform(-2, 2, size=(9, 4))
 
         def perturbed_loss(delta):
             student = teacher.model.copy()
             student.classifier.w.value[0, 0] += delta
-            return distill_step(student, *teacher_targets(teacher, x), x, np.ones(9),
-                                1.0, Adam(student_params(student), lr=1e-3))
+            return distill_step(student, teacher_targets(teacher, x), x, np.ones(9),
+                                Adam(student_params(student), lr=1e-3))
 
         l1 = perturbed_loss(1e-3)
         l2 = perturbed_loss(2e-3)
@@ -196,9 +196,9 @@ class TestLosses:
 class TestDistillStep:
     def _batch(self, teacher, x, rng, beta=6.0):
         # mirror the trainer: per-bag attention -> min-max -> confidence;
-        # returns the step's (h_t, p_t, x_noised, confidence) arguments
+        # returns the step's (p_t, x_noised, confidence) arguments
         conf = convert_confidence(normalize_attention(bag_attention(teacher, x)), beta)
-        return (*teacher_targets(teacher, x), noisy_augment(x, 0.1, 0.1, rng), conf)
+        return teacher_targets(teacher, x), noisy_augment(x, 0.1, 0.1, rng), conf
 
     def test_zero_confidence_means_zero_loss_and_no_update(self):
         teacher, student = make_branches()
@@ -207,8 +207,8 @@ class TestDistillStep:
         noised = noisy_augment(x, 0.1, 0.1, rng)
         opt = Adam(student_params(student), lr=1e-3)
         before = [p.value.copy() for p in student_params(student)]
-        loss = distill_step(student, *teacher_targets(teacher, x), noised, np.zeros(5),
-                            1.0, opt)
+        loss = distill_step(student, teacher_targets(teacher, x), noised, np.zeros(5),
+                            opt)
         assert loss == 0.0
         for p, snap in zip(student_params(student), before):
             assert np.array_equal(p.value, snap)
@@ -220,13 +220,13 @@ class TestDistillStep:
         teacher = TeacherBranch.from_model(build_model(backbone, seed=3))
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(8, 4))
-        h_t, p_t, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
+        p_t, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
         assert np.array_equal(conf, np.ones(8))
         student_a = teacher.model.copy()
         student_b = teacher.model.copy()
-        loss_a = distill_step(student_a, h_t, p_t, noised, conf, 1.0,
+        loss_a = distill_step(student_a, p_t, noised, conf,
                               Adam(student_params(student_a), lr=1e-3))
-        loss_b = distill_step(student_b, h_t, p_t, noised, np.ones(8), 1.0,
+        loss_b = distill_step(student_b, p_t, noised, np.ones(8),
                               Adam(student_params(student_b), lr=1e-3))
         assert abs(loss_a - loss_b) <= 1e-12
         for pa, pb in zip(student_params(student_a), student_params(student_b)):
@@ -240,8 +240,8 @@ class TestDistillStep:
 
         def run(instances, noised_rows, conf):
             student = teacher.model.copy()
-            return distill_step(student, *teacher_targets(teacher, instances),
-                                noised_rows, np.array(conf), 1.0,
+            return distill_step(student, teacher_targets(teacher, instances),
+                                noised_rows, np.array(conf),
                                 Adam(student_params(student), lr=1e-3))
 
         both = run(x, noised, [1.0, 0.0])
@@ -255,14 +255,14 @@ class TestDistillStep:
         opt = Adam(student_params(student), lr=1e-3)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(6, 4))
-            distill_step(student, *self._batch(teacher, x, rng), 0.7, opt)
+            distill_step(student, *self._batch(teacher, x, rng), opt)
         assert params_checksum(teacher.params) == frozen
 
     def test_gradient_flows_only_to_student(self):
         teacher, student = make_branches(seed=12)
         rng = np.random.default_rng(13)
         x = rng.uniform(-2, 2, size=(6, 4))
-        distill_step(student, *self._batch(teacher, x, rng), 1.0,
+        distill_step(student, *self._batch(teacher, x, rng),
                      Adam(student_params(student), lr=1e-3))
         for p in teacher.params:
             assert not p.grad.any()
@@ -274,13 +274,11 @@ class TestDistillStep:
             opt = Adam(student_params(student), lr=1e-4)
             for _ in range(3):
                 x = rng.uniform(-2, 2, size=(5, 4))
-                loss = distill_step(student, *self._batch(teacher, x, rng),
-                                    1.0, opt)
+                loss = distill_step(student, *self._batch(teacher, x, rng), opt)
                 assert loss >= 0.0
 
     def test_step_runs_only_the_student_embedder(self, monkeypatch):
-        # the teacher's targets and its representations for the
-        # weight-similarity term arrive as rows; the step embeds only the
+        # the teacher's targets arrive as rows; the step embeds only the
         # noised batch, once
         teacher, student = make_branches(seed=6)
         rng = np.random.default_rng(7)
@@ -290,7 +288,7 @@ class TestDistillStep:
             forward = model.embedder.forward
             monkeypatch.setattr(model.embedder, "forward",
                                 lambda x, f=forward, n=name: calls.append(n) or f(x))
-        distill_step(student, *batch, 1.0, Adam(student_params(student), lr=1e-3))
+        distill_step(student, *batch, Adam(student_params(student), lr=1e-3))
         assert calls == ["student"]
 
 
@@ -301,7 +299,7 @@ class TestNaivePseudolabel:
         teacher.classifier.w.value[:] = 0.0
         teacher.classifier.b.value[:] = 0.0
         x = np.random.default_rng(0).uniform(-2, 2, size=(4, 4))
-        _, probs = teacher_targets(teacher, x)
+        probs = teacher_targets(teacher, x)
         assert np.array_equal(probs, np.full((4, 2), 0.5))
         # so every pseudo-label is class 0: the loss is the student's
         # cross-entropy against class 0
@@ -314,7 +312,7 @@ class TestNaivePseudolabel:
     def test_loss_is_teacher_prediction_entropy_floor(self):
         teacher, student = make_branches(seed=21)
         x = np.random.default_rng(1).uniform(-2, 2, size=(5, 4))
-        _, p = teacher_targets(teacher, x)
+        p = teacher_targets(teacher, x)
         expected = np.mean([
             cross_entropy(p[i], np.eye(2)[np.argmax(p[i])]) for i in range(5)
         ])
@@ -325,7 +323,7 @@ class TestNaivePseudolabel:
     def test_descent_on_fixed_batch(self):
         teacher, student = make_branches(seed=22)
         x = np.random.default_rng(2).uniform(-2, 2, size=(20, 4))
-        _, p = teacher_targets(teacher, x)
+        p = teacher_targets(teacher, x)
         opt = Adam(student_params(student), lr=1e-5)
         losses = [naive_pseudolabel_step(student, x, p, opt) for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -342,8 +340,8 @@ class TestSnapshots:
         opt = Adam(student_params(student), lr=1e-2)
         for _ in range(3):
             x = rng.uniform(-2, 2, size=(6, 4))
-            distill_step(student, *teacher_targets(teacher, x),
-                         noisy_augment(x, 0.1, 0.1, rng), np.ones(6), 1.0, opt)
+            distill_step(student, teacher_targets(teacher, x),
+                         noisy_augment(x, 0.1, 0.1, rng), np.ones(6), opt)
         for branch in (teacher.model, student):
             assert views_of_own_arena(branch)
         assert not np.array_equal(student.arena.value, frozen)
@@ -358,7 +356,7 @@ class TestSnapshots:
         x_all = rng.uniform(-2, 2, size=(40, 4))
         noised = noisy_augment(x_all, 0.1, 0.1, rng)
         conf = rng.uniform(0, 1, size=40)
-        h_all, p_all = teacher_targets(teacher, x_all)
+        p_all = teacher_targets(teacher, x_all)
         students = []
         for per_tensor in (False, True):
             student = teacher.model.copy()
@@ -367,8 +365,7 @@ class TestSnapshots:
                    else Adam(student_params(student), lr=1e-3))
             for start in range(0, 40, 7):
                 sel = slice(start, start + 7)
-                distill_step(student, h_all[sel], p_all[sel], noised[sel], conf[sel],
-                             1.0, opt)
+                distill_step(student, p_all[sel], noised[sel], conf[sel], opt)
             naive_pseudolabel_step(student, x_all[:9], p_all[:9], opt)
             students.append(student)
         arena, reference = students

@@ -50,7 +50,7 @@ def small_config(**overrides):
         attn_dim=4, seed=0,
     )
     base.update(overrides)
-    return TrainConfig(**base)
+    return TrainConfig.from_dict(base)
 
 
 def build_model(config, d_raw=6, seed=0):
@@ -78,10 +78,13 @@ class TestTrainConfig:
         ("batch_size", 0), ("fractions", (0.0, 0.0, 1.0)),
         ("fractions", (0.5, 0.5, 0.5)), ("fractions", (0.5, 0.5)),
         ("fractions", (-0.1, 0.6, 0.5)), ("fractions", (float("nan"), 0.5, 0.5)),
-        ("seed", -1), ("beta", 0.0), ("alpha_w", -5.0), ("augment_ratio", -2.0),
+        ("seed", -1), ("beta", 0.0),
+        ("alpha_w", -5.0),  # a removed option: an unknown config key
+        ("augment_ratio", -2.0),
         ("hidden", (0,)), ("hidden", 5), ("embed_dim", 0), ("attn_dim", -1),
         ("augment_n", 0), ("augment_alpha", 0.0), ("augment_gamma", 2.0),
-        ("augment_label_mode", "mean"), ("noise_scale", -1.0), ("noise_dropout", 2.0),
+        ("augment_label_mode", "mean"),  # a removed option: an unknown config key
+        ("noise_scale", -1.0), ("noise_dropout", 2.0),
         ("augment_gamma", -0.1), ("noise_dropout", -0.1),
         ("classifier_epochs", 1.5), ("batch_size", True), ("augment", "yes"),
         ("classifier_lr", float("inf")), ("threshold", float("nan")), ("mode", 3),
@@ -441,18 +444,20 @@ class TestRunTraining:
         assert again.to_json() == report.to_json()
         assert "wall_clock" not in report.to_json()
 
-    def test_warm_start_differs_from_reinit(self):
-        ds = small_dataset()
-        r1, _ = run_training(ds, small_config())
-        r2, _ = run_training(ds, small_config(warm_start=True))
-        assert r1.evaluations[0] == r2.evaluations[0]  # same baseline
-        assert r1.to_json() != r2.to_json()
-
     @pytest.mark.filterwarnings("ignore:stratum")
     def test_empty_training_split_is_a_config_error(self):
         ds = small_dataset(num_bags=2)
         with pytest.raises(ConfigError, match="no training bag"):
             run_training(ds, small_config(fractions=(0.2, 0.4, 0.4)))
+
+    def test_empty_test_split_is_a_config_error(self, monkeypatch):
+        def no_phase(*args):
+            raise AssertionError("a phase ran before the split was checked")
+
+        monkeypatch.setattr(orchestrator, "run_classifier_phase", no_phase)
+        with pytest.raises(ConfigError,
+                           match=r"fractions \[0.8, 0.2, 0.0\] leave no test bag"):
+            run_training(small_dataset(), small_config(fractions=(0.8, 0.2, 0.0)))
 
     def test_to_json_rejects_nan(self):
         report = RunReport(config={}, seed=0, classifier_losses=[[float("nan")]])
