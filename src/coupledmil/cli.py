@@ -133,6 +133,9 @@ def cmd_eval(args) -> None:
     if args.split != "all":
         train, val, test = split_for_run(dataset, config)
         bags = {"train": train, "val": val, "test": test}[args.split].bags
+        if not bags:
+            raise ConfigError(f"fractions {list(config.fractions)} leave no {args.split} "
+                              f"bag among the dataset's {len(dataset.bags)}")
     result = evaluate(model, bags, config.threshold)
 
     print(f"auc={result.auc!r} f1={result.f1!r} acc={result.acc!r} "

@@ -2,15 +2,16 @@
 
 The frozen teacher (embedder + classifier + aggregator from the classifier
 phase) guides a fully learnable student. The per-instance loss is the
-consistency term KL(teacher(x) || student(x')) on noised inputs x',
-optionally scaled by an attention-derived confidence weight |2a-1|^beta.
+student's cross-entropy against the teacher's argmax class, on noised inputs
+x' for the vanilla and confidence modes, scaled by an attention-derived
+confidence weight |2a-1|^beta in the confidence mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gradcore import LOG_FLOOR, Adam, kl_rows, softmax_rows
+from .gradcore import LOG_FLOOR, Adam, softmax_rows
 from .milnet import MilModel
 
 
@@ -76,43 +77,34 @@ class TeacherBranch:
         return [self.model.arena]
 
 
-def distill_step(student: MilModel, p_t: np.ndarray, x_noised: np.ndarray,
+def distill_step(student: MilModel, p_t: np.ndarray, x: np.ndarray,
                  confidence: np.ndarray, optimizer: Adam) -> float:
     """One confidence-weighted distillation update on the student.
 
     `p_t` holds the frozen teacher's class probabilities of the clean
-    instances whose noised copies are `x_noised`. Batch loss is
-    mean_i confidence_i * KL(p_t,i || student(x_noised_i)); unit confidence
-    recovers the plain teacher-student step. Returns the batch loss.
+    instances whose (possibly noised) copies are `x`. The target of row i is
+    the teacher's argmax class c_i, ties to the lower class index. Batch loss
+    is mean_i confidence_i * -log student(x_i)[c_i]: the KL against a one-hot
+    target. Returns the batch loss.
     """
-    n = x_noised.shape[0]
-    h_s, emb_cache = student.embedder.forward(x_noised)
+    n = x.shape[0]
+    rows = np.arange(n)
+    pseudo = np.argmax(p_t, axis=1)
+    h_s, emb_cache = student.embedder.forward(x)
     q = softmax_rows(student.classifier.logits(h_s))
-    loss = float((confidence * kl_rows(p_t, q)).mean())
+    loss = float((confidence * -np.log(np.maximum(q[rows, pseudo], LOG_FLOOR))).mean())
 
-    dh_s = student.classifier.backward(h_s, (confidence / n)[:, None] * (q - p_t))
-    student.embedder.backward(emb_cache, dh_s)
+    # dlogits = confidence * (q - onehot) / n, in place on q
+    q[rows, pseudo] -= 1.0
+    q *= confidence[:, None]
+    q /= n
+    student.embedder.backward(emb_cache, student.classifier.backward(h_s, q))
     optimizer.step()
     return loss
 
 
 def naive_pseudolabel_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
                            optimizer: Adam) -> float:
-    """Baseline fine-tuning: hard argmax pseudo-labels from the teacher's
-    class probabilities `p_t` of `x` (ties to the lower class index), plain
-    cross-entropy on the student."""
-    n = x.shape[0]
-    pseudo = np.argmax(p_t, axis=1)
-    y = np.zeros_like(p_t)
-    y[np.arange(n), pseudo] = 1.0
-
-    h_s, emb_cache = student.embedder.forward(x)
-    z = student.classifier.logits(h_s)
-    q = softmax_rows(z)
-    loss = float(-np.log(np.maximum(q[np.arange(n), pseudo], LOG_FLOOR)).mean())
-
-    dz = (q - y) / n
-    dh = student.classifier.backward(h_s, dz)
-    student.embedder.backward(emb_cache, dh)
-    optimizer.step()
-    return loss
+    """Baseline fine-tuning: `distill_step` on the clean rows `x` with unit
+    weights."""
+    return distill_step(student, p_t, x, np.ones(x.shape[0]), optimizer)

@@ -97,14 +97,6 @@ def softmax_rows(z: Tensor2) -> Tensor2:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def kl_rows(p: Tensor2, q: Tensor2) -> np.ndarray:
-    """Row-wise KL(p_i || q_i); zero-probability terms of p drop out and both
-    logs are clamped at LOG_FLOOR."""
-    qc = np.maximum(q, LOG_FLOOR)
-    terms = np.where(p > 0, p * (np.log(np.maximum(p, LOG_FLOOR)) - np.log(qc)), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)  # guard against sign noise when p ~ q
-
-
 def cross_entropy(pred, target) -> float:
     """-sum_c y_c log(p_c) with p clamped below at LOG_FLOOR; soft targets allowed."""
     p = np.asarray(pred, dtype=np.float64).ravel()

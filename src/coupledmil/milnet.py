@@ -318,8 +318,8 @@ class MilModel:
         probs = softmax(self.classifier.logits(bag_rep).ravel())
         return bag_rep, a, probs, agg_cache
 
-    def head_backward(self, h: np.ndarray, bag_rep: np.ndarray, agg_cache,
-                      dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray,
+                      input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the head's gradients; return the gradient with respect
         to the instance representations h, or None without `input_grad`."""
         d_bag = self.classifier.backward(bag_rep, dlogits)

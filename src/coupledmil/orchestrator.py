@@ -269,7 +269,7 @@ def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
                 bag_rep, _, probs, agg_cache = model.head_forward(h)
                 total += cross_entropy(probs, label)
                 dlogits = (probs - label)[None, :]
-                model.head_backward(h, bag_rep, agg_cache, dlogits, input_grad=False)
+                model.head_backward(bag_rep, agg_cache, dlogits, input_grad=False)
                 optimizer.step()
             losses.append(
                 _checked_loss("classifier", len(losses) + 1, total / len(samples)))

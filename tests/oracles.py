@@ -19,7 +19,7 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import Adam, Param, kl_rows, softmax_rows
+from coupledmil.gradcore import LOG_FLOOR, Adam, Param, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
 from coupledmil.milnet import BagForwardTrace, MilModel
 from coupledmil.orchestrator import embed_instances
@@ -93,7 +93,10 @@ def kl_divergence(p, q) -> float:
         raise ValueError(f"kl_divergence: length mismatch {p.size} vs {q.size}")
     _check_distribution(p, "p")
     _check_distribution(q, "q")
-    return float(kl_rows(p[None, :], q[None, :])[0])
+    # zero-probability terms of p drop out; both logs are clamped at LOG_FLOOR
+    terms = np.where(p > 0, p * (np.log(np.maximum(p, LOG_FLOOR))
+                                 - np.log(np.maximum(q, LOG_FLOOR))), 0.0)
+    return max(float(terms.sum()), 0.0)
 
 
 def pairwise_auc(scores, labels) -> float:
@@ -150,8 +153,7 @@ def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
                  train_embedder: bool = False) -> None:
     """Backward pass of `model.bag_forward`: accumulate the head's gradients,
     and the embedder's too with `train_embedder`."""
-    dh = model.head_backward(trace.instance_reps, trace.bag_rep, trace.agg_cache,
-                             dlogits, train_embedder)
+    dh = model.head_backward(trace.bag_rep, trace.agg_cache, dlogits, train_embedder)
     if train_embedder:
         model.embedder.backward(trace.embed_cache, dh)
 
@@ -181,6 +183,26 @@ def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
     h, _ = teacher.model.embedder.forward(x_bag)
     _, a, _ = teacher.aggregator.forward(h, teacher.classifier)
     return a
+
+
+def reference_naive_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
+                         optimizer: Adam) -> float:
+    """The naive step written out on its own: the student's mean
+    cross-entropy on the clean rows `x` against the teacher's argmax class
+    (ties to the lower class index), with an explicit one-hot target."""
+    n = x.shape[0]
+    pseudo = np.argmax(p_t, axis=1)
+    y = np.zeros_like(p_t)
+    y[np.arange(n), pseudo] = 1.0
+
+    h_s, emb_cache = student.embedder.forward(x)
+    q = softmax_rows(student.classifier.logits(h_s))
+    loss = float(-np.log(np.maximum(q[np.arange(n), pseudo], LOG_FLOOR)).mean())
+
+    dh = student.classifier.backward(h_s, (q - y) / n)
+    student.embedder.backward(emb_cache, dh)
+    optimizer.step()
+    return loss
 
 
 def reference_embedder_phase(train_bags, model: MilModel, config,

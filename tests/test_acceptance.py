@@ -51,7 +51,6 @@ from oracles import (
     embedded_rows,
     encoded_bag,
     grad_check,
-    kl_divergence,
     pairwise_auc,
     replay_mixup_slots,
     student_params,
@@ -144,7 +143,7 @@ def test_criterion_1_gradient_suite():
         worst = max(worst, grad_check(loss, model.all_params).max_rel_error)
         configs += 1
 
-    # the confidence-weighted KL distillation step through the student; its
+    # the confidence-weighted distillation step through the student; its
     # optimizer takes no step, so the step only writes the gradients
     class NoStep:
         def step(self):

@@ -219,6 +219,14 @@ class TestEval:
         assert code == 2
         assert "fractions" in capsys.readouterr().err
 
+    def test_empty_split_exits_2(self, matching_dataset, small_checkpoint, capsys):
+        code = run(["eval", "--checkpoint", str(small_checkpoint),
+                    "--dataset", str(matching_dataset), "--split", "val",
+                    "--fractions", "0.5", "0", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: fractions [0.5, 0.0, 0.5] leave no val bag among the dataset's 4\n")
+
     def test_truncated_checkpoint_exits_3(self, small_checkpoint, dataset_file, tmp_path):
         blob = small_checkpoint.read_bytes()
         path = tmp_path / "cut.bin"
@@ -594,11 +602,3 @@ def test_bad_eval_or_export_option_exits_2(matching_dataset, small_checkpoint,
                        "--dataset", str(matching_dataset)])
     assert code == 2
     assert field in capsys.readouterr().err
-
-
-def test_eval_on_empty_split_exits_3(matching_dataset, small_checkpoint, capsys):
-    code = run(["eval", "--checkpoint", str(small_checkpoint),
-                "--dataset", str(matching_dataset), "--split", "val",
-                "--fractions", "0.5", "0", "0.5"])
-    assert code == 3
-    assert "no samples" in capsys.readouterr().err

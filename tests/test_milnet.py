@@ -299,7 +299,7 @@ def test_classifier_phase_head_gradients_equal_bag_backward(backbone):
         h = trace.instance_reps
         bag_rep, _, probs, agg_cache = model.head_forward(h)
         assert np.array_equal(probs, trace.probs)
-        assert model.head_backward(h, bag_rep, agg_cache, dlogits, input_grad=False) is None
+        assert model.head_backward(bag_rep, agg_cache, dlogits, input_grad=False) is None
         assert via_bag.any()
         assert np.array_equal(model.head_group.grad, via_bag)
         model.arena.grad[:] = 0.0

@@ -179,7 +179,7 @@ class TestClassifierPhase:
             for p in model.head_params:
                 p.grad[:] = 0.0
             bag_rep, _, probs, agg_cache = model.head_forward(h)
-            model.head_backward(h, bag_rep, agg_cache, (probs - label)[None, :])
+            model.head_backward(bag_rep, agg_cache, (probs - label)[None, :])
             return [p.grad.copy() for p in model.head_params]
 
         grads_plain = head_grads(model_a, h_b, bag_b.label)
@@ -401,6 +401,23 @@ class TestRunTraining:
         for losses, evaluation in zip(report.classifier_losses, report.evaluations):
             assert losses == report.classifier_losses[0]
             assert {**evaluation, "iteration": None} == baseline
+
+    @pytest.mark.parametrize("backbone", ["gated_attention", "mean", "max"])
+    def test_clean_vanilla_equals_naive(self, backbone, tmp_path):
+        # without input noise, vanilla is the naive step: the same loss on
+        # the same rows with unit weights
+        ds = small_dataset()
+        runs = []
+        for mode in ("naive", "vanilla"):
+            report, model = run_training(ds, small_config(
+                backbone=backbone, mode=mode, noise_scale=0.0, noise_dropout=0.0,
+                iterations=2, classifier_epochs=3))
+            ckpt = tmp_path / f"{mode}.bin"
+            save_checkpoint(model, ckpt)
+            runs.append((report.evaluations, report.classifier_losses,
+                         report.embedder_losses, ckpt.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][2][0] != runs[0][2][1]  # the embedder phases trained
 
     def test_every_classifier_phase_starts_from_the_initial_head(self, monkeypatch):
         ds = small_dataset()
