@@ -27,19 +27,14 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     return lam
 
 
-def _draw_mask(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
+def _draw_mask(n: int, lam: float, rng: np.random.Generator) -> list[int]:
     # mask==0 on floor(lam*n) uniformly chosen slots (those go to B)
     zeros = math.floor(lam * n)
-    mask = np.ones(n, dtype=np.int64)
+    mask = [1] * n
     if zeros > 0:
-        drop = rng.choice(n, size=zeros, replace=False)
-        mask[drop] = 0
+        for slot in rng.choice(n, size=zeros, replace=False).tolist():
+            mask[slot] = 0
     return mask
-
-
-def _rows(groups, slots) -> np.ndarray:
-    # instance indices of the given slots, slot by slot
-    return np.concatenate([np.empty(0, dtype=np.int64), *(groups[s] for s in slots)])
 
 
 def mixup_bags(a, b, lam: float, n: int,
@@ -52,14 +47,14 @@ def mixup_bags(a, b, lam: float, n: int,
     groups_a = partition_pseudobags(x_a, n, rng)
     groups_b = partition_pseudobags(x_b, n, rng)
     mask = _draw_mask(n, lam, rng)
-    keep_a = [i for i in range(n) if mask[i] == 1]
-    keep_b = [i for i in range(n) if mask[i] == 0]
+    n_a = sum(mask)
 
-    label = (len(keep_a) / n) * y_a + (len(keep_b) / n) * y_b
-    # slot 0 holds a largest group, never empty, and goes to A or B; so the
-    # fused bag is never empty
-    rows_a, rows_b = _rows(groups_a, keep_a), _rows(groups_b, keep_b)
-    return np.concatenate([x_a[rows_a], x_b[rows_b]]), label
+    label = (n_a / n) * y_a + ((n - n_a) / n) * y_b
+    # one part per slot, so the list is never empty; slot 0 holds a largest
+    # group, never empty, and goes to A or B, so the fused bag is never empty
+    parts = ([x_a[g] for g, m in zip(groups_a, mask) if m]
+             + [x_b[g] for g, m in zip(groups_b, mask) if not m])
+    return np.concatenate(parts), label
 
 
 def masked_single_bag(b, lam: float, n: int,
@@ -69,11 +64,11 @@ def masked_single_bag(b, lam: float, n: int,
     x_b, y_b = b
     groups = partition_pseudobags(x_b, n, rng)
     mask = _draw_mask(n, lam, rng)
-    rows = _rows(groups, [i for i in range(n) if mask[i] == 0])
-    if rows.size == 0:
+    kept = [g for g, m in zip(groups, mask) if not m and g.size]
+    if not kept:
         # all kept slots were empty; keep one uniformly chosen non-empty group
-        rows = groups[int(rng.choice([i for i, g in enumerate(groups) if g.size]))]
-    return x_b[rows], y_b.copy()
+        kept = [groups[int(rng.choice([i for i, g in enumerate(groups) if g.size]))]]
+    return x_b[np.concatenate(kept)], y_b.copy()
 
 
 def augment_pair(a, b, config, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

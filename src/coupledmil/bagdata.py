@@ -96,7 +96,9 @@ def partition_pseudobags(bag, n: int, rng: np.random.Generator) -> list[np.ndarr
     if n < 1:
         raise ValueError(f"pseudo-bag count must be >= 1, got {n}")
     order = rng.permutation(len(bag))
-    return [np.sort(group) for group in np.array_split(order, n)]
+    size, extra = divmod(len(order), n)  # the first `extra` groups get one more
+    return [np.sort(order[g * size + min(g, extra):(g + 1) * size + min(g + 1, extra)])
+            for g in range(n)]
 
 
 @dataclass

@@ -98,7 +98,8 @@ def distill_step(student: MilModel, p_t: np.ndarray, x: np.ndarray,
     q[rows, pseudo] -= 1.0
     q *= confidence[:, None]
     q /= n
-    student.embedder.backward(emb_cache, student.classifier.backward(h_s, q))
+    student.embedder.backward(emb_cache, student.classifier.backward(h_s, q),
+                              input_grad=False)
     optimizer.step()
     return loss
 

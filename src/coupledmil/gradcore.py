@@ -77,8 +77,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never
     # overflows, and one exp serves both halves
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def softmax(scores) -> np.ndarray:
@@ -86,8 +91,16 @@ def softmax(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValueError("softmax: empty input")
-    e = np.exp(s - s.max())
-    return e / e.sum()
+    return softmax_inplace(s.copy())
+
+
+def softmax_inplace(e: np.ndarray) -> np.ndarray:
+    """`softmax` of the non-empty score vector `e`, computed in e's own
+    buffer, which is returned."""
+    e -= e.max()
+    np.exp(e, out=e)
+    e /= e.sum()
+    return e
 
 
 def softmax_rows(z: Tensor2) -> Tensor2:
@@ -103,13 +116,15 @@ def cross_entropy(pred, target) -> float:
     y = np.asarray(target, dtype=np.float64).ravel()
     if p.shape != y.shape:
         raise ValueError(f"cross_entropy: length mismatch {p.size} vs {y.size}")
-    return float(-np.sum(y * np.log(np.maximum(p, LOG_FLOOR))))
+    return float(-(y * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
 class Adam:
     """Bias-corrected Adam over a fixed parameter list.
 
     `step` applies one update from the accumulated gradients and zeroes them.
+    It works in two preallocated scratch buffers per parameter, with the same
+    floating-point operations in the same order as the textbook expressions.
     """
 
     def __init__(self, params: Sequence[Param], lr: float,
@@ -122,18 +137,29 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        # per parameter: value, gradient, first and second moments, and two
+        # scratch buffers
+        self._state = [(p.value, p.grad, *(np.zeros_like(p.value) for _ in range(4)))
+                       for p in self.params]
 
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.grad[:] = 0.0
+        b1, b2 = self.beta1, self.beta2
+        for value, g, m, v, s1, s2 in self._state:
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s1)
+            m += s1                          # m = b1 m + (1 - b1) g
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s1)
+            s1 *= g
+            v += s1                          # v = b2 v + (1 - b2) g g
+            np.divide(m, c1, out=s1)
+            s1 *= self.lr
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            value -= s1                      # lr (m / c1) / (sqrt(v / c2) + eps)
+            g.fill(0.0)

@@ -22,7 +22,7 @@ from .gradcore import (
     _sigmoid,
     linear_backward,
     linear_forward,
-    softmax,
+    softmax_inplace,
 )
 
 BACKBONES = ("mean", "max", "gated_attention")
@@ -80,14 +80,18 @@ class Embedder:
             h = np.tanh(z) if i < last else z
         return h, cache
 
-    def backward(self, cache, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, cache, upstream: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate every layer's gradients; return the gradient with
+        respect to the input x, or None without `input_grad`."""
         g = upstream
         last = len(self.layers) - 1
         for i in reversed(range(len(self.layers))):
             if i < last:
                 t = cache[i + 1]
                 g = g * (1.0 - t * t)
-            g = linear_backward(cache[i], self.layers[i][0], self.layers[i][1], g)
+            g = linear_backward(cache[i], self.layers[i][0], self.layers[i][1], g,
+                                input_grad or i > 0)
         return g
 
 
@@ -150,7 +154,11 @@ class FixedPooling:
 
 
 class GatedAttention:
-    """Tanh/sigmoid-gated attention with softmax-normalized scores."""
+    """Tanh/sigmoid-gated attention with softmax-normalized scores. Forward
+    and backward run once per classifier step, so they work in place where
+    they can; each in-place sequence makes the floating-point operations of
+    the plain expression in its comment, in the same order, so the results
+    are those of the plain expressions bit for bit."""
 
     def __init__(self, embed_dim: int, attn_dim: int):
         self.embed_dim = embed_dim
@@ -169,7 +177,8 @@ class GatedAttention:
         init_uniform(self.w, rng, self.attn_dim)
 
     def gate_scores(self, h: np.ndarray):
-        t = np.tanh(h @ self.v1.value.T)
+        t = h @ self.v1.value.T
+        np.tanh(t, out=t)                   # tanh(h V1^T)
         s = _sigmoid(h @ self.v2.value.T)
         g = t * s
         e = (g @ self.w.value).ravel()
@@ -178,8 +187,8 @@ class GatedAttention:
     def forward(self, h: np.ndarray, classifier: BagClassifier | None = None):
         if h.shape[0] == 0:
             raise ValueError("cannot aggregate an empty bag")
-        e, (t, s, g) = self.gate_scores(h)
-        a = softmax(e)
+        a, (t, s, g) = self.gate_scores(h)
+        softmax_inplace(a)                  # softmax(e)
         bag = a[None, :] @ h
         return bag, a, (h, t, s, g, a)
 
@@ -188,14 +197,20 @@ class GatedAttention:
         """Accumulate the parameter gradients; return the gradient with
         respect to h, or None without `input_grad`."""
         h, t, s, g, a = cache
-        da = (h @ d_bag.T).ravel()
-        de = a * (da - float(a @ da))       # softmax Jacobian
+        de = (h @ d_bag.T).ravel()
+        de -= a @ de
+        de *= a                             # a * (da - a . da), the softmax Jacobian
         self.w.grad += (g.T @ de)[:, None]
-        dg = np.outer(de, self.w.value.ravel())
-        dt = dg * s
-        ds = dg * t
-        du = dt * (1.0 - t * t)
-        dv = ds * s * (1.0 - s)
+        dg = de[:, None] * self.w.value.T   # outer(de, w)
+        tmp = np.multiply(t, t)
+        np.subtract(1.0, tmp, out=tmp)
+        du = dg * s
+        du *= tmp                           # dg * s * (1 - t t)
+        np.subtract(1.0, s, out=tmp)
+        dv = dg
+        dv *= t
+        dv *= s
+        dv *= tmp                           # dg * t * s * (1 - s)
         self.v1.grad += du.T @ h
         self.v2.grad += dv.T @ h
         if not input_grad:
@@ -314,16 +329,23 @@ class MilModel:
         return [*self.embedder.params, *self.head_params]
 
     def head_forward(self, h: np.ndarray):
+        """Aggregate, classify and softmax one bag's instance rows. The
+        classifier's shapes are fixed when the model is built, so its
+        linear layer runs unchecked."""
         bag_rep, a, agg_cache = self.aggregator.forward(h, self.classifier)
-        probs = softmax(self.classifier.logits(bag_rep).ravel())
-        return bag_rep, a, probs, agg_cache
+        clf = self.classifier
+        probs = (bag_rep @ clf.w.value + clf.b.value).ravel()
+        return bag_rep, a, softmax_inplace(probs), agg_cache
 
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray,
                       input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the head's gradients; return the gradient with respect
-        to the instance representations h, or None without `input_grad`."""
-        d_bag = self.classifier.backward(bag_rep, dlogits)
-        return self.aggregator.backward(agg_cache, d_bag, input_grad)
+        to the instance representations h, or None without `input_grad`.
+        `dlogits` is 1 x C, as `head_forward`'s probabilities make it."""
+        clf = self.classifier
+        clf.w.grad += bag_rep.T @ dlogits
+        clf.b.grad += dlogits.sum(axis=0, keepdims=True)
+        return self.aggregator.backward(agg_cache, dlogits @ clf.w.value.T, input_grad)
 
     def bag_forward(self, x: np.ndarray) -> BagForwardTrace:
         h, embed_cache = self.embedder.forward(x)

@@ -228,48 +228,54 @@ def forward_bag(model: MilModel, bag_id: str, x: np.ndarray) -> BagForwardTrace:
     return trace
 
 
-def run_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
-                         config: TrainConfig) -> list[float]:
-    """Train aggregator + classifier on (optionally augmented) bags with
-    cross-entropy; the embedder is frozen for the whole phase, and `h_all`
-    holds its rows for `train_bags` (`embed_instances`). The run's `augment`
-    and `shuffle` streams start afresh on every call, so every classifier
-    phase of a run replays the same draws. Returns the per-epoch mean
-    training losses."""
+def classifier_schedule(train_bags, config: TrainConfig) -> list[list[tuple]]:
+    """The classifier phase's samples, drawn from the run's `augment` and
+    `shuffle` streams: for every epoch, each bag's `(rows, label)` plus, with
+    `augment`, the mix-ups of random bag pairs, shuffled. `rows` selects the
+    sample's instances from the rows that stack all bags' instances in bag
+    order (`embed_instances`). The augmenter only counts and selects rows, so
+    it runs on row indices, and every embedder state steps through the same
+    draws."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("classifier phase needs a non-empty training set")
     rng_augment = rng_stream(config.seed, "augment")
     rng_shuffle = rng_stream(config.seed, "shuffle")
+    bases = [(rows, bag.label) for bag, rows in _row_slices(train_bags)]
+    index_bags = [(np.arange(rows.start, rows.stop), label) for rows, label in bases]
+    n = len(bases)
+    n_aug = int(round(config.augment_ratio * n)) if config.augment and n >= 2 else 0
+    schedule = []
+    for _ in range(config.classifier_epochs):
+        samples = list(bases)
+        for _ in range(n_aug):
+            i = int(rng_augment.integers(n))
+            j = int(rng_augment.integers(n - 1))
+            if j >= i:
+                j += 1
+            samples.append(augment_pair(index_bags[i], index_bags[j], config, rng_augment))
+        schedule.append([samples[k] for k in rng_shuffle.permutation(len(samples))])
+    return schedule
 
+
+def run_classifier_phase(schedule, h_all: np.ndarray, model: MilModel,
+                         config: TrainConfig) -> list[float]:
+    """Train aggregator + classifier with cross-entropy on the samples of
+    `classifier_schedule`, one Adam step per sample; the embedder is frozen
+    for the whole phase, and `h_all` holds its rows (`embed_instances`).
+    Returns the per-epoch mean training losses."""
     frozen = params_checksum([model.embedder_group])
-    # selecting instances commutes with per-instance embedding, so
-    # augmentation runs directly in representation space
-    base_samples = [(h_all[rows], bag.label) for bag, rows in _row_slices(train_bags)]
-
     optimizer = Adam([model.head_group], config.classifier_lr)
     losses: list[float] = []
     # a diverging step overflows mid-epoch; the epoch-loss check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(config.classifier_epochs):
-            samples = list(base_samples)
-            if config.augment and len(base_samples) >= 2:
-                n_aug = int(round(config.augment_ratio * len(base_samples)))
-                for _ in range(n_aug):
-                    i = int(rng_augment.integers(len(base_samples)))
-                    j = int(rng_augment.integers(len(base_samples) - 1))
-                    if j >= i:
-                        j += 1
-                    samples.append(augment_pair(base_samples[i], base_samples[j],
-                                                config, rng_augment))
-            order = rng_shuffle.permutation(len(samples))
+        for samples in schedule:
             total = 0.0
-            for idx in order:
-                h, label = samples[idx]
-                bag_rep, _, probs, agg_cache = model.head_forward(h)
+            for rows, label in samples:
+                bag_rep, _, probs, agg_cache = model.head_forward(h_all[rows])
                 total += cross_entropy(probs, label)
-                dlogits = (probs - label)[None, :]
-                model.head_backward(bag_rep, agg_cache, dlogits, input_grad=False)
+                probs -= label                  # dlogits, in place
+                model.head_backward(bag_rep, agg_cache, probs[None, :], input_grad=False)
                 optimizer.step()
             losses.append(
                 _checked_loss("classifier", len(losses) + 1, total / len(samples)))
@@ -352,8 +358,8 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
     """Full run: a classifier phase, then `iterations` repetitions of
     embedder phase + classifier phase, evaluating on the test split after
     every classifier phase. Each classifier phase starts from the run's
-    initial head and replays the augment and shuffle draws, so iterations
-    differ only in their embedder."""
+    initial head and steps through the one schedule the run draws, so
+    iterations differ only in their embedder."""
     train, _, test = split_for_run(dataset, config)
     for name, split in (("training", train), ("test", test)):
         if not split.bags:
@@ -375,8 +381,10 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
     report = RunReport(config=config.to_dict(), seed=config.seed)
 
     # the training instances' rows under the current embedder, refilled in
-    # place after every embedder phase
+    # place after every embedder phase; every classifier phase steps through
+    # the same schedule
     h_all = np.empty((sum(map(len, train.bags)), config.embed_dim))
+    schedule = classifier_schedule(train.bags, config)
     for iteration in range(config.iterations + 1):
         if iteration > 0:
             report.embedder_losses.append(
@@ -384,7 +392,7 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
             )
             model.head_group.value[:] = initial_head
         embed_instances(model, train.bags, h_all)
-        report.classifier_losses.append(run_classifier_phase(train.bags, h_all, model, config))
+        report.classifier_losses.append(run_classifier_phase(schedule, h_all, model, config))
         result = evaluate(model, test.bags, config.threshold)
         report.evaluations.append({"iteration": iteration, **asdict(result)})
 

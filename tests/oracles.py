@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from coupledmil.augment import _draw_mask
+from coupledmil.augment import _draw_mask, augment_pair
 from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
 from coupledmil.distill import (
     TeacherBranch,
@@ -19,10 +19,19 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import LOG_FLOOR, Adam, Param, softmax_rows
+from coupledmil.gradcore import (
+    LOG_FLOOR,
+    Adam,
+    Param,
+    cross_entropy,
+    linear_backward,
+    linear_forward,
+    softmax_rows,
+)
 from coupledmil.metrics import MetricError, _validate_binary
-from coupledmil.milnet import BagForwardTrace, MilModel
+from coupledmil.milnet import BagForwardTrace, GatedAttention, MilModel
 from coupledmil.orchestrator import embed_instances
+from coupledmil.seeding import rng_stream
 
 
 @dataclass
@@ -240,6 +249,73 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
             total += loss * len(sel)
         losses.append(total / n)
     return student, losses
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def reference_head_step(model: MilModel, h: np.ndarray, label: np.ndarray) -> float:
+    """One classifier step's forward and backward through the head, written
+    with the plain expressions that the head's in-place code must reproduce
+    bit for bit: gated attention, bag classifier and softmax, cross-entropy
+    against `label`. Accumulates the head's gradients; returns the loss."""
+    agg, clf = model.aggregator, model.classifier
+    gated = isinstance(agg, GatedAttention)
+    if gated:
+        t = np.tanh(h @ agg.v1.value.T)
+        z = h @ agg.v2.value.T
+        e = np.exp(-np.abs(z))
+        s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        g = t * s
+        a = _softmax((g @ agg.w.value).ravel())
+    else:
+        _, a, _ = agg.forward(h, clf)
+    bag_rep = a[None, :] @ h
+    probs = _softmax(linear_forward(bag_rep, clf.w, clf.b).ravel())
+    loss = cross_entropy(probs, label)
+    d_bag = linear_backward(bag_rep, clf.w, clf.b, (probs - label)[None, :])
+    if gated:
+        da = (h @ d_bag.T).ravel()
+        de = a * (da - float(a @ da))
+        agg.w.grad += (g.T @ de)[:, None]
+        dg = np.outer(de, agg.w.value.ravel())
+        agg.v1.grad += (dg * s * (1.0 - t * t)).T @ h
+        agg.v2.grad += (dg * t * s * (1.0 - s)).T @ h
+    return loss
+
+
+def reference_classifier_phase(train_bags, h_all: np.ndarray, model: MilModel,
+                               config) -> list[float]:
+    """The classifier phase as one loop that draws while it trains: the run's
+    `augment` and `shuffle` streams opened for this phase, `augment_pair` on
+    the embedded rows of each pair, `reference_head_step` and a per-tensor
+    Adam. `h_all` holds the rows of `train_bags` in bag order. Returns the
+    per-epoch mean losses."""
+    rng_augment = rng_stream(config.seed, "augment")
+    rng_shuffle = rng_stream(config.seed, "shuffle")
+    base, start = [], 0
+    for bag in train_bags:
+        base.append((h_all[start:start + len(bag)], bag.label))
+        start += len(bag)
+    optimizer = ReferenceAdam(model.head_params, config.classifier_lr)
+    losses = []
+    for _ in range(config.classifier_epochs):
+        samples = list(base)
+        if config.augment and len(base) >= 2:
+            for _ in range(int(round(config.augment_ratio * len(base)))):
+                i = int(rng_augment.integers(len(base)))
+                j = int(rng_augment.integers(len(base) - 1))
+                if j >= i:
+                    j += 1
+                samples.append(augment_pair(base[i], base[j], config, rng_augment))
+        total = 0.0
+        for idx in rng_shuffle.permutation(len(samples)):
+            total += reference_head_step(model, *samples[idx])
+            optimizer.step()
+        losses.append(total / len(samples))
+    return losses
 
 
 def whole_text_lines(blob: bytes) -> list[tuple[int, str]]:

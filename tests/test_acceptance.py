@@ -37,6 +37,7 @@ from coupledmil.metrics import roc_auc
 from coupledmil.milnet import GatedAttention, MilModel, ModelConfig
 from coupledmil.orchestrator import (
     TrainConfig,
+    classifier_schedule,
     params_checksum,
     run_classifier_phase,
     run_embedder_phase,
@@ -423,7 +424,7 @@ def test_criterion_9_frozen_part_contracts():
 
     emb_before = params_checksum(model.embedder.params)
     h_all = embedded_rows(model, ds.bags)
-    run_classifier_phase(ds.bags, h_all, model, config)
+    run_classifier_phase(classifier_schedule(ds.bags, config), h_all, model, config)
     emb_ok = params_checksum(model.embedder.params) == emb_before
 
     teacher = TeacherBranch.from_model(model)

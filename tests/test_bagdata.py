@@ -176,6 +176,18 @@ class TestPartition:
             want = reference(k, n, np.random.default_rng(seed))
             assert [g.tolist() for g in got] == want
 
+    @pytest.mark.parametrize("k,n", [(3, 4), (1, 3), (4, 4), (9, 9), (10, 4), (23, 5)])
+    def test_matches_array_split(self, k, n):
+        # the slices against np.array_split of the same permutation: the same
+        # groups, and the generator left in the same state
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = partition_pseudobags(make_bag(k=k), n, rng)
+            want = [np.sort(g) for g in np.array_split(ref_rng.permutation(k), n)]
+            assert [(g.dtype, g.tolist()) for g in got] == [
+                (g.dtype, g.tolist()) for g in want]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestRoundTrip:
     def test_round_trip_identity(self, tmp_path):

@@ -15,13 +15,14 @@ from coupledmil.bagdata import (
 )
 from coupledmil.distill import TeacherBranch
 from coupledmil.gradcore import cross_entropy
-from coupledmil.milnet import Embedder, MilModel, ModelConfig
+from coupledmil.milnet import BACKBONES, Embedder, MilModel, ModelConfig
 from coupledmil.orchestrator import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     NonFiniteLossError,
     RunReport,
     TrainConfig,
+    classifier_schedule,
     embed_instances,
     evaluate,
     load_checkpoint,
@@ -33,7 +34,12 @@ from coupledmil.orchestrator import (
     split_for_run,
 )
 from coupledmil.seeding import rng_stream
-from oracles import ReferenceAdam, embedded_rows, reference_embedder_phase
+from oracles import (
+    ReferenceAdam,
+    embedded_rows,
+    reference_classifier_phase,
+    reference_embedder_phase,
+)
 
 
 def small_dataset(seed=0, num_bags=30, k=8, d_raw=6, delta=3.0):
@@ -99,8 +105,8 @@ class TestClassifierPhase:
         ds = small_dataset(seed=3, num_bags=40, k=10, d_raw=8, delta=6.0)
         config = small_config(classifier_epochs=200)
         model = build_model(config, d_raw=8, seed=1)
-        losses = run_classifier_phase(
-            ds.bags, embedded_rows(model, ds.bags), model, config)
+        losses = run_classifier_phase(classifier_schedule(ds.bags, config),
+                                      embedded_rows(model, ds.bags), model, config)
         assert len(losses) == 200
         assert losses[-1] < losses[0]
         assert evaluate(model, ds.bags).acc >= 0.95
@@ -110,7 +116,8 @@ class TestClassifierPhase:
         config = small_config(augment=True)
         model = build_model(config)
         before = params_checksum(model.embedder.params)
-        run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config)
+        run_classifier_phase(classifier_schedule(ds.bags, config),
+                             embedded_rows(model, ds.bags), model, config)
         assert params_checksum(model.embedder.params) == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -137,7 +144,8 @@ class TestClassifierPhase:
             if per_tensor:
                 monkeypatch.setattr(orchestrator, "Adam",
                                     lambda _, lr, m=model: ReferenceAdam(m.head_params, lr))
-            run_classifier_phase(ds.bags, embedded_rows(model, ds.bags), model, config)
+            run_classifier_phase(classifier_schedule(ds.bags, config),
+                                 embedded_rows(model, ds.bags), model, config)
             models.append(model)
         arena, reference = models
         assert not np.array_equal(arena.head_group.value,
@@ -146,23 +154,44 @@ class TestClassifierPhase:
             assert np.array_equal(pa.value, pref.value)
 
     def test_empty_dataset_rejected(self):
-        config = small_config()
-        model = build_model(config)
         with pytest.raises(ValueError, match="non-empty"):
-            run_classifier_phase([], np.empty((0, config.embed_dim)), model, config)
+            classifier_schedule([], small_config())
 
     @pytest.mark.parametrize("augment", [False, True])
     def test_replays_its_draws_from_the_same_head(self, augment):
-        # every call opens the run's augment and shuffle streams afresh
+        # every schedule opens the run's augment and shuffle streams afresh
         ds = small_dataset()
         config = small_config(augment=augment)
         first = build_model(config, seed=5)
         second = first.copy()
         h_all = embedded_rows(first, ds.bags)
-        losses = [run_classifier_phase(ds.bags, h_all, model, config)
+        losses = [run_classifier_phase(classifier_schedule(ds.bags, config), h_all,
+                                       model, config)
                   for model in (first, second)]
         assert losses[0] == losses[1]
         assert np.array_equal(first.arena.value, second.arena.value)
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("augment,augment_n", [(False, 4), (True, 1), (True, 3),
+                                                   (True, 4)])
+    def test_matches_the_reference_loop(self, backbone, augment, augment_n):
+        # the schedule drawn up front on row indices and the in-place step
+        # against the loop that draws while it trains, on feature rows, with
+        # the plain step: equal losses and a bit-identical arena
+        ds = generate_synthetic(SyntheticSpec(
+            num_bags=20, instances_per_bag=(2, 11), d_raw=6, rho=0.3, delta=3.0,
+            noise=0.8, positive_fraction=0.5, seed=2))
+        config = small_config(backbone=backbone, augment=augment, augment_n=augment_n,
+                              augment_gamma=0.3, classifier_epochs=4)
+        model = build_model(config, seed=8)
+        reference = model.copy()
+        h_all = embedded_rows(model, ds.bags)
+        losses = run_classifier_phase(classifier_schedule(ds.bags, config), h_all,
+                                      model, config)
+        assert losses == reference_classifier_phase(ds.bags, h_all, reference, config)
+        assert model.arena.value.tobytes() == reference.arena.value.tobytes()
+        assert not np.array_equal(model.head_group.value,
+                                  build_model(config, seed=8).head_group.value)
 
     def test_degenerate_augmentation_matches_plain_bag_gradients(self):
         # n=1 and gamma=1 forces the whole source bag back out of the
@@ -419,6 +448,20 @@ class TestRunTraining:
         assert runs[0] == runs[1]
         assert runs[0][2][0] != runs[0][2][1]  # the embedder phases trained
 
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_draws_the_augmentations_once_per_run(self, monkeypatch, iterations):
+        ds = small_dataset()
+        config = small_config(augment=True, augment_ratio=0.5, iterations=iterations,
+                              classifier_epochs=3, embedder_passes=1)
+        calls = []
+        pair = orchestrator.augment_pair
+        monkeypatch.setattr(orchestrator, "augment_pair",
+                            lambda *args: calls.append(args) or pair(*args))
+        run_training(ds, config)
+        n_train = len(split_for_run(ds, config)[0].bags)
+        assert len(calls) == config.classifier_epochs * round(
+            config.augment_ratio * n_train)
+
     def test_every_classifier_phase_starts_from_the_initial_head(self, monkeypatch):
         ds = small_dataset()
         config = small_config(iterations=2, classifier_epochs=2, embedder_passes=1)
@@ -426,8 +469,8 @@ class TestRunTraining:
         phase = orchestrator.run_classifier_phase
         monkeypatch.setattr(
             orchestrator, "run_classifier_phase",
-            lambda bags, h_all, model, *rest: heads.append(model.head_group.value.copy())
-            or phase(bags, h_all, model, *rest))
+            lambda schedule, h_all, model, *rest: heads.append(
+                model.head_group.value.copy()) or phase(schedule, h_all, model, *rest))
         _, model = run_training(ds, config)
         initial = MilModel.build(model.config, rng_stream(config.seed, "init"))
         assert len(heads) == 3
