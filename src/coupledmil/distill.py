@@ -98,8 +98,7 @@ def distill_step(student: MilModel, p_t: np.ndarray, x: np.ndarray,
     q[rows, pseudo] -= 1.0
     q *= confidence[:, None]
     q /= n
-    student.embedder.backward(emb_cache, student.classifier.backward(h_s, q),
-                              input_grad=False)
+    student.embedder.backward(emb_cache, student.classifier.backward(h_s, q))
     optimizer.step()
     return loss
 

@@ -86,17 +86,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def softmax(scores) -> np.ndarray:
-    """Numerically stable softmax of a score vector (max-subtraction)."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    if s.size == 0:
-        raise ValueError("softmax: empty input")
-    return softmax_inplace(s.copy())
-
-
 def softmax_inplace(e: np.ndarray) -> np.ndarray:
-    """`softmax` of the non-empty score vector `e`, computed in e's own
-    buffer, which is returned."""
+    """Numerically stable softmax (max-subtraction) of the float64 score
+    vector `e`, computed in e's own buffer, which is returned. An empty `e`
+    raises ValueError."""
     e -= e.max()
     np.exp(e, out=e)
     e /= e.sum()

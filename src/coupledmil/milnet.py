@@ -80,19 +80,16 @@ class Embedder:
             h = np.tanh(z) if i < last else z
         return h, cache
 
-    def backward(self, cache, upstream: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate every layer's gradients; return the gradient with
-        respect to the input x, or None without `input_grad`."""
+    def backward(self, cache, upstream: np.ndarray) -> None:
+        """Accumulate every layer's gradients. The input x is data, so no
+        gradient with respect to it is formed."""
         g = upstream
         last = len(self.layers) - 1
         for i in reversed(range(len(self.layers))):
             if i < last:
                 t = cache[i + 1]
                 g = g * (1.0 - t * t)
-            g = linear_backward(cache[i], self.layers[i][0], self.layers[i][1], g,
-                                input_grad or i > 0)
-        return g
+            g = linear_backward(cache[i], self.layers[i][0], self.layers[i][1], g, i > 0)
 
 
 class BagClassifier:
@@ -111,12 +108,19 @@ class BagClassifier:
         init_uniform(self.w, rng, fan_in)
         init_uniform(self.b, rng, fan_in)
 
+    # h is always an embedder's output, so the shapes that `linear_forward`
+    # and `linear_backward` check are fixed when the model is built, and a
+    # mismatch still fails in numpy's matmul
     def logits(self, h: np.ndarray) -> np.ndarray:
-        return linear_forward(h, self.w, self.b)
+        return h @ self.w.value + self.b.value
 
     def backward(self, h: np.ndarray, dlogits: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
-        return linear_backward(h, self.w, self.b, dlogits, input_grad)
+        """Accumulate dW = h^T g, db = column-sum(g); return dh = g @ W^T, or
+        None without `input_grad`."""
+        self.w.grad += h.T @ dlogits
+        self.b.grad += dlogits.sum(axis=0, keepdims=True)
+        return dlogits @ self.w.value.T if input_grad else None
 
 
 class FixedPooling:
@@ -329,23 +333,16 @@ class MilModel:
         return [*self.embedder.params, *self.head_params]
 
     def head_forward(self, h: np.ndarray):
-        """Aggregate, classify and softmax one bag's instance rows. The
-        classifier's shapes are fixed when the model is built, so its
-        linear layer runs unchecked."""
         bag_rep, a, agg_cache = self.aggregator.forward(h, self.classifier)
-        clf = self.classifier
-        probs = (bag_rep @ clf.w.value + clf.b.value).ravel()
-        return bag_rep, a, softmax_inplace(probs), agg_cache
+        probs = softmax_inplace(self.classifier.logits(bag_rep).ravel())
+        return bag_rep, a, probs, agg_cache
 
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray,
                       input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the head's gradients; return the gradient with respect
-        to the instance representations h, or None without `input_grad`.
-        `dlogits` is 1 x C, as `head_forward`'s probabilities make it."""
-        clf = self.classifier
-        clf.w.grad += bag_rep.T @ dlogits
-        clf.b.grad += dlogits.sum(axis=0, keepdims=True)
-        return self.aggregator.backward(agg_cache, dlogits @ clf.w.value.T, input_grad)
+        to the instance representations h, or None without `input_grad`."""
+        d_bag = self.classifier.backward(bag_rep, dlogits)
+        return self.aggregator.backward(agg_cache, d_bag, input_grad)
 
     def bag_forward(self, x: np.ndarray) -> BagForwardTrace:
         h, embed_cache = self.embedder.forward(x)

@@ -228,38 +228,68 @@ def forward_bag(model: MilModel, bag_id: str, x: np.ndarray) -> BagForwardTrace:
     return trace
 
 
-def classifier_schedule(train_bags, config: TrainConfig) -> list[list[tuple]]:
+class ClassifierSchedule:
+    """Every classifier-phase epoch's shuffled `(rows, label)` samples,
+    drawn once per run by `classifier_schedule`. `rows` selects a sample's
+    instances from the rows that stack all training bags' instances in bag
+    order (`embed_instances`): a bag's slice, or a mix-up's row indices.
+
+    A long augmented run holds many epochs, so each is kept as a few arrays
+    rather than per-sample objects: its step order over the n bags (0 to
+    n - 1) and m mix-ups (n to n + m - 1); the mix-ups' rows concatenated,
+    in the smallest unsigned dtype that indexes every row, with m + 1
+    bounds; and their m x C label matrix. Iterating gives each epoch's
+    samples as a list, built when the epoch is reached."""
+
+    def __init__(self, bases: list[tuple[slice, np.ndarray]], epochs: list[tuple]):
+        self.bases = bases
+        self.epochs = epochs
+
+    def __iter__(self):
+        n = len(self.bases)
+        for order, rows, bounds, labels in self.epochs:
+            b = bounds.tolist()
+            yield [self.bases[k] if k < n else (rows[b[k - n]:b[k - n + 1]], labels[k - n])
+                   for k in order.tolist()]
+
+
+def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
     """The classifier phase's samples, drawn from the run's `augment` and
     `shuffle` streams: for every epoch, each bag's `(rows, label)` plus, with
-    `augment`, the mix-ups of random bag pairs, shuffled. `rows` selects the
-    sample's instances from the rows that stack all bags' instances in bag
-    order (`embed_instances`). The augmenter only counts and selects rows, so
-    it runs on row indices, and every embedder state steps through the same
-    draws."""
+    `augment`, the mix-ups of random bag pairs, shuffled. The augmenter only
+    counts and selects rows, so it runs on row indices, and every embedder
+    state steps through the same draws."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("classifier phase needs a non-empty training set")
     rng_augment = rng_stream(config.seed, "augment")
     rng_shuffle = rng_stream(config.seed, "shuffle")
     bases = [(rows, bag.label) for bag, rows in _row_slices(train_bags)]
-    index_bags = [(np.arange(rows.start, rows.stop), label) for rows, label in bases]
+    row_dtype = np.min_scalar_type(bases[-1][0].stop - 1)
+    index_bags = [(np.arange(rows.start, rows.stop, dtype=row_dtype), label)
+                  for rows, label in bases]
     n = len(bases)
     n_aug = int(round(config.augment_ratio * n)) if config.augment and n >= 2 else 0
-    schedule = []
+    order_dtype = np.min_scalar_type(n + n_aug - 1)
+    epochs = []
     for _ in range(config.classifier_epochs):
-        samples = list(bases)
+        mixups = []
         for _ in range(n_aug):
             i = int(rng_augment.integers(n))
             j = int(rng_augment.integers(n - 1))
             if j >= i:
                 j += 1
-            samples.append(augment_pair(index_bags[i], index_bags[j], config, rng_augment))
-        schedule.append([samples[k] for k in rng_shuffle.permutation(len(samples))])
-    return schedule
+            mixups.append(augment_pair(index_bags[i], index_bags[j], config, rng_augment))
+        rows = [r for r, _ in mixups]
+        epochs.append((rng_shuffle.permutation(n + n_aug).astype(order_dtype),
+                       np.concatenate([np.empty(0, row_dtype), *rows]),
+                       np.cumsum([0, *map(len, rows)]),
+                       np.array([y for _, y in mixups])))
+    return ClassifierSchedule(bases, epochs)
 
 
-def run_classifier_phase(schedule, h_all: np.ndarray, model: MilModel,
-                         config: TrainConfig) -> list[float]:
+def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
+                         model: MilModel, config: TrainConfig) -> list[float]:
     """Train aggregator + classifier with cross-entropy on the samples of
     `classifier_schedule`, one Adam step per sample; the embedder is frozen
     for the whole phase, and `h_all` holds its rows (`embed_instances`).

@@ -31,7 +31,6 @@ from coupledmil.gradcore import (
     cross_entropy,
     linear_backward,
     linear_forward,
-    softmax,
 )
 from coupledmil.metrics import roc_auc
 from coupledmil.milnet import GatedAttention, MilModel, ModelConfig

@@ -10,7 +10,7 @@ from coupledmil.gradcore import (
     cross_entropy,
     linear_backward,
     linear_forward,
-    softmax,
+    softmax_inplace,
     tensor2,
 )
 from coupledmil.milnet import Embedder
@@ -88,16 +88,18 @@ class TestLinear:
 
 
 def _tanh_layer(x, upstream=None):
-    """The embedder's hidden activation alone: one-unit layers with unit
-    weights and zero biases, so the output is tanh(x) exactly; with
-    `upstream`, the gradient with respect to x instead."""
-    emb = Embedder((1, 1, 1))
+    """The embedder's hidden activation alone: x as one row through square
+    layers with identity weights and zero biases, so the output is tanh(x)
+    exactly; with `upstream`, the gradient with respect to x instead, which
+    is the first layer's bias gradient."""
+    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    emb = Embedder((row.size,) * 3)
     for w, _ in emb.layers:
-        w.value[:] = 1.0
-    col = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    out, cache = emb.forward(col)
+        w.value[:] = np.eye(row.size)
+    out, cache = emb.forward(row)
     if upstream is not None:
-        out = emb.backward(cache, np.asarray(upstream, dtype=np.float64).reshape(-1, 1))
+        emb.backward(cache, np.asarray(upstream, dtype=np.float64).reshape(1, -1))
+        out = emb.layers[0][1].grad
     return out.reshape(np.shape(x))
 
 
@@ -172,28 +174,28 @@ def test_sigmoid_bitwise_matches_piecewise_reference():
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.allclose(softmax([3.7, 3.7]), [0.5, 0.5])
+        assert np.allclose(softmax_inplace(np.array([3.7, 3.7])), [0.5, 0.5])
 
     def test_stability_large_scores(self):
-        out = softmax([1000.0, 0.0])
+        out = softmax_inplace(np.array([1000.0, 0.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0, abs=1e-300)
 
     def test_single_element(self):
-        assert softmax([42.0]) == pytest.approx([1.0])
+        assert softmax_inplace(np.array([42.0])) == pytest.approx([1.0])
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            softmax([])
+            softmax_inplace(np.array([]))
 
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             s = rng.uniform(-10, 10, size=rng.integers(1, 20))
-            a = softmax(s)
+            a = softmax_inplace(s.copy())
             assert abs(a.sum() - 1.0) <= 1e-9
-            b = softmax(s + rng.uniform(-100, 100))
+            b = softmax_inplace(s + rng.uniform(-100, 100))
             assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)) <= 1e-9
 
 
@@ -308,7 +310,7 @@ class TestGradCheck:
             h = np.tanh(z1)
             z2 = linear_forward(h, w2, b2)
             logits = z2.sum(axis=0, keepdims=True)  # pool rows to one bag logit
-            p = softmax(logits.ravel())
+            p = softmax_inplace(logits.ravel())
             val = cross_entropy(p, y)
             dlogits = np.repeat((p - y)[None, :], x.shape[0], axis=0)
             dh = linear_backward(h, w2, b2, dlogits)

@@ -183,11 +183,26 @@ class TestClassifierPhase:
             noise=0.8, positive_fraction=0.5, seed=2))
         config = small_config(backbone=backbone, augment=augment, augment_n=augment_n,
                               augment_gamma=0.3, classifier_epochs=4)
+        self._check_against_reference(ds, config, classifier_schedule(ds.bags, config))
+
+    def test_wide_indices_match_the_reference_loop(self):
+        # past 256 rows and 256 samples an epoch, the schedule's row indices
+        # and step order no longer fit in uint8
+        ds = generate_synthetic(SyntheticSpec(
+            num_bags=150, instances_per_bag=(2, 5), d_raw=6, rho=0.3, delta=3.0,
+            noise=0.8, positive_fraction=0.5, seed=3))
+        config = small_config(augment=True, augment_gamma=0.3, classifier_epochs=2)
+        schedule = classifier_schedule(ds.bags, config)
+        order, rows, _, _ = schedule.epochs[0]
+        assert (order.dtype, rows.dtype) == (np.uint16, np.uint16)
+        self._check_against_reference(ds, config, schedule)
+
+    @staticmethod
+    def _check_against_reference(ds, config, schedule):
         model = build_model(config, seed=8)
         reference = model.copy()
         h_all = embedded_rows(model, ds.bags)
-        losses = run_classifier_phase(classifier_schedule(ds.bags, config), h_all,
-                                      model, config)
+        losses = run_classifier_phase(schedule, h_all, model, config)
         assert losses == reference_classifier_phase(ds.bags, h_all, reference, config)
         assert model.arena.value.tobytes() == reference.arena.value.tobytes()
         assert not np.array_equal(model.head_group.value,
