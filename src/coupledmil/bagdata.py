@@ -1,5 +1,5 @@
 """Bag/instance data model, synthetic bag generator, pseudo-bag partitioning,
-and the line-oriented JSON dataset format.
+the line-oriented JSON dataset format and its binary sidecar.
 
 Synthetic bags emulate the weakly-labeled regime: a bag is positive iff at
 least one of its instances was drawn from the positive blob, and only the
@@ -8,10 +8,18 @@ bag-level label is ever visible to training.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import mmap
+import os
+import struct
+import tempfile
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -201,6 +209,10 @@ def _manifest_int(manifest: dict, key: str, minimum: int) -> int:
     return value
 
 
+# a tab and every character `str.splitlines` breaks a line on
+_ID_BREAKS = frozenset("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
     try:
         rec = json.loads(raw)
@@ -211,6 +223,9 @@ def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
         raise DatasetParseError(f"bad record: {exc}", lineno) from exc
     if not isinstance(bag_id, str):
         raise DatasetParseError(f"bag id must be a string, got {bag_id!r}", lineno)
+    if not _ID_BREAKS.isdisjoint(bag_id):  # it would break the export table
+        raise DatasetParseError(
+            f"bag id {bag_id!r} holds a tab or a line break", lineno)
     for name, arr in (("features", features), ("label", label)):
         if arr.dtype.kind not in "iuf":
             raise DatasetParseError(f"{name} must be numeric, got {arr.dtype}", lineno)
@@ -232,14 +247,16 @@ def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
 _READ_BUFFER = 1 << 20
 
 
-def _lines(fh):
+def _lines(fh, digest):
     """(line number, text) for each line of a binary file, numbered as
     `str.splitlines` numbers the whole decoded text. Each newline-ended piece
     is decoded and split on its own: no UTF-8 sequence holds a newline byte,
     and every separator (`\\r\\n` included) ends inside the piece it closes.
-    Invalid UTF-8 is reported on line 1 + the newline bytes before it."""
+    Invalid UTF-8 is reported on line 1 + the newline bytes before it. Each
+    piece read is fed to `digest`."""
     lineno = 0
     for newlines_before, piece in enumerate(fh):
+        digest.update(piece)
         try:
             text = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -268,15 +285,13 @@ def _parse_manifest(raw: str) -> tuple[int, int, int]:
     return d_raw, num_classes, _manifest_int(manifest, "count", 0)
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a dataset file one line at a time; raises DatasetParseError
-    (with line number) on malformed, truncated or non-finite input, a record
-    that contradicts the manifest or a repeated bag id. Of several faults,
-    the first in file order is reported."""
+def _parse_dataset(path, digest) -> Dataset:
+    """Parse a dataset file one line at a time, feeding every byte read to
+    `digest`; raises the DatasetParseError that `load_dataset` names."""
     bags: list[Bag] = []
     first_lines: dict[str, int] = {}  # bag id -> line of its record
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
-        lines = _lines(fh)
+        lines = _lines(fh, digest)
         first = next(lines, None)
         if first is None:
             raise DatasetParseError("missing manifest", 1)
@@ -297,6 +312,124 @@ def load_dataset(path) -> Dataset:
             len(bags) + 2,
         )
     return Dataset(bags=bags, d_raw=d_raw, num_classes=num_classes)
+
+
+# The sidecar `<dataset>.cache`: every bag's rows as raw little-endian
+# float64, bag by bag; a JSON index (format version, d_raw, C, ids, labels
+# and row counts); a trailer holding the index's length and the SHA-256 of
+# the dataset bytes it was parsed from; and last the SHA-256 of all before it.
+_SIDECAR_VERSION = 1
+_ROW = np.dtype("<f8")
+_TRAILER = struct.Struct("<Q32s")
+_CHECKSUM = hashlib.sha256().digest_size
+
+
+def _file_digest(path) -> bytes:
+    digest = hashlib.sha256()
+    buf = bytearray(_READ_BUFFER)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.digest()
+
+
+def _read_sidecar(path, cache: Path) -> Dataset | None:
+    """The dataset `cache` holds if it is whole and was written from the
+    current bytes of `path`; None in any other case."""
+    tail = _TRAILER.size + _CHECKSUM
+    try:
+        with open(cache, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < tail:
+                return None
+            fh.seek(size - tail)
+            trailer, checksum = fh.read(_TRAILER.size), fh.read(_CHECKSUM)
+            index_size, source = _TRAILER.unpack(trailer)
+            rows_size = size - tail - index_size
+            # lengths are checked against the file before anything is allocated
+            if rows_size < 0 or rows_size % _ROW.itemsize or source != _file_digest(path):
+                return None
+            # one read into an anonymous mapping, whose pages go back to the
+            # system once the dataset is dropped; a heap block this large can
+            # stay behind, and the next load's may not fit where it was
+            rows = np.empty(0, _ROW)
+            if rows_size:
+                rows = np.frombuffer(mmap.mmap(-1, rows_size), _ROW)
+            fh.seek(0)
+            fh.readinto(rows)  # a short read fails the checksum
+            index = fh.read(index_size)
+    except OSError:
+        return None
+    check = hashlib.sha256(rows)
+    check.update(index)
+    check.update(trailer)
+    if check.digest() != checksum:
+        return None
+    try:
+        index = json.loads(index)
+        if index["version"] != _SIDECAR_VERSION:
+            return None
+        d_raw, bags, start = index["d_raw"], [], 0
+        for bag_id, label, k in zip(index["ids"], index["labels"], index["counts"],
+                                    strict=True):
+            features = rows[start:start + k * d_raw].reshape(k, d_raw)
+            bags.append(Bag(id=bag_id, features=features, label=label))
+            start += k * d_raw
+        return Dataset(bags=bags, d_raw=d_raw, num_classes=index["C"])
+    except (ValueError, TypeError, KeyError):  # only a forged index gets here
+        return None
+
+
+def _write_sidecar(dataset: Dataset, source: bytes, path, cache: Path) -> None:
+    """Write the sidecar of a dataset parsed from the file `path`, whose bytes
+    have the SHA-256 `source`: to a unique temporary file beside `cache` that
+    replaces it once whole, readable by whoever may read `path`. Where that
+    cannot be written, no sidecar and no temporary file is left, and the next
+    load parses the text again."""
+    index = json.dumps({
+        "version": _SIDECAR_VERSION, "d_raw": dataset.d_raw, "C": dataset.num_classes,
+        "ids": [bag.id for bag in dataset.bags],
+        "labels": [bag.label.tolist() for bag in dataset.bags],
+        "counts": [len(bag) for bag in dataset.bags],
+    }).encode("utf-8")
+    trailer = _TRAILER.pack(len(index), source)
+    check = hashlib.sha256()
+    try:
+        fd, partial = tempfile.mkstemp(prefix=cache.name + ".", suffix=".partial",
+                                       dir=cache.parent)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            os.chmod(partial, os.stat(path).st_mode & 0o666)
+            rows = (np.ascontiguousarray(bag.features, dtype=_ROW) for bag in dataset.bags)
+            for part in chain(rows, (index, trailer)):  # no copy of all rows at once
+                check.update(part)
+                fh.write(part)
+            fh.write(check.digest())
+        os.replace(partial, cache)
+    except OSError:  # a full disk, say: the load succeeds without a sidecar
+        pass
+    finally:
+        with suppress(OSError):  # gone once it has replaced the sidecar
+            os.unlink(partial)
+
+
+def load_dataset(path) -> Dataset:
+    """Load a dataset file. Its sidecar `<path>.cache` is read when it holds
+    the file's current bytes; otherwise the text is parsed one line at a time
+    and the sidecar is written anew. Either way the result is the same.
+    Raises DatasetParseError (with line number) on malformed, truncated or
+    non-finite input, a record that contradicts the manifest or a repeated
+    bag id. Of several faults, the first in file order is reported."""
+    cache = Path(f"{os.fspath(path)}.cache")
+    dataset = _read_sidecar(path, cache)
+    if dataset is None:
+        digest = hashlib.sha256()
+        dataset = _parse_dataset(path, digest)
+        _write_sidecar(dataset, digest.digest(), path, cache)
+    return dataset
 
 
 def _allocate(total: int, fractions) -> list[int]:

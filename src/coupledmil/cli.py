@@ -160,10 +160,10 @@ def cmd_export_attention(args) -> None:
                 trace = forward_bag(model, bag.id, features_matrix(bag))
                 a_norm = normalize_attention(trace.attention)
                 conf = convert_confidence(a_norm, beta)
-                rows = enumerate(zip(trace.attention.tolist(), a_norm.tolist(),
-                                     conf.tolist()))
-                fh.write("".join([f"{bag.id}\t{i}\t{raw!r}\t{nrm!r}\t{c!r}\n"
-                                  for i, (raw, nrm, c) in rows]))
+                keys = [f"{bag.id}\t{i}" for i in range(len(trace.attention))]
+                columns = (map(repr, values.tolist()) for values in (trace.attention,
+                                                                    a_norm, conf))
+                fh.write("\n".join(map("\t".join, zip(keys, *columns))) + "\n")
         partial.replace(args.out)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -4,11 +4,13 @@ against; the package itself never calls them."""
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from coupledmil import bagdata
 from coupledmil.augment import _draw_mask, augment_pair
 from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
 from coupledmil.distill import (
@@ -340,6 +342,21 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
         if not np.array_equal(x.features, y.features):
             return False
     return True
+
+
+def dataset_bits(ds: Dataset):
+    """Everything a loaded dataset holds, features and labels as raw bytes
+    with their dtype and shape: equal values are equal bits."""
+    return (ds.d_raw, ds.num_classes, [
+        (bag.id, bag.features.dtype.str, bag.features.shape, bag.features.tobytes(),
+         bag.label.dtype.str, bag.label.tobytes(), bag.latent_positive)
+        for bag in ds.bags])
+
+
+def parsed(path) -> Dataset:
+    """The dataset the text parser makes of a file, with no sidecar read or
+    written."""
+    return bagdata._parse_dataset(path, hashlib.sha256())
 
 
 def encoded_bag(source: int, k: int, label) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ from coupledmil.bagdata import (
     split_dataset,
 )
 from coupledmil.metrics import roc_auc
-from oracles import datasets_equal
+from oracles import dataset_bits, datasets_equal, parsed
 
 
 def make_bag(bag_id="b0", k=5, d=3, seed=0, label=(1.0, 0.0)):
@@ -317,6 +320,223 @@ def test_load_holds_one_line_at_a_time(tmp_path):
         tracemalloc.stop()
     assert len(dataset) == 150
     assert peak - retained < bagdata._READ_BUFFER + size / 4
+
+
+def test_warm_load_holds_one_read_buffer(tmp_path):
+    # the twin of the test above for a load that reads the sidecar: beyond the
+    # rows it keeps, it holds the read buffer of the dataset's digest and the
+    # sidecar's index
+    path = _dataset_file(tmp_path, num_bags=150, instances_per_bag=100, d_raw=16, seed=5)
+    size = path.stat().st_size
+    load_dataset(path)
+    assert (tmp_path / "ds.jsonl.cache").is_file()
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 150
+    assert peak - retained < bagdata._READ_BUFFER + size / 4
+
+
+def _no_parse(path, digest):
+    raise AssertionError("the sidecar was not read")
+
+
+class TestSidecar:
+    """`<dataset>.cache` gives the parse's result bit for bit when it holds
+    the dataset's current bytes, and is ignored and rewritten otherwise."""
+
+    @pytest.fixture(params=[3, (1, 6)], ids=["fixed-size", "variable-size"])
+    def dataset(self, tmp_path, request):
+        return _dataset_file(tmp_path, num_bags=12, instances_per_bag=request.param,
+                             d_raw=5, seed=3)
+
+    @staticmethod
+    def _regions(path, blob):
+        """Offsets of the rows' end, the trailer (index length, then the
+        dataset's digest) and the checksum in a sidecar's bytes."""
+        ds = parsed(path)
+        rows = 8 * ds.d_raw * sum(len(bag) for bag in ds.bags)
+        return rows, len(blob) - 72, len(blob) - 32
+
+    def test_hit_equals_parse(self, dataset, monkeypatch):
+        want = dataset_bits(parsed(dataset))
+        assert dataset_bits(load_dataset(dataset)) == want
+        monkeypatch.setattr(bagdata, "_parse_dataset", _no_parse)
+        assert dataset_bits(load_dataset(dataset)) == want
+
+    def test_hit_keeps_the_parsed_bits(self, tmp_path, monkeypatch):
+        # integer values, a negative zero and a subnormal number
+        path = tmp_path / "odd.jsonl"
+        path.write_text("\n".join([
+            json.dumps({"d_raw": 2, "C": 2, "count": 2}),
+            json.dumps({"id": "", "label": [0, 1], "features": [[1, -0.0], [5e-324, 3]]}),
+            json.dumps({"id": "\u00e9\ud800", "label": [[1.0], [0.0]],
+                        "features": [[0.1, 1e308]]})]) + "\n")
+        want = dataset_bits(parsed(path))
+        load_dataset(path)
+        monkeypatch.setattr(bagdata, "_parse_dataset", _no_parse)
+        assert dataset_bits(load_dataset(path)) == want
+
+    def test_empty_dataset(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(Dataset(bags=[], d_raw=3, num_classes=2), path)
+        load_dataset(path)
+        monkeypatch.setattr(bagdata, "_parse_dataset", _no_parse)
+        assert dataset_bits(load_dataset(path)) == (3, 2, [])
+
+    def test_rewritten_dataset_is_seen(self, tmp_path):
+        path = _dataset_file(tmp_path, num_bags=6, instances_per_bag=3, d_raw=2, seed=1)
+        load_dataset(path)
+        other = generate_synthetic(SyntheticSpec(num_bags=6, instances_per_bag=3,
+                                                 d_raw=2, seed=2))
+        save_dataset(other, path)
+        assert datasets_equal(load_dataset(path), other)
+        # one changed digit, a change of the same length
+        text = path.read_text()
+        digit = text.index('"features"')
+        while not (text[digit].isdigit() and text[digit + 1].isdigit()):
+            digit += 1
+        changed = "1" if text[digit] != "1" else "2"
+        path.write_text(text[:digit] + changed + text[digit + 1:])
+        assert dataset_bits(load_dataset(path)) == dataset_bits(parsed(path))
+        assert not datasets_equal(load_dataset(path), other)
+
+    def _damaged(self, dataset):
+        load_dataset(dataset)
+        cache = dataset.with_name(dataset.name + ".cache")
+        good = cache.read_bytes()
+        rows, trailer, checksum = self._regions(dataset, good)
+        cuts = {0, 1, 8, rows // 2, rows, rows + 1, trailer, trailer + 8,
+                checksum - 1, checksum, len(good) - 1}
+        flips = {"rows": 3, "index": rows + 5, "index length (low)": trailer,
+                 "index length (high)": trailer + 7, "dataset digest": trailer + 20,
+                 "checksum": checksum + 4}
+        damaged = {f"cut at {end}": good[:end] for end in sorted(cuts)}
+        damaged["one byte more"] = good + b"\0"
+        for name, at in flips.items():
+            blob = bytearray(good)
+            blob[at] ^= 0x10
+            damaged[f"flip in {name}"] = bytes(blob)
+        return cache, good, damaged
+
+    def test_damaged_sidecar_gives_the_parse_and_is_rewritten(self, dataset):
+        cache, good, damaged = self._damaged(dataset)
+        want = dataset_bits(parsed(dataset))
+        for name, blob in damaged.items():
+            cache.write_bytes(blob)
+            assert dataset_bits(load_dataset(dataset)) == want, name
+            assert cache.read_bytes() == good, name
+
+    def test_unreadable_sidecar_is_replaced(self, dataset):
+        load_dataset(dataset)
+        cache = dataset.with_name(dataset.name + ".cache")
+        good = cache.read_bytes()
+        cache.unlink()
+        cache.mkdir()  # opening it fails, and so does the replace
+        assert dataset_bits(load_dataset(dataset)) == dataset_bits(parsed(dataset))
+        cache.rmdir()
+        load_dataset(dataset)
+        assert cache.read_bytes() == good
+
+    def test_other_format_version_is_rewritten(self, dataset):
+        load_dataset(dataset)
+        cache = dataset.with_name(dataset.name + ".cache")
+        good = cache.read_bytes()
+        rows, trailer, _ = self._regions(dataset, good)
+        index = json.loads(good[rows:trailer])
+        index["version"] = 2
+        index = json.dumps(index).encode()
+        body = good[:rows] + index + struct.pack("<Q", len(index)) + good[trailer + 8:-32]
+        cache.write_bytes(body + hashlib.sha256(body).digest())
+        assert dataset_bits(load_dataset(dataset)) == dataset_bits(parsed(dataset))
+        assert cache.read_bytes() == good
+
+    @pytest.mark.parametrize("lines,message", [
+        (lambda lines: [], "line 1: missing manifest"),
+        (lambda lines: lines[:-1], "line 4: truncated file: manifest promises 3 "
+                                   "records, found 2"),
+        (lambda lines: lines + ["{}"], "line 5: trailing data: manifest promises 3 "
+                                       "records"),
+        (lambda lines: [lines[0], json.dumps({**json.loads(lines[1]), "id": "a\tb"}),
+                        *lines[2:]],
+         "line 2: bag id 'a\\tb' holds a tab or a line break"),
+    ], ids=["empty", "truncated", "trailing", "tab-in-id"])
+    def test_malformed_dataset_writes_no_sidecar(self, tmp_path, lines, message):
+        path = _dataset_file(tmp_path, num_bags=3, instances_per_bag=2, d_raw=2, seed=1)
+        good = path.read_text().splitlines()
+        bad = lines(good)
+        path.write_text("".join(line + "\n" for line in bad))
+        with pytest.raises(DatasetParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == message
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl"]
+        # a sidecar of the file's earlier, valid bytes changes nothing
+        path.write_text("".join(line + "\n" for line in good))
+        load_dataset(path)
+        path.write_text("".join(line + "\n" for line in bad))
+        with pytest.raises(DatasetParseError) as again:
+            load_dataset(path)
+        assert (str(again.value), again.value.line) == (message, info.value.line)
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="root may write to a read-only directory")
+    def test_read_only_directory(self, tmp_path):
+        path = _dataset_file(tmp_path, num_bags=4, instances_per_bag=2, d_raw=2, seed=1)
+        tmp_path.chmod(0o555)
+        try:
+            assert dataset_bits(load_dataset(path)) == dataset_bits(parsed(path))
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    @pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.replace", "os.chmod"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, target):
+        # what a read-only directory or a full disk does, also when run as root
+        path = _dataset_file(tmp_path, num_bags=4, instances_per_bag=2, d_raw=2, seed=1)
+        module, name = target.split(".")
+
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(getattr(bagdata, module), name, fail)
+        assert dataset_bits(load_dataset(path)) == dataset_bits(parsed(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl"]
+        monkeypatch.undo()
+        load_dataset(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.jsonl.cache"]
+
+    def test_sidecar_mode_follows_the_dataset(self, tmp_path):
+        path = _dataset_file(tmp_path, num_bags=2, instances_per_bag=2, d_raw=2, seed=1)
+        path.chmod(0o640)
+        load_dataset(path)
+        assert (tmp_path / "ds.jsonl.cache").stat().st_mode & 0o777 == 0o640
+
+
+# a tab and every separator `str.splitlines` breaks on
+ID_BREAKS = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+
+
+def test_id_breaks_are_the_tab_and_the_line_breaks():
+    breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1}
+    assert bagdata._ID_BREAKS == breaks | {"\t"} == set(ID_BREAKS)
+
+
+@pytest.mark.parametrize("char", ID_BREAKS, ids=[hex(ord(c)) for c in ID_BREAKS])
+def test_bag_id_with_a_tab_or_line_break_rejected(tmp_path, char):
+    # the export table writes one row per instance, tab-separated, led by its
+    # bag's id
+    path = _dataset_file(tmp_path, num_bags=3, instances_per_bag=2, d_raw=2, seed=1)
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "id": f"x{char}y"})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"line 3: bag id {f'x{char}y'!r} holds a tab or a line break"
+    assert info.value.line == 3
 
 
 class TestSplit:

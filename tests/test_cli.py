@@ -558,7 +558,7 @@ def test_failed_export_leaves_existing_table(tmp_path, capsys):
     assert "bag 'b2'" in capsys.readouterr().err
     assert out.read_bytes() == b"the previous table\r\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "attention.tsv", "ones.bin", "three.jsonl"]
+        "attention.tsv", "ones.bin", "three.jsonl", "three.jsonl.cache"]
 
 
 def test_generate_negative_seed_exits_2(tmp_path, capsys):
@@ -602,3 +602,46 @@ def test_bad_eval_or_export_option_exits_2(matching_dataset, small_checkpoint,
                        "--dataset", str(matching_dataset)])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ids,line", [(("a\tb", "ok"), 2), (("ok", "c\nd"), 3)],
+                         ids=["tab", "newline"])
+def test_bag_id_with_a_tab_or_line_break_exits_2(tmp_path, small_checkpoint, capsys, ids,
+                                                  line):
+    # such an id would break the export table's rows and lines
+    path = tmp_path / "ids.jsonl"
+    path.write_text("\n".join(
+        [json.dumps({"d_raw": 2, "C": 2, "count": 2})]
+        + [json.dumps({"id": bag_id, "label": [1.0, 0.0], "features": [[0.5, 1.0]]})
+           for bag_id in ids]) + "\n")
+    out = tmp_path / "attention.tsv"
+    code = run(["export-attention", "--checkpoint", str(small_checkpoint),
+                "--dataset", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: bag id {ids[line - 2]!r} holds a tab or a line break\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ids.jsonl"]
+
+
+def test_eval_sees_a_regenerated_dataset(tmp_path, small_checkpoint):
+    # the first eval writes the sidecar; after the file is generated anew, an
+    # eval gives what it gives on a copy that has no sidecar
+    path = tmp_path / "bags.jsonl"
+
+    def evaluated(dataset, out):
+        assert run(["eval", "--checkpoint", str(small_checkpoint), "--dataset",
+                    str(dataset), "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out).read_bytes()
+
+    generate = ["generate", "--out", str(path), "--bags", "20", "--k", "3",
+                "--d-raw", "2", "--seed"]
+    assert run(generate + ["1"]) == 0
+    first = evaluated(path, "first.json")
+    assert (tmp_path / "bags.jsonl.cache").is_file()
+    assert run(generate + ["2"]) == 0
+    second = evaluated(path, "second.json")
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    (fresh / "bags.jsonl").write_bytes(path.read_bytes())
+    assert second == evaluated(fresh / "bags.jsonl", "fresh.json")
+    assert second != first

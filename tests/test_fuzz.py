@@ -1,7 +1,9 @@
 """Fuzzing of the two file boundaries: whatever bytes `load_dataset` or
 `load_checkpoint` is given, it returns a valid object or raises its typed
-error, never anything else."""
+error, never anything else. Whatever bytes lie in a dataset's sidecar, the
+load returns what parsing the dataset returns."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -20,7 +22,7 @@ from coupledmil.bagdata import (
 )
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import CheckpointError, load_checkpoint, save_checkpoint
-from oracles import whole_text_lines
+from oracles import dataset_bits, parsed, whole_text_lines
 
 FUZZ = settings(max_examples=100, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -101,6 +103,25 @@ def test_dataset_mutated_file(tmp_path, dataset_bytes, data):
     _check_dataset(path)
 
 
+@pytest.fixture(scope="module")
+def sidecar(tmp_path_factory, dataset_bytes):
+    """A valid dataset's path, the bits its parse gives and its sidecar's bytes."""
+    path = tmp_path_factory.mktemp("sidecar") / "ds.jsonl"
+    path.write_bytes(dataset_bytes)
+    load_dataset(path)
+    return path, dataset_bits(parsed(path)), path.with_name("ds.jsonl.cache").read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_dataset_mutated_sidecar(sidecar, data):
+    path, want, good = sidecar
+    cache = path.with_name("ds.jsonl.cache")
+    cache.write_bytes(data.draw(mutated(good)))
+    assert dataset_bits(load_dataset(path)) == want
+    assert cache.read_bytes() == good
+
+
 @FUZZ
 @given(blob=st.binary(max_size=512))
 def test_checkpoint_any_bytes(tmp_path, blob):
@@ -127,10 +148,13 @@ BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80", b"\xed\xa0\x
 
 
 def _streamed_lines(blob: bytes):
+    digest = hashlib.sha256()
     try:
-        return list(bagdata._lines(io.BytesIO(blob)))
+        lines = list(bagdata._lines(io.BytesIO(blob), digest))
     except DatasetParseError as exc:
         return exc.line
+    assert digest.digest() == hashlib.sha256(blob).digest()  # every byte read is hashed
+    return lines
 
 
 def _whole_lines(blob: bytes):
