@@ -8,7 +8,10 @@ assigns them from `EXIT_CODES` and nowhere else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, fields
@@ -130,6 +133,8 @@ def cmd_eval(args) -> None:
     config = _build_train_config(args)  # checked before any file is read
     model, dataset = _load_model_and_dataset(args)
     bags = dataset.bags
+    if not bags:
+        raise ConfigError(f"dataset {args.dataset} holds no bag to evaluate")
     if args.split != "all":
         train, val, test = split_for_run(dataset, config)
         bags = {"train": train, "val": val, "test": test}[args.split].bags
@@ -145,29 +150,103 @@ def cmd_eval(args) -> None:
         Path(args.out).write_text(payload, encoding="utf-8")
 
 
+# Each export worker formats about this many spans, so that a worker that
+# drew slow spans does not leave the others idle at the end.
+SPANS_PER_WORKER = 4
+
+# (model, bags, beta) of the export this process runs; forked workers
+# inherit it, so none of it is pickled.
+_export_job = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+
+
+def _export_spans(bags, n: int) -> list[tuple[int, int]]:
+    """At most `n` contiguous `(start, stop)` runs of `bags`, in order, none
+    empty, each holding about the same number of instances."""
+    ends = np.cumsum([len(bag) for bag in bags])
+    n = min(n, len(bags))
+    cuts = {int(np.searchsorted(ends, ends[-1] * i / n)) + 1 for i in range(1, n)}
+    bounds = sorted(cuts | {0, len(bags)})
+    return list(zip(bounds, bounds[1:]))
+
+
+def _write_span(span: tuple[int, int, Path]) -> Path:
+    """Write the table rows of the running export's bags `start` to `stop - 1`
+    to the file `part`, one bag at a time, and return its path."""
+    model, bags, beta = _export_job
+    start, stop, part = span
+    with open(part, "w", encoding="utf-8") as fh:
+        for bag in bags[start:stop]:
+            trace = forward_bag(model, bag.id, features_matrix(bag))
+            a_norm = normalize_attention(trace.attention)
+            conf = convert_confidence(a_norm, beta)
+            keys = [f"{bag.id}\t{i}" for i in range(len(trace.attention))]
+            columns = (map(repr, values.tolist()) for values in (trace.attention,
+                                                                a_norm, conf))
+            fh.write("\n".join(map("\t".join, zip(keys, *columns))) + "\n")
+    return part
+
+
+@contextlib.contextmanager
+def _span_map(workers: int):
+    """A `map` that yields its results in order: the built-in one, or with
+    more than one worker, that of a pool of `workers` forked processes, shut
+    down and joined on exit. A span that raises is raised in order, after
+    every earlier span's result; spans not yet started are cancelled."""
+    if workers < 2:
+        yield map
+        return
+    import multiprocessing  # not at module level: the imports cost about 25 ms
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not spawn: a spawned worker would import the package and load the
+    # checkpoint and dataset again, which costs more than its share of spans
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_export_attention(args) -> None:
-    """Each bag's rows are written as soon as its forward pass is done, to
-    `<out>.partial`, which replaces `<out>` once every bag is written. A
-    failed export removes it, so it leaves `<out>` as it was."""
+    """The bags are cut into contiguous spans of about equal instance count,
+    `SPANS_PER_WORKER` per usable CPU, and each span's rows are written by a
+    forked worker to its own part file, `<out>.partial.<first bag index>`
+    (in this process with one usable CPU or one span). The parts are
+    appended to `<out>.partial` in bag order and deleted, so the table's
+    bytes do not depend on the spans; it replaces `<out>` once every bag is
+    written. A failed export removes the partial table and every part, so it
+    leaves `<out>` as it was, and reports the first failing bag in file
+    order."""
+    global _export_job
     beta = _build_train_config(args).beta  # checked before any file is read
     model, dataset = _load_model_and_dataset(args)
     partial = Path(args.out + ".partial")
+    workers = _usable_cpus()
+    spans = [(start, stop, Path(f"{partial}.{start}"))
+             for start, stop in _export_spans(dataset.bags, SPANS_PER_WORKER * workers)]
+    _export_job = model, dataset.bags, beta
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write("bag_id\tinstance_index\traw_attention\tnormalized_attention\t"
-                     "confidence\n")
-            for bag in dataset.bags:
-                trace = forward_bag(model, bag.id, features_matrix(bag))
-                a_norm = normalize_attention(trace.attention)
-                conf = convert_confidence(a_norm, beta)
-                keys = [f"{bag.id}\t{i}" for i in range(len(trace.attention))]
-                columns = (map(repr, values.tolist()) for values in (trace.attention,
-                                                                    a_norm, conf))
-                fh.write("\n".join(map("\t".join, zip(keys, *columns))) + "\n")
+        with open(partial, "wb") as fh, _span_map(min(workers, len(spans))) as span_map:
+            fh.write(b"bag_id\tinstance_index\traw_attention\tnormalized_attention\t"
+                     b"confidence\n")
+            for part in span_map(_write_span, spans):
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+                part.unlink()
         partial.replace(args.out)
     except BaseException:
+        for _, _, part in spans:
+            part.unlink(missing_ok=True)
         partial.unlink(missing_ok=True)
         raise
+    finally:
+        _export_job = None
     print(f"wrote attention table for {len(dataset.bags)} bags to {args.out}")
 
 

@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from coupledmil import orchestrator
+from coupledmil import cli, orchestrator
 from coupledmil.bagdata import DatasetParseError, load_dataset
 from coupledmil.cli import _build_train_config, build_parser, main
 from coupledmil.distill import convert_confidence, normalize_attention
@@ -227,6 +230,17 @@ class TestEval:
         assert capsys.readouterr().err == (
             "error: fractions [0.5, 0.0, 0.5] leave no val bag among the dataset's 4\n")
 
+    @pytest.mark.parametrize("split", ["all", "test"])
+    def test_dataset_without_bags_exits_2(self, small_checkpoint, tmp_path, capsys, split):
+        # checked before any bag is evaluated, whatever the split
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"d_raw": 2, "C": 2, "count": 0}) + "\n")
+        code = run(["eval", "--checkpoint", str(small_checkpoint),
+                    "--dataset", str(path), "--split", split])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {path} holds no bag to evaluate\n")
+
     def test_truncated_checkpoint_exits_3(self, small_checkpoint, dataset_file, tmp_path):
         blob = small_checkpoint.read_bytes()
         path = tmp_path / "cut.bin"
@@ -347,6 +361,95 @@ class TestExportAttention:
         code = run(["export-attention", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--dataset", str(other), "--out", str(tmp_path / "x.tsv")])
         assert code == 3
+
+
+class TestParallelExport:
+    """The table is cut into spans of bags formatted by forked workers, one
+    per usable CPU; its bytes must not depend on how many there are."""
+
+    @pytest.fixture(scope="class")
+    def uneven(self, tmp_path_factory):
+        # 12 bags of 2 to 40 instances, and a checkpoint per backbone
+        root = tmp_path_factory.mktemp("uneven")
+        dataset = root / "uneven.jsonl"
+        assert run(["generate", "--out", str(dataset), "--bags", "12", "--k", "2",
+                    "--k-max", "40", "--d-raw", "4", "--rho", "0.3", "--seed", "3"]) == 0
+        checkpoints = {}
+        for backbone in ("gated_attention", "mean"):
+            assert run(["train", "--dataset", str(dataset), "--out-dir", str(root / backbone),
+                        "--backbone", backbone, "--iterations", "0", "--seed", "1"]
+                       + TRAIN_FAST) == 0
+            checkpoints[backbone] = root / backbone / "checkpoint.bin"
+        return dataset, checkpoints
+
+    @staticmethod
+    def _serial_table(checkpoint, dataset, beta):
+        # the table's definition, one bag after another in this process
+        model = load_checkpoint(checkpoint)
+        lines = ["bag_id\tinstance_index\traw_attention\tnormalized_attention\t"
+                 "confidence"]
+        for bag in load_dataset(dataset).bags:
+            raw = model.bag_forward(bag.features).attention
+            a_norm = normalize_attention(raw)
+            columns = raw.tolist(), a_norm.tolist(), convert_confidence(a_norm, beta).tolist()
+            lines += [f"{bag.id}\t{i}\t{r!r}\t{a!r}\t{c!r}"
+                      for i, (r, a, c) in enumerate(zip(*columns))]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("backbone", ["gated_attention", "mean"])
+    @pytest.mark.parametrize("cpus", [1, 2, 13, None],
+                             ids=["one-cpu", "two-cpus", "more-cpus-than-bags",
+                                  "no-affinity"])
+    def test_table_bytes_do_not_depend_on_workers(self, uneven, tmp_path, monkeypatch,
+                                                  backbone, cpus):
+        dataset, checkpoints = uneven
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "attention.tsv"
+        assert run(["export-attention", "--checkpoint", str(checkpoints[backbone]),
+                    "--dataset", str(dataset), "--out", str(out), "--beta", "6"]) == 0
+        assert out.read_bytes() == self._serial_table(checkpoints[backbone], dataset, 6.0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["attention.tsv"]
+        assert multiprocessing.active_children() == []
+
+    def test_spans_cover_the_bags_in_order(self, uneven):
+        bags = load_dataset(uneven[0]).bags
+        for n in (1, 2, 8, 12, 52):
+            spans = cli._export_spans(bags, n)
+            assert 1 <= len(spans) <= min(n, len(bags))
+            assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+            assert spans[-1][1] == len(bags) and all(a < b for a, b in spans)
+        assert cli._export_spans([], 8) == []
+
+    def test_failure_reports_the_first_bad_bag_in_file_order(self, uneven, tmp_path,
+                                                             monkeypatch, capsys):
+        # two bags in different spans map to NaN; the earlier one fails last
+        # in time, and is still the one reported
+        dataset, checkpoints = uneven
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        bags = load_dataset(dataset).bags
+        spans = cli._export_spans(bags, cli.SPANS_PER_WORKER * 2)
+        early, late = bags[spans[1][0]].id, bags[spans[-1][0]].id
+        forward_bag = cli.forward_bag
+
+        def nan_forward(model, bag_id, x):
+            if bag_id == early:
+                time.sleep(0.5)
+            return forward_bag(model, bag_id, x * np.nan if bag_id in (early, late) else x)
+
+        monkeypatch.setattr(cli, "forward_bag", nan_forward)
+        out = tmp_path / "attention.tsv"
+        out.write_bytes(b"the previous table\n")
+        code = run(["export-attention", "--checkpoint", str(checkpoints["gated_attention"]),
+                    "--dataset", str(dataset), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: the model maps bag {early!r} to non-finite values\n")
+        assert out.read_bytes() == b"the previous table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["attention.tsv"]
+        assert multiprocessing.active_children() == []
 
 
 _MANIFEST = {"d_raw": 2, "C": 2, "count": 1}
