@@ -126,6 +126,9 @@ def _load_model_and_dataset(args):
             f"dataset d_raw={dataset.d_raw} does not match checkpoint input "
             f"dim {model.embedder.in_dim}"
         )
+    if dataset.num_classes != model.config.num_classes:
+        raise CheckpointError(f"dataset C={dataset.num_classes} does not match "
+                              f"checkpoint class count {model.config.num_classes}")
     return model, dataset
 
 
@@ -198,17 +201,21 @@ def _span_map(workers: int):
     """A `map` that yields its results in order: the built-in one, or with
     more than one worker, that of a pool of `workers` forked processes, shut
     down and joined on exit. A span that raises is raised in order, after
-    every earlier span's result; spans not yet started are cancelled."""
+    every earlier span's result; spans not yet started are cancelled. A
+    worker that ends abruptly raises ChildProcessError."""
     if workers < 2:
         yield map
         return
     import multiprocessing  # not at module level: the imports cost about 25 ms
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     # fork, not spawn: a spawned worker would import the package and load the
     # checkpoint and dataset again, which costs more than its share of spans
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool.map
+    except BrokenProcessPool as exc:
+        raise ChildProcessError("an export worker process ended abruptly") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -91,7 +91,7 @@ def distill_step(student: MilModel, p_t: np.ndarray, x: np.ndarray,
     rows = np.arange(n)
     pseudo = np.argmax(p_t, axis=1)
     h_s, emb_cache = student.embedder.forward(x)
-    q = softmax_rows(student.classifier.logits(h_s))
+    q = softmax_rows(student.classifier.forward(h_s))
     loss = float((confidence * -np.log(np.maximum(q[rows, pseudo], LOG_FLOOR))).mean())
 
     # dlogits = confidence * (q - onehot) / n, in place on q

@@ -1,13 +1,15 @@
 """Dense double-precision primitives with explicit forward/backward contracts.
 
-All training math runs through this module: 2-D float64 numpy arrays as the
-tensor type, `Param` pairing a value with its gradient accumulator, and a
-bias-corrected `Adam` update. Backward passes are hand-derived; the tests
-check them against central finite differences.
+2-D float64 numpy arrays are the tensor type. `Param` pairs a value with its
+gradient accumulator, `Linear` is the model's one affine layer (every
+embedder layer and the bag classifier), and `Adam` is a bias-corrected
+update. Backward passes are hand-derived; the tests check them against
+central finite differences.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -15,14 +17,6 @@ import numpy as np
 Tensor2 = np.ndarray  # rows x cols, float64, row-major
 
 LOG_FLOOR = 1e-12  # clamp inside every log; log(0) is never taken
-
-
-def tensor2(data) -> Tensor2:
-    """Coerce `data` to a C-contiguous 2-D float64 array."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected 2-D data, got shape {arr.shape}")
-    return arr
 
 
 class Param:
@@ -33,7 +27,9 @@ class Param:
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, value, name: str = "", grad: Tensor2 | None = None):
-        self.value = tensor2(value)
+        self.value = np.ascontiguousarray(value, dtype=np.float64)
+        if self.value.ndim != 2:
+            raise ValueError(f"expected 2-D data, got shape {self.value.shape}")
         self.grad = np.zeros_like(self.value) if grad is None else grad
         self.name = name
 
@@ -41,36 +37,39 @@ class Param:
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
 
 
-def linear_forward(x: Tensor2, w: Param, b: Param) -> Tensor2:
-    """y = x @ W + b, with b broadcast over rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.value.shape[0]:
-        raise ValueError(
-            f"linear_forward: input shape {x.shape} incompatible with "
-            f"weight shape {w.value.shape}"
-        )
-    if b.value.shape != (1, w.value.shape[1]):
-        raise ValueError(
-            f"linear_forward: bias shape {b.value.shape} incompatible with "
-            f"weight shape {w.value.shape}"
-        )
-    return x @ w.value + b.value
+def init_uniform(param: Param, rng: np.random.Generator, fan_in: int) -> None:
+    scale = 1.0 / math.sqrt(fan_in)
+    param.value[:] = rng.uniform(-scale, scale, size=param.value.shape)
 
 
-def linear_backward(x: Tensor2, w: Param, b: Param, upstream: Tensor2,
-                    input_grad: bool = True) -> Tensor2 | None:
-    """Accumulate dW = x^T g, db = column-sum(g); return dx = g @ W^T, or
-    None without `input_grad`."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    expected = (x.shape[0], w.value.shape[1])
-    if upstream.shape != expected:
-        raise ValueError(
-            f"linear_backward: upstream shape {upstream.shape} does not match "
-            f"forward output shape {expected}"
-        )
-    w.grad += x.T @ upstream
-    b.grad += upstream.sum(axis=0, keepdims=True)
-    return upstream @ w.value.T if input_grad else None
+class Linear:
+    """Affine layer y = x @ W + b, with b broadcast over rows. Its shapes are
+    fixed when the model is built, and the embedder checks the model's input,
+    so it checks none of them; a mismatch still fails in numpy's matmul."""
+
+    def __init__(self, din: int, dout: int, name: str = "linear"):
+        self.w = Param(np.zeros((din, dout)), name=f"{name}.w")
+        self.b = Param(np.zeros((1, dout)), name=f"{name}.b")
+
+    @property
+    def params(self) -> list[Param]:
+        return [self.w, self.b]
+
+    def init(self, rng: np.random.Generator) -> None:
+        fan_in = self.w.value.shape[0]
+        init_uniform(self.w, rng, fan_in)
+        init_uniform(self.b, rng, fan_in)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w.value + self.b.value
+
+    def backward(self, x: np.ndarray, g: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate dW = x^T g, db = column-sum(g); return dx = g @ W^T, or
+        None without `input_grad`."""
+        self.w.grad += x.T @ g
+        self.b.grad += g.sum(axis=0, keepdims=True)
+        return g @ self.w.value.T if input_grad else None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

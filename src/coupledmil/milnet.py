@@ -11,27 +11,15 @@ differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .gradcore import (
-    Param,
-    _sigmoid,
-    linear_backward,
-    linear_forward,
-    softmax_inplace,
-)
+from .gradcore import Linear, Param, _sigmoid, init_uniform, softmax_inplace
 
 BACKBONES = ("mean", "max", "gated_attention")
 POSITIVE_CLASS = 1  # the class whose probability is a bag's score
-
-
-def init_uniform(param: Param, rng: np.random.Generator, fan_in: int) -> None:
-    scale = 1.0 / math.sqrt(fan_in)
-    param.value[:] = rng.uniform(-scale, scale, size=param.value.shape)
 
 
 class Embedder:
@@ -45,11 +33,8 @@ class Embedder:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) < 2:
             raise ValueError(f"embedder needs at least input and output dims: {dims}")
-        self.layers: list[tuple[Param, Param]] = []
-        for i, (din, dout) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-            w = Param(np.zeros((din, dout)), name=f"emb.l{i}.w")
-            b = Param(np.zeros((1, dout)), name=f"emb.l{i}.b")
-            self.layers.append((w, b))
+        self.layers = [Linear(din, dout, f"emb.l{i}") for i, (din, dout)
+                       in enumerate(zip(self.dims[:-1], self.dims[1:]))]
 
     @property
     def in_dim(self) -> int:
@@ -57,13 +42,11 @@ class Embedder:
 
     @property
     def params(self) -> list[Param]:
-        return [p for layer in self.layers for p in layer]
+        return [p for layer in self.layers for p in layer.params]
 
     def init(self, rng: np.random.Generator) -> None:
-        for w, b in self.layers:
-            fan_in = w.value.shape[0]
-            init_uniform(w, rng, fan_in)
-            init_uniform(b, rng, fan_in)
+        for layer in self.layers:
+            layer.init(rng)
 
     def forward(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
@@ -74,9 +57,9 @@ class Embedder:
         cache = []  # each layer's input; a hidden layer's tanh is the next one's
         h = x
         last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
+        for i, layer in enumerate(self.layers):
             cache.append(h)
-            z = linear_forward(h, w, b)
+            z = layer.forward(h)
             h = np.tanh(z) if i < last else z
         return h, cache
 
@@ -89,38 +72,7 @@ class Embedder:
             if i < last:
                 t = cache[i + 1]
                 g = g * (1.0 - t * t)
-            g = linear_backward(cache[i], self.layers[i][0], self.layers[i][1], g, i > 0)
-
-
-class BagClassifier:
-    """Single linear layer mapping a bag representation to class logits."""
-
-    def __init__(self, embed_dim: int, num_classes: int):
-        self.w = Param(np.zeros((embed_dim, num_classes)), name="clf.w")
-        self.b = Param(np.zeros((1, num_classes)), name="clf.b")
-
-    @property
-    def params(self) -> list[Param]:
-        return [self.w, self.b]
-
-    def init(self, rng: np.random.Generator) -> None:
-        fan_in = self.w.value.shape[0]
-        init_uniform(self.w, rng, fan_in)
-        init_uniform(self.b, rng, fan_in)
-
-    # h is always an embedder's output, so the shapes that `linear_forward`
-    # and `linear_backward` check are fixed when the model is built, and a
-    # mismatch still fails in numpy's matmul
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self.w.value + self.b.value
-
-    def backward(self, h: np.ndarray, dlogits: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate dW = h^T g, db = column-sum(g); return dh = g @ W^T, or
-        None without `input_grad`."""
-        self.w.grad += h.T @ dlogits
-        self.b.grad += dlogits.sum(axis=0, keepdims=True)
-        return dlogits @ self.w.value.T if input_grad else None
+            g = self.layers[i].backward(cache[i], g, i > 0)
 
 
 class FixedPooling:
@@ -137,7 +89,7 @@ class FixedPooling:
     def init(self, rng) -> None:
         pass
 
-    def forward(self, h: np.ndarray, classifier: BagClassifier | None = None):
+    def forward(self, h: np.ndarray, classifier: Linear | None = None):
         k = h.shape[0]
         if k == 0:
             raise ValueError("cannot aggregate an empty bag")
@@ -188,7 +140,7 @@ class GatedAttention:
         e = (g @ self.w.value).ravel()
         return e, (t, s, g)
 
-    def forward(self, h: np.ndarray, classifier: BagClassifier | None = None):
+    def forward(self, h: np.ndarray, classifier: Linear | None = None):
         if h.shape[0] == 0:
             raise ValueError("cannot aggregate an empty bag")
         a, (t, s, g) = self.gate_scores(h)
@@ -285,7 +237,7 @@ class MilModel:
         self.aggregator = (GatedAttention(config.embed_dim, config.attn_dim)
                            if config.backbone == "gated_attention"
                            else FixedPooling(config.backbone))
-        self.classifier = BagClassifier(config.embed_dim, config.num_classes)
+        self.classifier = Linear(config.embed_dim, config.num_classes, "clf")
         self.arena = Param(np.zeros((1, config.num_params)), "arena")
         start = 0
         for p in self.all_params:
@@ -334,7 +286,7 @@ class MilModel:
 
     def head_forward(self, h: np.ndarray):
         bag_rep, a, agg_cache = self.aggregator.forward(h, self.classifier)
-        probs = softmax_inplace(self.classifier.logits(bag_rep).ravel())
+        probs = softmax_inplace(self.classifier.forward(bag_rep).ravel())
         return bag_rep, a, probs, agg_cache
 
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray,

@@ -339,7 +339,7 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
         for _, rows in _row_slices(train_bags):
             _, a, _ = teacher.aggregator.forward(h_all[rows], teacher.classifier)
             conf_all[rows] = convert_confidence(normalize_attention(a), config.beta)
-    p_all = softmax_rows(teacher.classifier.logits(h_all))
+    p_all = softmax_rows(teacher.classifier.forward(h_all))
     optimizer = Adam([student.embedder_group, student.classifier_group],
                      config.embedder_lr)
 

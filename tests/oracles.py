@@ -26,8 +26,6 @@ from coupledmil.gradcore import (
     Adam,
     Param,
     cross_entropy,
-    linear_backward,
-    linear_forward,
     softmax_rows,
 )
 from coupledmil.metrics import MetricError, _validate_binary
@@ -186,7 +184,7 @@ def teacher_targets(teacher: TeacherBranch, x: np.ndarray) -> np.ndarray:
     """The frozen teacher's class probabilities for the instance rows `x`:
     the `p_t` argument of the steps."""
     h_t, _ = teacher.model.embedder.forward(x)
-    return softmax_rows(teacher.classifier.logits(h_t))
+    return softmax_rows(teacher.classifier.forward(h_t))
 
 
 def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
@@ -207,7 +205,7 @@ def reference_naive_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
     y[np.arange(n), pseudo] = 1.0
 
     h_s, emb_cache = student.embedder.forward(x)
-    q = softmax_rows(student.classifier.logits(h_s))
+    q = softmax_rows(student.classifier.forward(h_s))
     loss = float(-np.log(np.maximum(q[np.arange(n), pseudo], LOG_FLOOR)).mean())
 
     dh = student.classifier.backward(h_s, (q - y) / n)
@@ -275,9 +273,12 @@ def reference_head_step(model: MilModel, h: np.ndarray, label: np.ndarray) -> fl
     else:
         _, a, _ = agg.forward(h, clf)
     bag_rep = a[None, :] @ h
-    probs = _softmax(linear_forward(bag_rep, clf.w, clf.b).ravel())
+    probs = _softmax((bag_rep @ clf.w.value + clf.b.value).ravel())
     loss = cross_entropy(probs, label)
-    d_bag = linear_backward(bag_rep, clf.w, clf.b, (probs - label)[None, :])
+    dlogits = (probs - label)[None, :]
+    clf.w.grad += bag_rep.T @ dlogits
+    clf.b.grad += dlogits.sum(axis=0, keepdims=True)
+    d_bag = dlogits @ clf.w.value.T
     if gated:
         da = (h @ d_bag.T).ravel()
         de = a * (da - float(a @ da))

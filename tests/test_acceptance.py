@@ -25,13 +25,7 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import (
-    Adam,
-    Param,
-    cross_entropy,
-    linear_backward,
-    linear_forward,
-)
+from coupledmil.gradcore import Adam, Linear, cross_entropy
 from coupledmil.metrics import roc_auc
 from coupledmil.milnet import GatedAttention, MilModel, ModelConfig
 from coupledmil.orchestrator import (
@@ -85,22 +79,23 @@ def test_criterion_1_gradient_suite():
     worst = 0.0
     configs = 0
 
-    # linear layers under a quadratic loss
+    # the affine layer under a quadratic loss
     for _ in range(20):
         rows, din, dout = (int(rng.integers(1, 5)) for _ in range(3))
         din, dout = din + 1, dout + 1
         x = rng.uniform(-2, 2, size=(rows, din))
-        w = Param(rng.uniform(-2, 2, size=(din, dout)), name="w")
-        b = Param(rng.uniform(-2, 2, size=(1, dout)), name="b")
+        layer = Linear(din, dout)
+        layer.w.value[:] = rng.uniform(-2, 2, size=(din, dout))
+        layer.b.value[:] = rng.uniform(-2, 2, size=(1, dout))
         target = rng.uniform(-2, 2, size=(rows, dout))
 
         def loss():
-            out = linear_forward(x, w, b)
+            out = layer.forward(x)
             diff = out - target
-            linear_backward(x, w, b, 2.0 * diff)
+            layer.backward(x, 2.0 * diff)
             return float((diff * diff).sum())
 
-        worst = max(worst, grad_check(loss, [w, b]).max_rel_error)
+        worst = max(worst, grad_check(loss, layer.params).max_rel_error)
         configs += 1
 
     # gated attention blocks under a quadratic loss

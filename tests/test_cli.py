@@ -1,8 +1,11 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,6 +454,43 @@ class TestParallelExport:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["attention.tsv"]
         assert multiprocessing.active_children() == []
 
+    def test_worker_that_dies_exits_3(self, uneven, tmp_path, monkeypatch, capsys):
+        # a worker process ends without raising: one error line, not the
+        # pool's traceback, and every part is removed
+        dataset, checkpoints = uneven
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        victim = load_dataset(dataset).bags[-1].id
+        forward_bag = cli.forward_bag
+
+        def dying_forward(model, bag_id, x):
+            if bag_id == victim:
+                os._exit(1)
+            return forward_bag(model, bag_id, x)
+
+        monkeypatch.setattr(cli, "forward_bag", dying_forward)
+        out = tmp_path / "attention.tsv"
+        out.write_bytes(b"the previous table\n")
+        code = run(["export-attention", "--checkpoint", str(checkpoints["gated_attention"]),
+                    "--dataset", str(dataset), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: an export worker process ended abruptly\n"
+        assert out.read_bytes() == b"the previous table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["attention.tsv"]
+        assert multiprocessing.active_children() == []
+
+
+def test_import_loads_no_process_pool():
+    # the export imports its pool lazily, which keeps about 25 ms out of the
+    # start of every other command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, coupledmil.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
+
 
 _MANIFEST = {"d_raw": 2, "C": 2, "count": 1}
 _RECORD = {"id": "b", "label": [1.0, 0.0], "features": [[0.5, -0.5], [1.0, 2.0]]}
@@ -674,6 +714,23 @@ def test_eval_dimension_mismatch_exits_3(dataset_file, small_checkpoint, capsys)
                 "--dataset", str(dataset_file)])
     assert code == 3
     assert "d_raw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-attention"])
+def test_class_count_mismatch_exits_3(matching_dataset, tmp_path, capsys, command):
+    # a 3-class checkpoint on the 2-class dataset: no metric, no table
+    checkpoint = tmp_path / "three.bin"
+    cfg = ModelConfig(d_raw=2, hidden=(), embed_dim=2, attn_dim=1, num_classes=3)
+    save_checkpoint(MilModel.build(cfg, np.random.default_rng(0)), checkpoint)
+    out = tmp_path / "out.tsv"
+    code = run([command, "--checkpoint", str(checkpoint), "--dataset", str(matching_dataset),
+                "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dataset C=2 does not match checkpoint class count 3\n"
+    assert not out.exists()
+    assert not (tmp_path / "out.tsv.partial").exists()
 
 
 @pytest.fixture()

@@ -198,7 +198,7 @@ class TestLosses:
         x = rng.uniform(-2, 2, size=(8, 4))
         conf = rng.uniform(0, 1, size=8)
         p_t = teacher_targets(teacher, x)
-        q = softmax_rows(student.classifier.logits(student.embedder.forward(x)[0]))
+        q = softmax_rows(student.classifier.forward(student.embedder.forward(x)[0]))
         expected = np.mean([conf[i] * kl_divergence(np.eye(2)[np.argmax(p_t[i])], q[i])
                             for i in range(8)])
         loss = distill_step(student, p_t, x, conf, Adam(student_params(student), lr=1e-3))
@@ -315,7 +315,7 @@ class TestNaivePseudolabel:
         assert np.array_equal(probs, np.full((4, 2), 0.5))
         # so every pseudo-label is class 0: the loss is the student's
         # cross-entropy against class 0
-        q = softmax_rows(student.classifier.logits(student.embedder.forward(x)[0]))
+        q = softmax_rows(student.classifier.forward(student.embedder.forward(x)[0]))
         assert not np.allclose(q[:, 0], q[:, 1])
         loss = naive_pseudolabel_step(student, x, probs,
                                       Adam(student_params(student), lr=1e-5))

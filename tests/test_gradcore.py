@@ -5,13 +5,11 @@ import pytest
 
 from coupledmil.gradcore import (
     Adam,
+    Linear,
     Param,
     _sigmoid,
     cross_entropy,
-    linear_backward,
-    linear_forward,
     softmax_inplace,
-    tensor2,
 )
 from coupledmil.milnet import Embedder
 from oracles import grad_check, kl_divergence
@@ -19,71 +17,79 @@ from oracles import grad_check, kl_divergence
 LN2 = 0.6931471805599453
 
 
-def test_tensor2_rejects_non_2d():
-    with pytest.raises(ValueError):
-        tensor2([1.0, 2.0])
+def test_param_rejects_non_2d():
+    with pytest.raises(ValueError, match="2-D"):
+        Param([1.0, 2.0])
+
+
+def _linear(w, b) -> Linear:
+    w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    layer = Linear(*w.shape)
+    layer.w.value[:] = w
+    layer.b.value[:] = b
+    return layer
 
 
 class TestLinear:
     def test_identity(self):
-        w = Param(np.eye(2))
-        b = Param(np.zeros((1, 2)))
-        out = linear_forward(np.array([[1.0, 2.0]]), w, b)
+        out = _linear(np.eye(2), np.zeros((1, 2))).forward(np.array([[1.0, 2.0]]))
         assert np.allclose(out, [[1.0, 2.0]])
 
     def test_direct_arithmetic(self):
-        w = Param([[2.0, 0.0], [0.0, 3.0]])
-        b = Param([[1.0, 1.0]])
-        out = linear_forward(np.array([[1.0, 1.0]]), w, b)
+        out = _linear([[2.0, 0.0], [0.0, 3.0]], [[1.0, 1.0]]).forward(np.array([[1.0, 1.0]]))
         assert np.allclose(out, [[3.0, 4.0]])
 
     def test_zero_input_passes_bias(self):
-        w = Param(np.random.default_rng(0).standard_normal((2, 2)))
-        b = Param([[5.0, 7.0]])
-        out = linear_forward(np.array([[0.0, 0.0]]), w, b)
+        layer = _linear(np.random.default_rng(0).standard_normal((2, 2)), [[5.0, 7.0]])
+        out = layer.forward(np.array([[0.0, 0.0]]))
         assert np.allclose(out, [[5.0, 7.0]])
 
-    def test_shape_mismatch_names_both_shapes(self):
-        w = Param(np.zeros((3, 2)))
-        b = Param(np.zeros((1, 2)))
-        with pytest.raises(ValueError, match=r"\(1, 2\).*\(3, 2\)"):
-            linear_forward(np.zeros((1, 2)), w, b)
+    def test_shape_mismatch_fails_in_matmul(self):
+        with pytest.raises(ValueError, match="matmul"):
+            Linear(3, 2).forward(np.zeros((1, 2)))
 
     def test_backward_identity_jacobian(self):
-        w = Param(np.eye(3))
-        b = Param(np.zeros((1, 3)))
+        layer = _linear(np.eye(3), np.zeros((1, 3)))
         x = np.array([[1.0, -2.0, 0.5]])
         g = np.array([[0.3, -0.7, 1.1]])
-        dx = linear_backward(x, w, b, g)
+        dx = layer.backward(x, g)
         assert np.allclose(dx, g)
+        assert layer.backward(x, g, input_grad=False) is None
 
     def test_backward_zero_upstream(self):
-        w = Param(np.random.default_rng(1).standard_normal((3, 2)))
-        b = Param(np.zeros((1, 2)))
+        layer = _linear(np.random.default_rng(1).standard_normal((3, 2)), np.zeros((1, 2)))
         x = np.random.default_rng(2).standard_normal((4, 3))
-        linear_backward(x, w, b, np.zeros((4, 2)))
-        assert not w.grad.any() and not b.grad.any()
+        layer.backward(x, np.zeros((4, 2)))
+        assert not layer.w.grad.any() and not layer.b.grad.any()
 
     def test_backward_shape_mismatch(self):
-        w = Param(np.zeros((3, 2)))
-        b = Param(np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="upstream"):
-            linear_backward(np.zeros((4, 3)), w, b, np.zeros((4, 3)))
+        # the upstream gradient has the wrong width: the weight gradient
+        # cannot take it, and neither gradient is written
+        layer = Linear(3, 2)
+        with pytest.raises(ValueError):
+            layer.backward(np.ones((4, 3)), np.ones((4, 3)))
+        assert not layer.w.grad.any() and not layer.b.grad.any()
+
+    def test_init_draws_weight_then_bias_at_fan_in_scale(self):
+        layer = Linear(4, 3)
+        layer.init(np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        assert np.array_equal(layer.w.value, rng.uniform(-0.5, 0.5, size=(4, 3)))
+        assert np.array_equal(layer.b.value, rng.uniform(-0.5, 0.5, size=(1, 3)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-2, 2, size=(5, 3))
-        w = Param(rng.uniform(-2, 2, size=(3, 4)), name="w")
-        b = Param(rng.uniform(-2, 2, size=(1, 4)), name="b")
+        layer = _linear(rng.uniform(-2, 2, size=(3, 4)), rng.uniform(-2, 2, size=(1, 4)))
         target = rng.uniform(-2, 2, size=(5, 4))
 
         def loss():
-            out = linear_forward(x, w, b)
+            out = layer.forward(x)
             diff = out - target
-            linear_backward(x, w, b, 2.0 * diff)
+            layer.backward(x, 2.0 * diff)
             return float((diff * diff).sum())
 
-        report = grad_check(loss, [w, b])
+        report = grad_check(loss, layer.params)
         assert report.max_rel_error <= 1e-4, report.per_param
 
 
@@ -94,12 +100,12 @@ def _tanh_layer(x, upstream=None):
     is the first layer's bias gradient."""
     row = np.asarray(x, dtype=np.float64).reshape(1, -1)
     emb = Embedder((row.size,) * 3)
-    for w, _ in emb.layers:
-        w.value[:] = np.eye(row.size)
+    for layer in emb.layers:
+        layer.w.value[:] = np.eye(row.size)
     out, cache = emb.forward(row)
     if upstream is not None:
         emb.backward(cache, np.asarray(upstream, dtype=np.float64).reshape(1, -1))
-        out = emb.layers[0][1].grad
+        out = emb.layers[0].b.grad
     return out.reshape(np.shape(x))
 
 
@@ -298,27 +304,25 @@ class TestAdam:
 class TestGradCheck:
     def test_mlp_cross_entropy(self):
         rng = np.random.default_rng(21)
-        w1 = Param(rng.uniform(-1, 1, size=(3, 4)), name="w1")
-        b1 = Param(rng.uniform(-1, 1, size=(1, 4)), name="b1")
-        w2 = Param(rng.uniform(-1, 1, size=(4, 2)), name="w2")
-        b2 = Param(rng.uniform(-1, 1, size=(1, 2)), name="b2")
+        layer1 = _linear(rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(1, 4)))
+        layer2 = _linear(rng.uniform(-1, 1, size=(4, 2)), rng.uniform(-1, 1, size=(1, 2)))
         x = rng.uniform(-2, 2, size=(5, 3))
         y = np.array([0.0, 1.0])
 
         def loss():
-            z1 = linear_forward(x, w1, b1)
+            z1 = layer1.forward(x)
             h = np.tanh(z1)
-            z2 = linear_forward(h, w2, b2)
+            z2 = layer2.forward(h)
             logits = z2.sum(axis=0, keepdims=True)  # pool rows to one bag logit
             p = softmax_inplace(logits.ravel())
             val = cross_entropy(p, y)
             dlogits = np.repeat((p - y)[None, :], x.shape[0], axis=0)
-            dh = linear_backward(h, w2, b2, dlogits)
+            dh = layer2.backward(h, dlogits)
             dz1 = dh * (1.0 - h * h)
-            linear_backward(x, w1, b1, dz1)
+            layer1.backward(x, dz1, input_grad=False)
             return val
 
-        report = grad_check(loss, [w1, b1, w2, b2])
+        report = grad_check(loss, [*layer1.params, *layer2.params])
         assert report.max_rel_error <= 1e-4, report.per_param
         assert report.passed
 

@@ -3,9 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from coupledmil.gradcore import Adam, cross_entropy, softmax_inplace, softmax_rows
+from coupledmil.gradcore import Adam, Linear, cross_entropy, softmax_inplace, softmax_rows
 from coupledmil.milnet import (
-    BagClassifier,
     Embedder,
     FixedPooling,
     GatedAttention,
@@ -25,7 +24,7 @@ def build_model(d_raw=4, hidden=(6,), embed_dim=5, attn_dim=3, backbone="gated_a
 class TestEmbedder:
     def test_identity_single_layer(self):
         emb = Embedder((3, 3))
-        emb.layers[0][0].value[:] = np.eye(3)
+        emb.layers[0].w.value[:] = np.eye(3)
         x = np.random.default_rng(0).standard_normal((5, 3))
         h, _ = emb.forward(x)
         assert np.array_equal(h, x)
@@ -63,7 +62,7 @@ class TestAggregate:
         assert np.allclose(a, [0.5, 0.5])
 
     def test_max_selects_highest_positive_logit(self):
-        clf = BagClassifier(2, 2)
+        clf = Linear(2, 2)
         clf.w.value[:] = np.array([[0.0, 1.0], [0.0, 0.0]])  # logit_1 = first feature
         h = np.array([[0.1, 9.0], [5.0, -1.0], [2.0, 0.0]])
         bag_rep, a, _ = FixedPooling("max").forward(h, clf)
@@ -109,24 +108,24 @@ class TestAggregate:
 
 class TestClassify:
     def test_zero_parameters_uniform(self):
-        clf = BagClassifier(4, 2)
-        p = softmax_rows(clf.logits(np.random.default_rng(0).standard_normal((1, 4)))).ravel()
+        clf = Linear(4, 2)
+        p = softmax_rows(clf.forward(np.random.default_rng(0).standard_normal((1, 4)))).ravel()
         assert np.allclose(p, [0.5, 0.5])
 
     def test_probability_monotone_in_weight(self):
-        clf = BagClassifier(1, 2)
+        clf = Linear(1, 2)
         h = np.array([[2.0]])
         probs = []
         for w in np.linspace(0.0, 5.0, 11):
             clf.w.value[:] = np.array([[0.0, w]])
-            probs.append(softmax_rows(clf.logits(h))[0, 1])
+            probs.append(softmax_rows(clf.forward(h))[0, 1])
         assert all(b > a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > 0.9999
 
     def test_dimension_mismatch(self):
-        clf = BagClassifier(4, 2)
+        clf = Linear(4, 2)
         with pytest.raises(ValueError):
-            clf.logits(np.zeros((1, 3)))
+            clf.forward(np.zeros((1, 3)))
 
 
 class TestBagForward:
@@ -135,7 +134,7 @@ class TestBagForward:
         x = np.random.default_rng(1).uniform(-2, 2, size=(1, 4))
         trace = model.bag_forward(x)
         h, _ = model.embedder.forward(x)
-        assert np.allclose(trace.probs, softmax_rows(model.classifier.logits(h)).ravel())
+        assert np.allclose(trace.probs, softmax_rows(model.classifier.forward(h)).ravel())
 
     @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
     def test_permutation_invariance(self, backbone):
@@ -222,7 +221,7 @@ class TestGradients:
 
         def loss():
             h, cache = model.embedder.forward(x)
-            probs = softmax_rows(model.classifier.logits(h)).ravel()
+            probs = softmax_rows(model.classifier.forward(h)).ravel()
             val = cross_entropy(probs, y)
             dlogits = (probs - y)[None, :]
             dh = model.classifier.backward(h, dlogits)

@@ -307,7 +307,7 @@ class TestEmbedderPhase:
         config = small_config(mode="naive", embedder_passes=0)
         model = build_model(config)
         h_all = embedded_rows(model, ds.bags)
-        model.embedder.layers[-1][0].value[0, 0] = np.inf
+        model.embedder.layers[-1].w.value[0, 0] = np.inf
         before = model.arena.value.copy()
         with pytest.raises(NonFiniteLossError,
                            match="embedder phase: non-finite embedder parameters"):
@@ -385,6 +385,24 @@ class TestEmbedderPhase:
         losses = run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                     rng_stream(1, "noise"), rng_stream(1, "distill"))
         assert len(losses) == 1 and losses[0] >= 0.0
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_no_gradient_is_left_in_the_arena(backbone):
+    # a left-over gradient would enter the next phase's first Adam step
+    ds = small_dataset()
+    config = small_config(backbone=backbone, augment=True, classifier_epochs=2,
+                          embedder_passes=1)
+    model = build_model(config)
+    h_all = embedded_rows(model, ds.bags)
+    run_classifier_phase(classifier_schedule(ds.bags, config), h_all, model, config)
+    assert not model.arena.grad.any()
+    for mode in ("naive", "vanilla", "confidence"):
+        run_embedder_phase(ds.bags, h_all, model, small_config(mode=mode, backbone=backbone),
+                           rng_stream(0, "noise"), rng_stream(0, "distill"))
+        assert not model.arena.grad.any()
+    _, model = run_training(ds, config)
+    assert not model.arena.grad.any()
 
 
 class TestRunTraining:
