@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradcore import LOG_FLOOR, Adam, softmax_rows
+from .gradcore import LOG_FLOOR, Adam
 from .milnet import MilModel
 
 
@@ -50,11 +50,14 @@ def noisy_augment(x: np.ndarray, scale: float, dropout: float,
     """Additive Gaussian noise of standard deviation `scale`, then each
     feature zeroed with probability `dropout`."""
     x = np.asarray(x, dtype=np.float64)
-    out = x.copy()
     if scale > 0:
-        out += scale * rng.standard_normal(x.shape)
+        out = rng.standard_normal(x.shape)
+        out *= scale
+        out += x                        # x + scale z: IEEE addition commutes
+    else:
+        out = x.copy()
     if dropout > 0:
-        out[rng.random(x.shape) < dropout] = 0.0
+        np.copyto(out, 0.0, where=rng.random(x.shape) < dropout)
     return out
 
 
@@ -77,25 +80,38 @@ class TeacherBranch:
         return [self.model.arena]
 
 
-def distill_step(student: MilModel, p_t: np.ndarray, x: np.ndarray,
+def distill_step(student: MilModel, target: np.ndarray, x: np.ndarray,
                  confidence: np.ndarray, optimizer: Adam) -> float:
     """One confidence-weighted distillation update on the student.
 
-    `p_t` holds the frozen teacher's class probabilities of the clean
-    instances whose (possibly noised) copies are `x`. The target of row i is
-    the teacher's argmax class c_i, ties to the lower class index. Batch loss
-    is mean_i confidence_i * -log student(x_i)[c_i]: the KL against a one-hot
-    target. Returns the batch loss.
+    `target` holds the frozen teacher's argmax class c_i (ties to the lower
+    class index) of the clean instances whose (possibly noised) copies are
+    `x`. Batch loss is mean_i confidence_i * -log student(x_i)[c_i]: the KL
+    against a one-hot target. Returns the batch loss.
     """
     n = x.shape[0]
     rows = np.arange(n)
-    pseudo = np.argmax(p_t, axis=1)
     h_s, emb_cache = student.embedder.forward(x)
-    q = softmax_rows(student.classifier.forward(h_s))
-    loss = float((confidence * -np.log(np.maximum(q[rows, pseudo], LOG_FLOOR))).mean())
+    # softmax_rows, the loss and dlogits in place on the logits buffer q,
+    # with the plain expressions' floating-point operations in the same
+    # order. The row max goes a column at a time, as numpy reduces short
+    # rows slowly: a max rounds nothing, and exp(q - max) drops a zero's sign
+    q = student.classifier.forward(h_s)
+    top = q[:, 0].copy()
+    for c in range(1, q.shape[1]):
+        np.maximum(top, q[:, c], out=top)
+    q -= top[:, None]
+    np.exp(q, out=q)
+    q /= q.sum(axis=1, keepdims=True)
+    t = q[rows, target]
+    np.maximum(t, LOG_FLOOR, out=t)
+    np.log(t, out=t)
+    np.negative(t, out=t)
+    t *= confidence
+    loss = float(np.add.reduce(t) / n)  # the mean of confidence * -log q[c]
 
-    # dlogits = confidence * (q - onehot) / n, in place on q
-    q[rows, pseudo] -= 1.0
+    # dlogits = confidence * (q - onehot) / n
+    q[rows, target] -= 1.0
     q *= confidence[:, None]
     q /= n
     student.embedder.backward(emb_cache, student.classifier.backward(h_s, q))
@@ -103,8 +119,8 @@ def distill_step(student: MilModel, p_t: np.ndarray, x: np.ndarray,
     return loss
 
 
-def naive_pseudolabel_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
-                           optimizer: Adam) -> float:
-    """Baseline fine-tuning: `distill_step` on the clean rows `x` with unit
-    weights."""
-    return distill_step(student, p_t, x, np.ones(x.shape[0]), optimizer)
+def naive_pseudolabel_step(student: MilModel, x: np.ndarray, target: np.ndarray,
+                           ones: np.ndarray, optimizer: Adam) -> float:
+    """Baseline fine-tuning: `distill_step` on the clean rows `x` with the
+    unit weights `ones`, one per row, that the caller builds once."""
+    return distill_step(student, target, x, ones, optimizer)

@@ -61,7 +61,9 @@ class Linear:
         init_uniform(self.b, rng, fan_in)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w.value + self.b.value
+        y = x @ self.w.value
+        y += self.b.value
+        return y
 
     def backward(self, x: np.ndarray, g: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:

@@ -59,8 +59,9 @@ class Embedder:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             cache.append(h)
-            z = layer.forward(h)
-            h = np.tanh(z) if i < last else z
+            h = layer.forward(h)
+            if i < last:
+                np.tanh(h, out=h)
         return h, cache
 
     def backward(self, cache, upstream: np.ndarray) -> None:
@@ -70,8 +71,11 @@ class Embedder:
         last = len(self.layers) - 1
         for i in reversed(range(len(self.layers))):
             if i < last:
+                # g * (1 - t t) in place: g is the layer above's fresh dx
                 t = cache[i + 1]
-                g = g * (1.0 - t * t)
+                d = np.multiply(t, t)
+                np.subtract(1.0, d, out=d)
+                g *= d
             g = self.layers[i].backward(cache[i], g, i > 0)
 
 
@@ -227,9 +231,9 @@ class MilModel:
     Every parameter lives in one arena: `arena.value` and `arena.grad` are
     1 x N buffers in checkpoint order (embedder | aggregator | classifier),
     and each Param's value and grad are views into them. The group Params
-    `embedder_group`, `head_group` (aggregator and classifier) and
-    `classifier_group` span contiguous runs of the arena, so an optimizer,
-    a checksum or a copy handles one array per run."""
+    `embedder_group` and `head_group` (aggregator and classifier) span
+    contiguous runs of the arena, so an optimizer, a checksum or a copy
+    handles one array per run."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -246,10 +250,8 @@ class MilModel:
             p.grad = self.arena.grad[0, start:stop].reshape(p.value.shape)
             start = stop
         n_embedder = sum(p.value.size for p in self.embedder.params)
-        n_classifier = sum(p.value.size for p in self.classifier.params)
         self.embedder_group = self._group("embedder", 0, n_embedder)
         self.head_group = self._group("head", n_embedder, start)
-        self.classifier_group = self._group("classifier", start - n_classifier, start)
 
     def _group(self, name: str, start: int, stop: int) -> Param:
         return Param(self.arena.value[:, start:stop], name,

@@ -319,11 +319,14 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                        config: TrainConfig, rng_noise: np.random.Generator,
                        rng_distill: np.random.Generator) -> list[float]:
     """Fine-tune the embedder against a frozen teacher snapshot of the
-    current model; the student's embedder is then copied into the model's,
-    its classifier is discarded. `h_all` holds the teacher's rows for
-    `train_bags` (`embed_instances`), so its attention and class
-    probabilities are computed once for the whole phase. Returns per-pass
-    mean losses."""
+    current model, then copy the student's embedder into the model's. Each
+    step runs the student's embedder and classifier forward and backward,
+    and one Adam over the student's arena trains both; the aggregator's
+    gradient stays zero, so its update is exactly 0. The student's
+    classifier and aggregator are then discarded. `h_all` holds the
+    teacher's rows for `train_bags` (`embed_instances`), so its attention
+    and argmax classes are computed once for the whole phase. Returns
+    per-pass mean losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("embedder phase needs a non-empty training set")
@@ -339,9 +342,9 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
         for _, rows in _row_slices(train_bags):
             _, a, _ = teacher.aggregator.forward(h_all[rows], teacher.classifier)
             conf_all[rows] = convert_confidence(normalize_attention(a), config.beta)
-    p_all = softmax_rows(teacher.classifier.forward(h_all))
-    optimizer = Adam([student.embedder_group, student.classifier_group],
-                     config.embedder_lr)
+    # the teacher's argmax class of every row, ties to the lower class index
+    target_all = np.argmax(softmax_rows(teacher.classifier.forward(h_all)), axis=1)
+    optimizer = Adam([student.arena], config.embedder_lr)
 
     losses: list[float] = []
     # a diverging step overflows mid-pass; the pass-loss check reports it
@@ -353,9 +356,10 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                 sel = order[start:start + config.batch_size]
                 xb = x_all[sel]
                 if config.mode == "naive":
-                    loss = naive_pseudolabel_step(student, xb, p_all[sel], optimizer)
+                    loss = naive_pseudolabel_step(student, xb, target_all[sel],
+                                                  conf_all[sel], optimizer)
                 else:
-                    loss = distill_step(student, p_all[sel],
+                    loss = distill_step(student, target_all[sel],
                                         noisy_augment(xb, config.noise_scale,
                                                       config.noise_dropout, rng_noise),
                                         conf_all[sel], optimizer)

@@ -13,21 +13,8 @@ import numpy as np
 from coupledmil import bagdata
 from coupledmil.augment import _draw_mask, augment_pair
 from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
-from coupledmil.distill import (
-    TeacherBranch,
-    convert_confidence,
-    distill_step,
-    naive_pseudolabel_step,
-    noisy_augment,
-    normalize_attention,
-)
-from coupledmil.gradcore import (
-    LOG_FLOOR,
-    Adam,
-    Param,
-    cross_entropy,
-    softmax_rows,
-)
+from coupledmil.distill import TeacherBranch, convert_confidence, normalize_attention
+from coupledmil.gradcore import LOG_FLOOR, Param, cross_entropy, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
 from coupledmil.milnet import BagForwardTrace, GatedAttention, MilModel
 from coupledmil.orchestrator import embed_instances
@@ -168,8 +155,10 @@ def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
 
 
 def student_params(student: MilModel) -> list[Param]:
-    """The two arena runs the embedder phase trains: embedder and classifier."""
-    return [student.embedder_group, student.classifier_group]
+    """What the embedder phase's optimizer trains: the student's whole arena.
+    A step leaves the aggregator's gradient zero, so Adam leaves its values
+    as they are."""
+    return [student.arena]
 
 
 def embedded_rows(model: MilModel, bags) -> np.ndarray:
@@ -182,9 +171,15 @@ def embedded_rows(model: MilModel, bags) -> np.ndarray:
 
 def teacher_targets(teacher: TeacherBranch, x: np.ndarray) -> np.ndarray:
     """The frozen teacher's class probabilities for the instance rows `x`:
-    the `p_t` argument of the steps."""
+    the `p_t` argument of the reference steps."""
     h_t, _ = teacher.model.embedder.forward(x)
     return softmax_rows(teacher.classifier.forward(h_t))
+
+
+def teacher_classes(teacher: TeacherBranch, x: np.ndarray) -> np.ndarray:
+    """The frozen teacher's argmax class of each instance row of `x`, ties to
+    the lower class index: the `target` argument of the steps."""
+    return np.argmax(teacher_targets(teacher, x), axis=1)
 
 
 def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
@@ -194,22 +189,46 @@ def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
     return a
 
 
-def reference_naive_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
-                         optimizer: Adam) -> float:
-    """The naive step written out on its own: the student's mean
-    cross-entropy on the clean rows `x` against the teacher's argmax class
-    (ties to the lower class index), with an explicit one-hot target."""
+def _plain_embed(embedder, x: np.ndarray) -> list[np.ndarray]:
+    """The embedder's forward as plain expressions: every layer's input,
+    then the output (a hidden layer's output is its tanh)."""
+    hs = [x]
+    last = len(embedder.layers) - 1
+    for i, layer in enumerate(embedder.layers):
+        z = hs[-1] @ layer.w.value + layer.b.value
+        hs.append(np.tanh(z) if i < last else z)
+    return hs
+
+
+def reference_distill_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
+                           weights: np.ndarray, optimizer) -> float:
+    """The distillation step written out on its own: the student's
+    `weights`-weighted mean cross-entropy on the rows `x` against the
+    teacher's argmax class (ties to the lower class index) with an explicit
+    one-hot target, backpropagated layer by layer through the classifier
+    and the embedder, then one optimizer step. Returns the loss."""
     n = x.shape[0]
+    rows = np.arange(n)
     pseudo = np.argmax(p_t, axis=1)
     y = np.zeros_like(p_t)
-    y[np.arange(n), pseudo] = 1.0
+    y[rows, pseudo] = 1.0
 
-    h_s, emb_cache = student.embedder.forward(x)
-    q = softmax_rows(student.classifier.forward(h_s))
-    loss = float(-np.log(np.maximum(q[np.arange(n), pseudo], LOG_FLOOR)).mean())
+    hs = _plain_embed(student.embedder, x)
+    clf = student.classifier
+    z = hs[-1] @ clf.w.value + clf.b.value
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    q = e / e.sum(axis=1, keepdims=True)
+    loss = float((weights * -np.log(np.maximum(q[rows, pseudo], LOG_FLOOR))).mean())
 
-    dh = student.classifier.backward(h_s, (q - y) / n)
-    student.embedder.backward(emb_cache, dh)
+    g = weights[:, None] * (q - y) / n
+    layers = [*student.embedder.layers, clf]  # layer j's input is hs[j]
+    for j in reversed(range(len(layers))):
+        layers[j].w.grad += hs[j].T @ g
+        layers[j].b.grad += g.sum(axis=0, keepdims=True)
+        if j > 0:
+            g = g @ layers[j].w.value.T
+            if j < len(layers) - 1:  # hs[j] is a hidden layer's tanh
+                g = g * (1.0 - hs[j] * hs[j])
     optimizer.step()
     return loss
 
@@ -217,9 +236,13 @@ def reference_naive_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
 def reference_embedder_phase(train_bags, model: MilModel, config,
                              rng_noise: np.random.Generator,
                              rng_distill: np.random.Generator):
-    """The embedder phase with the teacher run where each value is used: one
-    forward per bag for its attention, and one per batch for the targets.
-    Returns the student and the per-pass mean losses; `model` is not written."""
+    """The embedder phase written out with its own step: the teacher run
+    where each value is used (one forward per bag for its attention, one per
+    batch for the targets); the vanilla and confidence rows noised as
+    `x + scale z`, then zeroed where a uniform draw made after z falls below
+    the dropout; `reference_distill_step`; and a per-tensor Adam over the
+    student's embedder and classifier. Returns the student and the per-pass
+    mean losses; `model` is not written."""
     teacher = TeacherBranch.from_model(model)
     student = teacher.model.copy()
     xs, confs = [], []
@@ -230,7 +253,8 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
         xs.append(bag.features)
     x_all, conf_all = np.concatenate(xs), np.concatenate(confs)
     n = len(x_all)
-    optimizer = Adam(student_params(student), config.embedder_lr)
+    optimizer = ReferenceAdam([*student.embedder.params, *student.classifier.params],
+                              config.embedder_lr)
     losses = []
     for _ in range(config.embedder_passes):
         order = rng_distill.permutation(n)
@@ -239,14 +263,14 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
             sel = order[start:start + config.batch_size]
             xb = x_all[sel]
             p_t = teacher_targets(teacher, xb)
-            if config.mode == "naive":
-                loss = naive_pseudolabel_step(student, xb, p_t, optimizer)
-            else:
-                loss = distill_step(student, p_t,
-                                    noisy_augment(xb, config.noise_scale,
-                                                  config.noise_dropout, rng_noise),
-                                    conf_all[sel], optimizer)
-            total += loss * len(sel)
+            if config.mode != "naive":
+                if config.noise_scale > 0:
+                    xb = xb + config.noise_scale * rng_noise.standard_normal(xb.shape)
+                if config.noise_dropout > 0:
+                    mask = rng_noise.random(xb.shape) < config.noise_dropout
+                    xb = np.where(mask, 0.0, xb)
+            total += reference_distill_step(student, xb, p_t, conf_all[sel],
+                                            optimizer) * len(sel)
         losses.append(total / n)
     return student, losses
 

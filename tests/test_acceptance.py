@@ -48,7 +48,7 @@ from oracles import (
     pairwise_auc,
     replay_mixup_slots,
     student_params,
-    teacher_targets,
+    teacher_classes,
 )
 
 # ---- reference synthetic setup for the end-to-end criterion -------------
@@ -150,11 +150,11 @@ def test_criterion_1_gradient_suite():
         student = MilModel.build(cfg, rng)
         x = rng.uniform(-2, 2, size=(int(rng.integers(1, 5)), 3))
         xn = x + rng.uniform(-0.3, 0.3, size=x.shape)
-        p_t = teacher_targets(teacher, x)
+        target = teacher_classes(teacher, x)
         conf = np.ones(len(x)) if i % 2 == 0 else rng.uniform(0, 1, size=len(x))
 
         def loss():
-            return distill_step(student, p_t, xn, conf, NoStep())
+            return distill_step(student, target, xn, conf, NoStep())
 
         worst = max(worst, grad_check(loss, student_params(student)).max_rel_error)
         configs += 1
@@ -201,7 +201,7 @@ def test_criterion_3_degeneracy_equivalence(backbone):
     max_gap = 0.0
     for trial in range(20):
         x = rng_data.uniform(-2, 2, size=(int(rng_data.integers(2, 12)), 6))
-        p_t = teacher_targets(teacher, x)
+        target = teacher_classes(teacher, x)
         a = normalize_attention(bag_attention(teacher, x))
         conf = convert_confidence(a, 6.0)
         noised = noisy_augment(x, 0.1, 0.1, np.random.default_rng(trial))
@@ -209,7 +209,7 @@ def test_criterion_3_degeneracy_equivalence(backbone):
         students = []
         for weights in (conf, np.ones_like(conf)):
             student = teacher.model.copy()
-            losses.append(distill_step(student, p_t, noised, weights,
+            losses.append(distill_step(student, target, noised, weights,
                                        Adam(student_params(student), lr=1e-4)))
             students.append(student)
         max_gap = max(max_gap, abs(losses[0] - losses[1]))

@@ -18,8 +18,9 @@ from oracles import (
     ReferenceAdam,
     bag_attention,
     kl_divergence,
-    reference_naive_step,
+    reference_distill_step,
     student_params,
+    teacher_classes,
     teacher_targets,
     views_of_own_arena,
 )
@@ -155,6 +156,22 @@ class TestNoisyAugment:
         b = noisy_augment(x, 0.1, 0.1, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("scale", [0.0, 0.3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25, 1.0])
+    def test_pinned_value_for_value(self, scale, dropout):
+        # x + scale z, then zero where a uniform draw made after z falls
+        # below the dropout; a zero scale or dropout draws nothing
+        x = np.random.default_rng(0).standard_normal((40, 7))
+        x[0, :3] = [-0.0, 0.0, 1e300]
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        out = noisy_augment(x, scale, dropout, rng)
+        expected = x + scale * replay.standard_normal(x.shape) if scale > 0 else x
+        if dropout > 0:
+            expected = np.where(replay.random(x.shape) < dropout, 0.0, expected)
+        assert np.array_equal(bits(out), bits(expected))
+        assert rng.random() == replay.random()  # the stream advanced alike
+        assert not np.shares_memory(out, x)
+
 
 class TestLosses:
     def test_clean_step_on_teacher_copy_moves_student(self):
@@ -164,7 +181,7 @@ class TestLosses:
         teacher, student = make_branches()
         x = np.random.default_rng(3).uniform(-2, 2, size=(6, 4))
         before = student.arena.value.copy()
-        loss = distill_step(student, teacher_targets(teacher, x), x, np.ones(6),
+        loss = distill_step(student, teacher_classes(teacher, x), x, np.ones(6),
                             Adam(student_params(student), lr=1e-3))
         assert loss > 0.0
         assert not np.array_equal(student.arena.value, before)
@@ -180,7 +197,7 @@ class TestLosses:
         def perturbed_loss(delta):
             student = teacher.model.copy()
             student.classifier.w.value[0, 0] += delta
-            return distill_step(student, teacher_targets(teacher, x), x, np.ones(9),
+            return distill_step(student, teacher_classes(teacher, x), x, np.ones(9),
                                 Adam(student_params(student), lr=1e-3))
 
         l0 = perturbed_loss(0.0)
@@ -201,16 +218,17 @@ class TestLosses:
         q = softmax_rows(student.classifier.forward(student.embedder.forward(x)[0]))
         expected = np.mean([conf[i] * kl_divergence(np.eye(2)[np.argmax(p_t[i])], q[i])
                             for i in range(8)])
-        loss = distill_step(student, p_t, x, conf, Adam(student_params(student), lr=1e-3))
+        loss = distill_step(student, np.argmax(p_t, axis=1), x, conf,
+                            Adam(student_params(student), lr=1e-3))
         assert loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestDistillStep:
     def _batch(self, teacher, x, rng, beta=6.0):
         # mirror the trainer: per-bag attention -> min-max -> confidence;
-        # returns the step's (p_t, x_noised, confidence) arguments
+        # returns the step's (target, x_noised, confidence) arguments
         conf = convert_confidence(normalize_attention(bag_attention(teacher, x)), beta)
-        return teacher_targets(teacher, x), noisy_augment(x, 0.1, 0.1, rng), conf
+        return teacher_classes(teacher, x), noisy_augment(x, 0.1, 0.1, rng), conf
 
     def test_zero_confidence_means_zero_loss_and_no_update(self):
         teacher, student = make_branches()
@@ -219,7 +237,7 @@ class TestDistillStep:
         noised = noisy_augment(x, 0.1, 0.1, rng)
         opt = Adam(student_params(student), lr=1e-3)
         before = [p.value.copy() for p in student_params(student)]
-        loss = distill_step(student, teacher_targets(teacher, x), noised, np.zeros(5),
+        loss = distill_step(student, teacher_classes(teacher, x), noised, np.zeros(5),
                             opt)
         assert loss == 0.0
         for p, snap in zip(student_params(student), before):
@@ -232,13 +250,13 @@ class TestDistillStep:
         teacher = TeacherBranch.from_model(build_model(backbone, seed=3))
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(8, 4))
-        p_t, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
+        target, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
         assert np.array_equal(conf, np.ones(8))
         student_a = teacher.model.copy()
         student_b = teacher.model.copy()
-        loss_a = distill_step(student_a, p_t, noised, conf,
+        loss_a = distill_step(student_a, target, noised, conf,
                               Adam(student_params(student_a), lr=1e-3))
-        loss_b = distill_step(student_b, p_t, noised, np.ones(8),
+        loss_b = distill_step(student_b, target, noised, np.ones(8),
                               Adam(student_params(student_b), lr=1e-3))
         assert abs(loss_a - loss_b) <= 1e-12
         for pa, pb in zip(student_params(student_a), student_params(student_b)):
@@ -252,7 +270,7 @@ class TestDistillStep:
 
         def run(instances, noised_rows, conf):
             student = teacher.model.copy()
-            return distill_step(student, teacher_targets(teacher, instances),
+            return distill_step(student, teacher_classes(teacher, instances),
                                 noised_rows, np.array(conf),
                                 Adam(student_params(student), lr=1e-3))
 
@@ -313,11 +331,12 @@ class TestNaivePseudolabel:
         x = np.random.default_rng(0).uniform(-2, 2, size=(4, 4))
         probs = teacher_targets(teacher, x)
         assert np.array_equal(probs, np.full((4, 2), 0.5))
-        # so every pseudo-label is class 0: the loss is the student's
-        # cross-entropy against class 0
+        # so every pseudo-label is class 0 (the phase's own argmax is pinned
+        # by test_orchestrator's test_teacher_ties_go_to_the_lower_class):
+        # the loss is the student's cross-entropy against class 0
         q = softmax_rows(student.classifier.forward(student.embedder.forward(x)[0]))
         assert not np.allclose(q[:, 0], q[:, 1])
-        loss = naive_pseudolabel_step(student, x, probs,
+        loss = naive_pseudolabel_step(student, x, np.argmax(probs, axis=1), np.ones(4),
                                       Adam(student_params(student), lr=1e-5))
         assert loss == pytest.approx(-np.log(q[:, 0]).mean(), rel=1e-12)
 
@@ -328,7 +347,7 @@ class TestNaivePseudolabel:
         expected = np.mean([
             cross_entropy(p[i], np.eye(2)[np.argmax(p[i])]) for i in range(5)
         ])
-        loss = naive_pseudolabel_step(student, x, p,
+        loss = naive_pseudolabel_step(student, x, np.argmax(p, axis=1), np.ones(5),
                                       Adam(student_params(student), lr=1e-5))
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -340,11 +359,14 @@ class TestNaivePseudolabel:
         batches = [rng.uniform(-2, 2, size=(int(rng.integers(1, 12)), 4))
                    for _ in range(6)]
         students, losses = [], []
-        for step in (naive_pseudolabel_step, reference_naive_step):
+        steps = (lambda student, x, p_t, ones, opt: naive_pseudolabel_step(
+                     student, x, np.argmax(p_t, axis=1), ones, opt),
+                 reference_distill_step)
+        for step in steps:
             student = teacher.model.copy()
             opt = Adam(student_params(student), lr=1e-2)
-            losses.append([step(student, x, teacher_targets(teacher, x), opt)
-                           for x in batches])
+            losses.append([step(student, x, teacher_targets(teacher, x),
+                                np.ones(len(x)), opt) for x in batches])
             students.append(student)
         assert losses[0] == losses[1]
         assert np.array_equal(students[0].arena.value, students[1].arena.value)
@@ -353,9 +375,10 @@ class TestNaivePseudolabel:
     def test_descent_on_fixed_batch(self):
         teacher, student = make_branches(seed=22)
         x = np.random.default_rng(2).uniform(-2, 2, size=(20, 4))
-        p = teacher_targets(teacher, x)
+        target = teacher_classes(teacher, x)
         opt = Adam(student_params(student), lr=1e-5)
-        losses = [naive_pseudolabel_step(student, x, p, opt) for _ in range(10)]
+        losses = [naive_pseudolabel_step(student, x, target, np.ones(20), opt)
+                  for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -370,7 +393,7 @@ class TestSnapshots:
         opt = Adam(student_params(student), lr=1e-2)
         for _ in range(3):
             x = rng.uniform(-2, 2, size=(6, 4))
-            distill_step(student, teacher_targets(teacher, x),
+            distill_step(student, teacher_classes(teacher, x),
                          noisy_augment(x, 0.1, 0.1, rng), np.ones(6), opt)
         for branch in (teacher.model, student):
             assert views_of_own_arena(branch)
@@ -380,13 +403,14 @@ class TestSnapshots:
 
     def test_distill_pass_matches_per_tensor_adam(self):
         # one pass over a pool in batches: the optimizer over the student's
-        # two arena runs against one update per tensor
+        # arena against one update per embedder and classifier tensor; the
+        # aggregator's gradient stays zero, so its values do not move
         teacher, _ = make_branches(seed=17)
         rng = np.random.default_rng(18)
         x_all = rng.uniform(-2, 2, size=(40, 4))
         noised = noisy_augment(x_all, 0.1, 0.1, rng)
         conf = rng.uniform(0, 1, size=40)
-        p_all = teacher_targets(teacher, x_all)
+        target = teacher_classes(teacher, x_all)
         students = []
         for per_tensor in (False, True):
             student = teacher.model.copy()
@@ -395,8 +419,8 @@ class TestSnapshots:
                    else Adam(student_params(student), lr=1e-3))
             for start in range(0, 40, 7):
                 sel = slice(start, start + 7)
-                distill_step(student, p_all[sel], noised[sel], conf[sel], opt)
-            naive_pseudolabel_step(student, x_all[:9], p_all[:9], opt)
+                distill_step(student, target[sel], noised[sel], conf[sel], opt)
+            naive_pseudolabel_step(student, x_all[:9], target[:9], np.ones(9), opt)
             students.append(student)
         arena, reference = students
         assert not np.array_equal(arena.arena.value, teacher.model.arena.value)

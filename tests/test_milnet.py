@@ -261,7 +261,7 @@ class TestArena:
         assert views_of_own_arena(model)
         for group, params in ((model.embedder_group, model.embedder.params),
                               (model.head_group, model.head_params),
-                              (model.classifier_group, model.classifier.params)):
+                              (model.arena, model.all_params)):
             flat = np.concatenate([p.value.ravel() for p in params])
             assert np.array_equal(group.value[0], flat)
             assert all(np.shares_memory(p.value, group.value) for p in params)

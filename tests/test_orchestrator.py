@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from coupledmil import orchestrator
+from coupledmil import distill, orchestrator
 from coupledmil.augment import augment_pair
 from coupledmil.bagdata import (
     Bag,
@@ -316,16 +316,23 @@ class TestEmbedderPhase:
         assert np.array_equal(model.arena.value, before)
 
     @pytest.mark.parametrize("data", [
-        # bags of 3 to 17 instances, a batch size that does not divide the pool
+        # bags of 3 to 17 instances (238 in all), a batch size that leaves a
+        # short last batch of 6 rows
         dict(k=(3, 17), batch_size=29, dims=dict(hidden=(12,), embed_dim=8, attn_dim=4)),
+        # the protocol's batch size, last batch 38 rows, no hidden layer
+        dict(k=(3, 17), batch_size=100, dims=dict(hidden=(), embed_dim=8, attn_dim=4)),
+        # one batch of every row, through two hidden layers
+        dict(k=(3, 17), batch_size=1000, dims=dict(hidden=(12, 5), embed_dim=8, attn_dim=4)),
         # the desk model; every batch a multiple of 4 rows (see below)
         dict(k=10, batch_size=32, dims=dict(hidden=(64,), embed_dim=32, attn_dim=16)),
-    ], ids=["ragged", "desk-dims"])
+    ], ids=["ragged", "batch-100", "one-batch", "desk-dims"])
     @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
     @pytest.mark.parametrize("mode", ["naive", "vanilla", "confidence"])
     def test_matches_per_batch_teacher(self, monkeypatch, mode, backbone, data):
-        # the teacher's rows, computed once per phase, give the same student
-        # bit for bit as a teacher run on every batch. Two groupings round
+        # the phase gives the student, the embedder and the per-pass losses
+        # of the oracle's phase bit for bit: its step and its per-tensor Adam
+        # written as plain expressions, and the teacher run on every batch
+        # instead of once per phase. Two groupings round
         # differently on OpenBLAS, so the data avoids them: a bag of one
         # instance (embedded by gemv, not by a gemm), and at embed_dim 32 a
         # batch that is not a multiple of 4 rows (the 32 x 2 logits product
@@ -349,6 +356,27 @@ class TestEmbedderPhase:
         assert losses == expected_losses
         assert np.array_equal(student.arena.value, expected.arena.value)
         assert np.array_equal(model.embedder_group.value, expected.embedder_group.value)
+
+    @pytest.mark.parametrize("mode", ["naive", "confidence"])
+    def test_teacher_ties_go_to_the_lower_class(self, monkeypatch, mode):
+        # a zeroed classifier gives the teacher exactly [0.5, 0.5] on every
+        # row, so every step's target is class 0
+        ds = small_dataset()
+        config = small_config(mode=mode, embedder_passes=2, batch_size=7)
+        model = build_model(config)
+        model.classifier.w.value[:] = 0.0
+        model.classifier.b.value[:] = 0.0
+        targets = []
+        step = orchestrator.distill_step
+        # the name orchestrator calls, and the one naive_pseudolabel_step calls
+        for module in (orchestrator, distill):
+            monkeypatch.setattr(module, "distill_step", lambda student, target, *rest: (
+                targets.append(target) or step(student, target, *rest)))
+        run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
+                           rng_stream(0, "noise"), rng_stream(0, "distill"))
+        n = sum(len(bag) for bag in ds.bags)
+        assert len(targets) == 2 * -(-n // 7)
+        assert not np.concatenate(targets).any()
 
     @pytest.mark.parametrize("mode", ["naive", "confidence"])
     def test_teacher_embeds_each_bag_once(self, monkeypatch, mode):
