@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradcore import LOG_FLOOR, Adam
+from .gradcore import LOG_FLOOR, Adam, softmax_rows
 from .milnet import MilModel
 
 
@@ -92,17 +92,9 @@ def distill_step(student: MilModel, target: np.ndarray, x: np.ndarray,
     n = x.shape[0]
     rows = np.arange(n)
     h_s, emb_cache = student.embedder.forward(x)
-    # softmax_rows, the loss and dlogits in place on the logits buffer q,
-    # with the plain expressions' floating-point operations in the same
-    # order. The row max goes a column at a time, as numpy reduces short
-    # rows slowly: a max rounds nothing, and exp(q - max) drops a zero's sign
-    q = student.classifier.forward(h_s)
-    top = q[:, 0].copy()
-    for c in range(1, q.shape[1]):
-        np.maximum(top, q[:, c], out=top)
-    q -= top[:, None]
-    np.exp(q, out=q)
-    q /= q.sum(axis=1, keepdims=True)
+    q = softmax_rows(student.classifier.forward(h_s))
+    # the loss on a copy of the target column, then dlogits in place on q,
+    # in the plain expressions' order
     t = q[rows, target]
     np.maximum(t, LOG_FLOOR, out=t)
     np.log(t, out=t)
@@ -120,7 +112,7 @@ def distill_step(student: MilModel, target: np.ndarray, x: np.ndarray,
 
 
 def naive_pseudolabel_step(student: MilModel, x: np.ndarray, target: np.ndarray,
-                           ones: np.ndarray, optimizer: Adam) -> float:
-    """Baseline fine-tuning: `distill_step` on the clean rows `x` with the
-    unit weights `ones`, one per row, that the caller builds once."""
-    return distill_step(student, target, x, ones, optimizer)
+                           optimizer: Adam) -> float:
+    """Baseline fine-tuning: `distill_step` on the clean rows `x` with unit
+    weights."""
+    return distill_step(student, target, x, np.ones(x.shape[0]), optimizer)

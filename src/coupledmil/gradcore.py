@@ -98,10 +98,18 @@ def softmax_inplace(e: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(z: Tensor2) -> Tensor2:
-    """Row-wise stable softmax for batched logits."""
+    """Row-wise stable softmax (max-subtraction) of the batched logits `z`.
+    A float64 array is computed in its own buffer, which is returned. The
+    row max goes a column at a time, as numpy reduces short rows slowly: a
+    max rounds nothing, and exp(z - max) drops a zero's sign."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    top = z[:, 0].copy()
+    for c in range(1, z.shape[1]):
+        np.maximum(top, z[:, c], out=top)
+    z -= top[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def cross_entropy(pred, target) -> float:

@@ -356,8 +356,7 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                 sel = order[start:start + config.batch_size]
                 xb = x_all[sel]
                 if config.mode == "naive":
-                    loss = naive_pseudolabel_step(student, xb, target_all[sel],
-                                                  conf_all[sel], optimizer)
+                    loss = naive_pseudolabel_step(student, xb, target_all[sel], optimizer)
                 else:
                     loss = distill_step(student, target_all[sel],
                                         noisy_augment(xb, config.noise_scale,

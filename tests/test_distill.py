@@ -336,7 +336,7 @@ class TestNaivePseudolabel:
         # the loss is the student's cross-entropy against class 0
         q = softmax_rows(student.classifier.forward(student.embedder.forward(x)[0]))
         assert not np.allclose(q[:, 0], q[:, 1])
-        loss = naive_pseudolabel_step(student, x, np.argmax(probs, axis=1), np.ones(4),
+        loss = naive_pseudolabel_step(student, x, np.argmax(probs, axis=1),
                                       Adam(student_params(student), lr=1e-5))
         assert loss == pytest.approx(-np.log(q[:, 0]).mean(), rel=1e-12)
 
@@ -347,7 +347,7 @@ class TestNaivePseudolabel:
         expected = np.mean([
             cross_entropy(p[i], np.eye(2)[np.argmax(p[i])]) for i in range(5)
         ])
-        loss = naive_pseudolabel_step(student, x, np.argmax(p, axis=1), np.ones(5),
+        loss = naive_pseudolabel_step(student, x, np.argmax(p, axis=1),
                                       Adam(student_params(student), lr=1e-5))
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -359,14 +359,15 @@ class TestNaivePseudolabel:
         batches = [rng.uniform(-2, 2, size=(int(rng.integers(1, 12)), 4))
                    for _ in range(6)]
         students, losses = [], []
-        steps = (lambda student, x, p_t, ones, opt: naive_pseudolabel_step(
-                     student, x, np.argmax(p_t, axis=1), ones, opt),
-                 reference_distill_step)
+        steps = (lambda student, x, p_t, opt: naive_pseudolabel_step(
+                     student, x, np.argmax(p_t, axis=1), opt),
+                 lambda student, x, p_t, opt: reference_distill_step(
+                     student, x, p_t, np.ones(len(x)), opt))
         for step in steps:
             student = teacher.model.copy()
             opt = Adam(student_params(student), lr=1e-2)
-            losses.append([step(student, x, teacher_targets(teacher, x),
-                                np.ones(len(x)), opt) for x in batches])
+            losses.append([step(student, x, teacher_targets(teacher, x), opt)
+                           for x in batches])
             students.append(student)
         assert losses[0] == losses[1]
         assert np.array_equal(students[0].arena.value, students[1].arena.value)
@@ -377,8 +378,7 @@ class TestNaivePseudolabel:
         x = np.random.default_rng(2).uniform(-2, 2, size=(20, 4))
         target = teacher_classes(teacher, x)
         opt = Adam(student_params(student), lr=1e-5)
-        losses = [naive_pseudolabel_step(student, x, target, np.ones(20), opt)
-                  for _ in range(10)]
+        losses = [naive_pseudolabel_step(student, x, target, opt) for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -420,7 +420,7 @@ class TestSnapshots:
             for start in range(0, 40, 7):
                 sel = slice(start, start + 7)
                 distill_step(student, target[sel], noised[sel], conf[sel], opt)
-            naive_pseudolabel_step(student, x_all[:9], target[:9], np.ones(9), opt)
+            naive_pseudolabel_step(student, x_all[:9], target[:9], opt)
             students.append(student)
         arena, reference = students
         assert not np.array_equal(arena.arena.value, teacher.model.arena.value)

@@ -10,6 +10,7 @@ from coupledmil.gradcore import (
     _sigmoid,
     cross_entropy,
     softmax_inplace,
+    softmax_rows,
 )
 from coupledmil.milnet import Embedder
 from oracles import grad_check, kl_divergence
@@ -203,6 +204,20 @@ class TestSoftmax:
             assert abs(a.sum() - 1.0) <= 1e-9
             b = softmax_inplace(s + rng.uniform(-100, 100))
             assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)) <= 1e-9
+
+    @pytest.mark.parametrize("classes", [1, 2, 5])
+    def test_rows_in_place_match_plain_expressions(self, classes):
+        # the column-at-a-time max and in-place arithmetic give the bits of
+        # exp(z - rowmax) / rowsum, signed zeros and huge logits included
+        z = np.random.default_rng(classes).normal(0, 30, size=(64, classes))
+        z[:3, 0] = [-0.0, 0.0, 700.0]
+        z[3] = -0.0
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        expected = e / e.sum(axis=1, keepdims=True)
+        buf = z.copy()
+        out = softmax_rows(buf)
+        assert out is buf
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 class TestKL:
