@@ -1,10 +1,12 @@
 """Embedder fine-tuning via teacher-student distillation.
 
-The frozen teacher (embedder + classifier + aggregator from the classifier
-phase) guides a fully learnable student. The per-instance loss is the
-student's cross-entropy against the teacher's argmax class, on noised inputs
-x' for the vanilla and confidence modes, scaled by an attention-derived
-confidence weight |2a-1|^beta in the confidence mode.
+The teacher is the model as the classifier phase left it. Its aggregator
+and bag classifier stay fixed for the whole embedder phase, and the
+model's own embedder, the student, fine-tunes under them in place. The
+per-instance loss is the fixed classifier's cross-entropy on the student's
+embedding against the teacher's argmax class, on noised inputs x' for the
+vanilla and confidence modes, scaled by an attention-derived confidence
+weight |2a-1|^beta in the confidence mode.
 """
 
 from __future__ import annotations
@@ -62,37 +64,41 @@ def noisy_augment(x: np.ndarray, scale: float, dropout: float,
 
 
 class TeacherBranch:
-    """Frozen snapshot of the trained backbone: its classifier gives the
-    distillation targets, its per-bag attention the confidence weights. Its
-    parameters are never written; the student is a plain copy of its model."""
-
-    def __init__(self, model: MilModel):
-        self.model = model
-        self.classifier = model.classifier
-        self.aggregator = model.aggregator
+    """The teacher's outputs for one embedder phase, read once from its
+    embeddings before the embedder changes."""
 
     @classmethod
-    def from_model(cls, model: MilModel) -> "TeacherBranch":
-        return cls(model.copy())
+    def from_model(cls, model: MilModel, bags, h_all: np.ndarray,
+                   config) -> tuple[np.ndarray, np.ndarray]:
+        """The argmax class of every row of `h_all` under the model's
+        classifier (ties to the lower class index), and each row's
+        confidence weight: in the confidence mode the `convert_confidence`
+        of its bag's normalized attention, else 1. `h_all` stacks the
+        embeddings of the instances of `bags` in bag order."""
+        conf = np.ones(len(h_all))
+        if config.mode == "confidence":
+            bounds = np.cumsum([0, *map(len, bags)]).tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                _, a, _ = model.aggregator.forward(h_all[lo:hi], model.classifier)
+                conf[lo:hi] = convert_confidence(normalize_attention(a), config.beta)
+        return np.argmax(softmax_rows(model.classifier.forward(h_all)), axis=1), conf
 
-    @property
-    def params(self):
-        return [self.model.arena]
 
-
-def distill_step(student: MilModel, target: np.ndarray, x: np.ndarray,
+def distill_step(model: MilModel, target: np.ndarray, x: np.ndarray,
                  confidence: np.ndarray, optimizer: Adam) -> float:
-    """One confidence-weighted distillation update on the student.
+    """One confidence-weighted distillation update of the model's embedder
+    under its fixed classifier.
 
-    `target` holds the frozen teacher's argmax class c_i (ties to the lower
-    class index) of the clean instances whose (possibly noised) copies are
-    `x`. Batch loss is mean_i confidence_i * -log student(x_i)[c_i]: the KL
-    against a one-hot target. Returns the batch loss.
+    `target` holds the teacher's argmax class c_i (ties to the lower class
+    index) of the clean instances whose (possibly noised) copies are `x`.
+    Batch loss is mean_i confidence_i * -log q(x_i)[c_i], q the classifier's
+    softmax on the student's embedding: the KL against a one-hot target.
+    Only the embedder's gradients are formed. Returns the batch loss.
     """
     n = x.shape[0]
     rows = np.arange(n)
-    h_s, emb_cache = student.embedder.forward(x)
-    q = softmax_rows(student.classifier.forward(h_s))
+    h, emb_cache = model.embedder.forward(x)
+    q = softmax_rows(model.classifier.forward(h))
     # the loss on a copy of the target column, then dlogits in place on q,
     # in the plain expressions' order
     t = q[rows, target]
@@ -102,17 +108,18 @@ def distill_step(student: MilModel, target: np.ndarray, x: np.ndarray,
     t *= confidence
     loss = float(np.add.reduce(t) / n)  # the mean of confidence * -log q[c]
 
-    # dlogits = confidence * (q - onehot) / n
+    # dlogits = confidence * (q - onehot) / n, passed to the embedder as
+    # dlogits W^T
     q[rows, target] -= 1.0
     q *= confidence[:, None]
     q /= n
-    student.embedder.backward(emb_cache, student.classifier.backward(h_s, q))
+    model.embedder.backward(emb_cache, q @ model.classifier.w.value.T)
     optimizer.step()
     return loss
 
 
-def naive_pseudolabel_step(student: MilModel, x: np.ndarray, target: np.ndarray,
+def naive_pseudolabel_step(model: MilModel, x: np.ndarray, target: np.ndarray,
                            optimizer: Adam) -> float:
     """Baseline fine-tuning: `distill_step` on the clean rows `x` with unit
     weights."""
-    return distill_step(student, target, x, np.ones(x.shape[0]), optimizer)
+    return distill_step(model, target, x, np.ones(x.shape[0]), optimizer)

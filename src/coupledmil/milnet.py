@@ -232,8 +232,8 @@ class MilModel:
     1 x N buffers in checkpoint order (embedder | aggregator | classifier),
     and each Param's value and grad are views into them. The group Params
     `embedder_group` and `head_group` (aggregator and classifier) span
-    contiguous runs of the arena, so an optimizer, a checksum or a copy
-    handles one array per run."""
+    contiguous runs of the arena, so an optimizer or a checksum handles one
+    array per run."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -257,18 +257,14 @@ class MilModel:
         return Param(self.arena.value[:, start:stop], name,
                      self.arena.grad[:, start:stop])
 
-    def copy(self) -> "MilModel":
+    def __deepcopy__(self, memo) -> "MilModel":
         """An independent model with this one's parameter values and
-        gradients, copied buffer to buffer."""
+        gradients, copied arena to arena: a field-by-field deepcopy would
+        give every Param its own array, cut loose from the copy's arena."""
         clone = MilModel(self.config)
         clone.arena.value[:] = self.arena.value
         clone.arena.grad[:] = self.arena.grad
         return clone
-
-    def __deepcopy__(self, memo) -> "MilModel":
-        # a field-by-field deepcopy would give every Param its own array,
-        # cut loose from the copy's arena
-        return self.copy()
 
     @classmethod
     def build(cls, config: ModelConfig, rng: np.random.Generator) -> "MilModel":

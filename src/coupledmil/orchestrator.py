@@ -16,15 +16,14 @@ import numpy as np
 
 from .augment import augment_pair
 from .bagdata import ConfigError, Dataset, features_matrix, split_dataset
-from .distill import (
+from .distill import (  # noqa: F401 - perfbench's tracer patches convert_confidence here
     TeacherBranch,
     convert_confidence,
     distill_step,
     naive_pseudolabel_step,
     noisy_augment,
-    normalize_attention,
 )
-from .gradcore import Adam, cross_entropy, softmax_rows
+from .gradcore import Adam, cross_entropy
 from .metrics import EvalResult, evaluate_scores
 from .milnet import BACKBONES, POSITIVE_CLASS, BagForwardTrace, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
@@ -43,7 +42,7 @@ class CheckpointError(ValueError):
 
 class NonFiniteLossError(ArithmeticError):
     """A model produced non-finite numbers: an epoch loss, the embedder
-    parameters an embedder phase hands back, or a bag's embedding, attention
+    parameters an embedder phase leaves, or a bag's embedding, attention
     or class probabilities, in training, evaluation or the attention
     export."""
 
@@ -318,33 +317,22 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
 def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                        config: TrainConfig, rng_noise: np.random.Generator,
                        rng_distill: np.random.Generator) -> list[float]:
-    """Fine-tune the embedder against a frozen teacher snapshot of the
-    current model, then copy the student's embedder into the model's. Each
-    step runs the student's embedder and classifier forward and backward,
-    and one Adam over the student's arena trains both; the aggregator's
-    gradient stays zero, so its update is exactly 0. The student's
-    classifier and aggregator are then discarded. `h_all` holds the
-    teacher's rows for `train_bags` (`embed_instances`), so its attention
-    and argmax classes are computed once for the whole phase. Returns
-    per-pass mean losses."""
+    """Fine-tune the model's embedder in place under its frozen head. The
+    teacher is the model as the classifier phase left it: `h_all` holds its
+    rows for `train_bags` (`embed_instances`), so its argmax classes and
+    confidence weights are computed once, before the first step. Each step
+    runs the embedder forward and backward through the model's own
+    classifier, and one Adam over the embedder trains it. Returns per-pass
+    mean losses."""
     train_bags = list(train_bags)
     if not train_bags:
         raise ValueError("embedder phase needs a non-empty training set")
 
-    teacher = TeacherBranch.from_model(model)
-    frozen = params_checksum(teacher.params)
-    student = teacher.model.copy()
-
+    frozen = params_checksum([model.head_group])
+    target_all, conf_all = TeacherBranch.from_model(model, train_bags, h_all, config)
     x_all = np.concatenate([features_matrix(bag) for bag in train_bags])
     n = x_all.shape[0]
-    conf_all = np.ones(n)
-    if config.mode == "confidence":  # vanilla and naive weigh every row by 1
-        for _, rows in _row_slices(train_bags):
-            _, a, _ = teacher.aggregator.forward(h_all[rows], teacher.classifier)
-            conf_all[rows] = convert_confidence(normalize_attention(a), config.beta)
-    # the teacher's argmax class of every row, ties to the lower class index
-    target_all = np.argmax(softmax_rows(teacher.classifier.forward(h_all)), axis=1)
-    optimizer = Adam([student.arena], config.embedder_lr)
+    optimizer = Adam([model.embedder_group], config.embedder_lr)
 
     losses: list[float] = []
     # a diverging step overflows mid-pass; the pass-loss check reports it
@@ -356,20 +344,19 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                 sel = order[start:start + config.batch_size]
                 xb = x_all[sel]
                 if config.mode == "naive":
-                    loss = naive_pseudolabel_step(student, xb, target_all[sel], optimizer)
+                    loss = naive_pseudolabel_step(model, xb, target_all[sel], optimizer)
                 else:
-                    loss = distill_step(student, target_all[sel],
+                    loss = distill_step(model, target_all[sel],
                                         noisy_augment(xb, config.noise_scale,
                                                       config.noise_dropout, rng_noise),
                                         conf_all[sel], optimizer)
                 total += loss * len(sel)
             losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
 
-    if params_checksum(teacher.params) != frozen:
-        raise RuntimeError("embedder phase modified the frozen teacher")
-    if not np.isfinite(student.embedder_group.value).all():
+    if params_checksum([model.head_group]) != frozen:
+        raise RuntimeError("embedder phase modified the frozen classifier")
+    if not np.isfinite(model.embedder_group.value).all():
         raise NonFiniteLossError("embedder phase: non-finite embedder parameters")
-    model.embedder_group.value[:] = student.embedder_group.value
     return losses
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from coupledmil import bagdata
 from coupledmil.augment import _draw_mask, augment_pair
 from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
-from coupledmil.distill import TeacherBranch, convert_confidence, normalize_attention
+from coupledmil.distill import convert_confidence, normalize_attention
 from coupledmil.gradcore import LOG_FLOOR, Param, cross_entropy, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
 from coupledmil.milnet import BagForwardTrace, GatedAttention, MilModel
@@ -154,13 +154,6 @@ def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
         model.embedder.backward(trace.embed_cache, dh)
 
 
-def student_params(student: MilModel) -> list[Param]:
-    """What the embedder phase's optimizer trains: the student's whole arena.
-    A step leaves the aggregator's gradient zero, so Adam leaves its values
-    as they are."""
-    return [student.arena]
-
-
 def embedded_rows(model: MilModel, bags) -> np.ndarray:
     """A fresh buffer filled by `embed_instances`: the rows both training
     phases take for `bags`."""
@@ -169,22 +162,22 @@ def embedded_rows(model: MilModel, bags) -> np.ndarray:
     return h_all
 
 
-def teacher_targets(teacher: TeacherBranch, x: np.ndarray) -> np.ndarray:
-    """The frozen teacher's class probabilities for the instance rows `x`:
+def teacher_targets(teacher: MilModel, x: np.ndarray) -> np.ndarray:
+    """The teacher model's class probabilities for the instance rows `x`:
     the `p_t` argument of the reference steps."""
-    h_t, _ = teacher.model.embedder.forward(x)
+    h_t, _ = teacher.embedder.forward(x)
     return softmax_rows(teacher.classifier.forward(h_t))
 
 
-def teacher_classes(teacher: TeacherBranch, x: np.ndarray) -> np.ndarray:
-    """The frozen teacher's argmax class of each instance row of `x`, ties to
+def teacher_classes(teacher: MilModel, x: np.ndarray) -> np.ndarray:
+    """The teacher model's argmax class of each instance row of `x`, ties to
     the lower class index: the `target` argument of the steps."""
     return np.argmax(teacher_targets(teacher, x), axis=1)
 
 
-def bag_attention(teacher: TeacherBranch, x_bag: np.ndarray) -> np.ndarray:
-    """The teacher's attention over the instances of one bag."""
-    h, _ = teacher.model.embedder.forward(x_bag)
+def bag_attention(teacher: MilModel, x_bag: np.ndarray) -> np.ndarray:
+    """The teacher model's attention over the instances of one bag."""
+    h, _ = teacher.embedder.forward(x_bag)
     _, a, _ = teacher.aggregator.forward(h, teacher.classifier)
     return a
 
@@ -202,11 +195,12 @@ def _plain_embed(embedder, x: np.ndarray) -> list[np.ndarray]:
 
 def reference_distill_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
                            weights: np.ndarray, optimizer) -> float:
-    """The distillation step written out on its own: the student's
-    `weights`-weighted mean cross-entropy on the rows `x` against the
-    teacher's argmax class (ties to the lower class index) with an explicit
-    one-hot target, backpropagated layer by layer through the classifier
-    and the embedder, then one optimizer step. Returns the loss."""
+    """The distillation step written out on its own: the `weights`-weighted
+    mean cross-entropy of the student's fixed classifier on the rows `x`
+    against the teacher's argmax class (ties to the lower class index) with
+    an explicit one-hot target, backpropagated through the classifier's
+    weights W as the upstream gradient dlogits W^T and then layer by layer
+    through the embedder, then one optimizer step. Returns the loss."""
     n = x.shape[0]
     rows = np.arange(n)
     pseudo = np.argmax(p_t, axis=1)
@@ -220,15 +214,13 @@ def reference_distill_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
     q = e / e.sum(axis=1, keepdims=True)
     loss = float((weights * -np.log(np.maximum(q[rows, pseudo], LOG_FLOOR))).mean())
 
-    g = weights[:, None] * (q - y) / n
-    layers = [*student.embedder.layers, clf]  # layer j's input is hs[j]
+    g = (weights[:, None] * (q - y) / n) @ clf.w.value.T
+    layers = student.embedder.layers  # layer j's input is hs[j]
     for j in reversed(range(len(layers))):
         layers[j].w.grad += hs[j].T @ g
         layers[j].b.grad += g.sum(axis=0, keepdims=True)
-        if j > 0:
-            g = g @ layers[j].w.value.T
-            if j < len(layers) - 1:  # hs[j] is a hidden layer's tanh
-                g = g * (1.0 - hs[j] * hs[j])
+        if j > 0:  # hs[j] is a hidden layer's tanh
+            g = (g @ layers[j].w.value.T) * (1.0 - hs[j] * hs[j])
     optimizer.step()
     return loss
 
@@ -236,15 +228,16 @@ def reference_distill_step(student: MilModel, x: np.ndarray, p_t: np.ndarray,
 def reference_embedder_phase(train_bags, model: MilModel, config,
                              rng_noise: np.random.Generator,
                              rng_distill: np.random.Generator):
-    """The embedder phase written out with its own step: the teacher run
-    where each value is used (one forward per bag for its attention, one per
-    batch for the targets); the vanilla and confidence rows noised as
-    `x + scale z`, then zeroed where a uniform draw made after z falls below
-    the dropout; `reference_distill_step`; and a per-tensor Adam over the
-    student's embedder and classifier. Returns the student and the per-pass
-    mean losses; `model` is not written."""
-    teacher = TeacherBranch.from_model(model)
-    student = teacher.model.copy()
+    """The embedder phase written out with its own step: `model` is the
+    teacher, run where each value is used (one forward per bag for its
+    attention, one per batch for the targets); the student is a copy of it
+    whose embedder trains under its fixed classifier. The vanilla and
+    confidence rows are noised as `x + scale z`, then zeroed where a uniform
+    draw made after z falls below the dropout; `reference_distill_step`
+    steps them, and a per-tensor Adam over the student's embedder tensors.
+    Returns the student and the per-pass mean losses; `model` is not
+    written."""
+    teacher, student = model, copy.deepcopy(model)
     xs, confs = [], []
     for bag in train_bags:
         a_norm = normalize_attention(bag_attention(teacher, bag.features))
@@ -253,8 +246,7 @@ def reference_embedder_phase(train_bags, model: MilModel, config,
         xs.append(bag.features)
     x_all, conf_all = np.concatenate(xs), np.concatenate(confs)
     n = len(x_all)
-    optimizer = ReferenceAdam([*student.embedder.params, *student.classifier.params],
-                              config.embedder_lr)
+    optimizer = ReferenceAdam(student.embedder.params, config.embedder_lr)
     losses = []
     for _ in range(config.embedder_passes):
         order = rng_distill.permutation(n)

@@ -1,10 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledmil.distill import (
-    TeacherBranch,
     convert_confidence,
     distill_step,
     naive_pseudolabel_step,
@@ -19,7 +20,6 @@ from oracles import (
     bag_attention,
     kl_divergence,
     reference_distill_step,
-    student_params,
     teacher_classes,
     teacher_targets,
     views_of_own_arena,
@@ -33,8 +33,14 @@ def build_model(backbone="gated_attention", seed=0, d_raw=4):
 
 
 def make_branches(backbone="gated_attention", seed=0):
-    teacher = TeacherBranch.from_model(build_model(backbone, seed))
-    return teacher, teacher.model.copy()
+    """A teacher model and a copy of it, the student, whose embedder the
+    steps train under its fixed classifier."""
+    teacher = build_model(backbone, seed)
+    return teacher, copy.deepcopy(teacher)
+
+
+def embedder_adam(student, lr):
+    return Adam([student.embedder_group], lr=lr)
 
 
 class TestNormalizeAttention:
@@ -182,10 +188,10 @@ class TestLosses:
         x = np.random.default_rng(3).uniform(-2, 2, size=(6, 4))
         before = student.arena.value.copy()
         loss = distill_step(student, teacher_classes(teacher, x), x, np.ones(6),
-                            Adam(student_params(student), lr=1e-3))
+                            embedder_adam(student, 1e-3))
         assert loss > 0.0
         assert not np.array_equal(student.arena.value, before)
-        assert np.array_equal(teacher.model.arena.value, before)
+        assert np.array_equal(teacher.arena.value, before)
 
     def test_loss_linear_near_teacher(self):
         # against a fixed class the loss has a nonzero slope at the teacher,
@@ -195,10 +201,10 @@ class TestLosses:
         x = np.random.default_rng(6).uniform(-2, 2, size=(9, 4))
 
         def perturbed_loss(delta):
-            student = teacher.model.copy()
+            student = copy.deepcopy(teacher)
             student.classifier.w.value[0, 0] += delta
             return distill_step(student, teacher_classes(teacher, x), x, np.ones(9),
-                                Adam(student_params(student), lr=1e-3))
+                                embedder_adam(student, 1e-3))
 
         l0 = perturbed_loss(0.0)
         l1 = perturbed_loss(1e-3)
@@ -219,7 +225,7 @@ class TestLosses:
         expected = np.mean([conf[i] * kl_divergence(np.eye(2)[np.argmax(p_t[i])], q[i])
                             for i in range(8)])
         loss = distill_step(student, np.argmax(p_t, axis=1), x, conf,
-                            Adam(student_params(student), lr=1e-3))
+                            embedder_adam(student, 1e-3))
         assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -235,32 +241,30 @@ class TestDistillStep:
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=(5, 4))
         noised = noisy_augment(x, 0.1, 0.1, rng)
-        opt = Adam(student_params(student), lr=1e-3)
-        before = [p.value.copy() for p in student_params(student)]
+        opt = embedder_adam(student, 1e-3)
+        before = student.arena.value.copy()
         loss = distill_step(student, teacher_classes(teacher, x), noised, np.zeros(5),
                             opt)
         assert loss == 0.0
-        for p, snap in zip(student_params(student), before):
-            assert np.array_equal(p.value, snap)
+        assert np.array_equal(student.arena.value, before)
 
     @pytest.mark.parametrize("backbone", ["max", "mean"])
     def test_degenerate_attention_equals_vanilla(self, backbone):
         # one-hot (max) or constant (mean) attention makes every confidence 1,
         # so the weighted loss must equal the unweighted one exactly
-        teacher = TeacherBranch.from_model(build_model(backbone, seed=3))
+        teacher = build_model(backbone, seed=3)
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(8, 4))
         target, noised, conf = self._batch(teacher, x, np.random.default_rng(2))
         assert np.array_equal(conf, np.ones(8))
-        student_a = teacher.model.copy()
-        student_b = teacher.model.copy()
+        student_a = copy.deepcopy(teacher)
+        student_b = copy.deepcopy(teacher)
         loss_a = distill_step(student_a, target, noised, conf,
-                              Adam(student_params(student_a), lr=1e-3))
+                              embedder_adam(student_a, 1e-3))
         loss_b = distill_step(student_b, target, noised, np.ones(8),
-                              Adam(student_params(student_b), lr=1e-3))
+                              embedder_adam(student_b, 1e-3))
         assert abs(loss_a - loss_b) <= 1e-12
-        for pa, pb in zip(student_params(student_a), student_params(student_b)):
-            assert np.array_equal(pa.value, pb.value)
+        assert np.array_equal(student_a.arena.value, student_b.arena.value)
 
     def test_confidence_one_zero_halves_single_loss(self):
         teacher, _ = make_branches(seed=11)
@@ -269,39 +273,47 @@ class TestDistillStep:
         noised = noisy_augment(x, 0.1, 0.1, np.random.default_rng(5))
 
         def run(instances, noised_rows, conf):
-            student = teacher.model.copy()
+            student = copy.deepcopy(teacher)
             return distill_step(student, teacher_classes(teacher, instances),
                                 noised_rows, np.array(conf),
-                                Adam(student_params(student), lr=1e-3))
+                                embedder_adam(student, 1e-3))
 
         both = run(x, noised, [1.0, 0.0])
         single = run(x[:1], noised[:1], [1.0])
         assert both == pytest.approx(single / 2.0, rel=1e-12)
 
     def test_teacher_untouched_across_steps(self):
+        # the teacher's head is the student's own, and it stays fixed
         teacher, student = make_branches(seed=8)
-        frozen = params_checksum(teacher.params)
+        frozen = params_checksum([teacher.arena])
         rng = np.random.default_rng(9)
-        opt = Adam(student_params(student), lr=1e-3)
+        opt = embedder_adam(student, 1e-3)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(6, 4))
             distill_step(student, *self._batch(teacher, x, rng), opt)
-        assert params_checksum(teacher.params) == frozen
+        assert params_checksum([student.head_group]) == params_checksum([teacher.head_group])
+        assert params_checksum([teacher.arena]) == frozen
 
     def test_gradient_flows_only_to_student(self):
+        # only the embedder's gradients are formed: none lands in the head,
+        # where it would enter the next classifier phase's first Adam step
+        class NoStep:
+            def step(self):
+                pass
+
         teacher, student = make_branches(seed=12)
         rng = np.random.default_rng(13)
         x = rng.uniform(-2, 2, size=(6, 4))
-        distill_step(student, *self._batch(teacher, x, rng),
-                     Adam(student_params(student), lr=1e-3))
-        for p in teacher.params:
-            assert not p.grad.any()
+        distill_step(student, *self._batch(teacher, x, rng), NoStep())
+        assert student.embedder_group.grad.any()
+        assert not student.head_group.grad.any()
+        assert not teacher.arena.grad.any()
 
     def test_loss_nonnegative_sweep(self):
         rng = np.random.default_rng(14)
         for seed in range(10):
             teacher, student = make_branches(seed=seed)
-            opt = Adam(student_params(student), lr=1e-4)
+            opt = embedder_adam(student, 1e-4)
             for _ in range(3):
                 x = rng.uniform(-2, 2, size=(5, 4))
                 loss = distill_step(student, *self._batch(teacher, x, rng), opt)
@@ -314,11 +326,11 @@ class TestDistillStep:
         rng = np.random.default_rng(7)
         batch = self._batch(teacher, rng.uniform(-2, 2, size=(4, 4)), rng)
         calls = []
-        for name, model in (("teacher", teacher.model), ("student", student)):
+        for name, model in (("teacher", teacher), ("student", student)):
             forward = model.embedder.forward
             monkeypatch.setattr(model.embedder, "forward",
                                 lambda x, f=forward, n=name: calls.append(n) or f(x))
-        distill_step(student, *batch, Adam(student_params(student), lr=1e-3))
+        distill_step(student, *batch, embedder_adam(student, 1e-3))
         assert calls == ["student"]
 
 
@@ -337,7 +349,7 @@ class TestNaivePseudolabel:
         q = softmax_rows(student.classifier.forward(student.embedder.forward(x)[0]))
         assert not np.allclose(q[:, 0], q[:, 1])
         loss = naive_pseudolabel_step(student, x, np.argmax(probs, axis=1),
-                                      Adam(student_params(student), lr=1e-5))
+                                      embedder_adam(student, 1e-5))
         assert loss == pytest.approx(-np.log(q[:, 0]).mean(), rel=1e-12)
 
     def test_loss_is_teacher_prediction_entropy_floor(self):
@@ -348,7 +360,7 @@ class TestNaivePseudolabel:
             cross_entropy(p[i], np.eye(2)[np.argmax(p[i])]) for i in range(5)
         ])
         loss = naive_pseudolabel_step(student, x, np.argmax(p, axis=1),
-                                      Adam(student_params(student), lr=1e-5))
+                                      embedder_adam(student, 1e-5))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_matches_reference_step(self):
@@ -364,47 +376,44 @@ class TestNaivePseudolabel:
                  lambda student, x, p_t, opt: reference_distill_step(
                      student, x, p_t, np.ones(len(x)), opt))
         for step in steps:
-            student = teacher.model.copy()
-            opt = Adam(student_params(student), lr=1e-2)
+            student = copy.deepcopy(teacher)
+            opt = embedder_adam(student, 1e-2)
             losses.append([step(student, x, teacher_targets(teacher, x), opt)
                            for x in batches])
             students.append(student)
         assert losses[0] == losses[1]
         assert np.array_equal(students[0].arena.value, students[1].arena.value)
-        assert not np.array_equal(students[0].arena.value, teacher.model.arena.value)
+        assert not np.array_equal(students[0].arena.value, teacher.arena.value)
 
     def test_descent_on_fixed_batch(self):
         teacher, student = make_branches(seed=22)
         x = np.random.default_rng(2).uniform(-2, 2, size=(20, 4))
         target = teacher_classes(teacher, x)
-        opt = Adam(student_params(student), lr=1e-5)
+        opt = embedder_adam(student, 1e-5)
         losses = [naive_pseudolabel_step(student, x, target, opt) for _ in range(10)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
 class TestSnapshots:
     def test_steps_on_student_touch_only_its_arena(self):
-        model = build_model(seed=5)
-        before = model.arena.value.copy()
-        teacher = TeacherBranch.from_model(model)
-        student = teacher.model.copy()
-        frozen = teacher.model.arena.value.copy()
+        # and within it only the embedder: the head stays as the teacher's
+        teacher, student = make_branches(seed=5)
+        frozen = teacher.arena.value.copy()
         rng = np.random.default_rng(6)
-        opt = Adam(student_params(student), lr=1e-2)
+        opt = embedder_adam(student, 1e-2)
         for _ in range(3):
             x = rng.uniform(-2, 2, size=(6, 4))
             distill_step(student, teacher_classes(teacher, x),
                          noisy_augment(x, 0.1, 0.1, rng), np.ones(6), opt)
-        for branch in (teacher.model, student):
+        for branch in (teacher, student):
             assert views_of_own_arena(branch)
-        assert not np.array_equal(student.arena.value, frozen)
-        assert np.array_equal(teacher.model.arena.value, frozen)
-        assert np.array_equal(model.arena.value, before)
+        assert not np.array_equal(student.embedder_group.value, teacher.embedder_group.value)
+        assert np.array_equal(student.head_group.value, teacher.head_group.value)
+        assert np.array_equal(teacher.arena.value, frozen)
 
     def test_distill_pass_matches_per_tensor_adam(self):
         # one pass over a pool in batches: the optimizer over the student's
-        # arena against one update per embedder and classifier tensor; the
-        # aggregator's gradient stays zero, so its values do not move
+        # embedder group against one update per embedder tensor
         teacher, _ = make_branches(seed=17)
         rng = np.random.default_rng(18)
         x_all = rng.uniform(-2, 2, size=(40, 4))
@@ -413,17 +422,16 @@ class TestSnapshots:
         target = teacher_classes(teacher, x_all)
         students = []
         for per_tensor in (False, True):
-            student = teacher.model.copy()
-            opt = (ReferenceAdam([*student.embedder.params, *student.classifier.params],
-                                 lr=1e-3) if per_tensor
-                   else Adam(student_params(student), lr=1e-3))
+            student = copy.deepcopy(teacher)
+            opt = (ReferenceAdam(student.embedder.params, lr=1e-3) if per_tensor
+                   else embedder_adam(student, 1e-3))
             for start in range(0, 40, 7):
                 sel = slice(start, start + 7)
                 distill_step(student, target[sel], noised[sel], conf[sel], opt)
             naive_pseudolabel_step(student, x_all[:9], target[:9], opt)
             students.append(student)
         arena, reference = students
-        assert not np.array_equal(arena.arena.value, teacher.model.arena.value)
+        assert not np.array_equal(arena.arena.value, teacher.arena.value)
         for pa, pref in zip(arena.all_params, reference.all_params):
             assert np.array_equal(pa.value, pref.value)
             assert not pa.grad.any() and not pref.grad.any()

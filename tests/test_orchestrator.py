@@ -163,7 +163,7 @@ class TestClassifierPhase:
         ds = small_dataset()
         config = small_config(augment=augment)
         first = build_model(config, seed=5)
-        second = first.copy()
+        second = copy.deepcopy(first)
         h_all = embedded_rows(first, ds.bags)
         losses = [run_classifier_phase(classifier_schedule(ds.bags, config), h_all,
                                        model, config)
@@ -200,7 +200,7 @@ class TestClassifierPhase:
     @staticmethod
     def _check_against_reference(ds, config, schedule):
         model = build_model(config, seed=8)
-        reference = model.copy()
+        reference = copy.deepcopy(model)
         h_all = embedded_rows(model, ds.bags)
         losses = run_classifier_phase(schedule, h_all, model, config)
         assert losses == reference_classifier_phase(ds.bags, h_all, reference, config)
@@ -295,14 +295,16 @@ class TestEmbedderPhase:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_phase_and_epoch(self):
         ds = small_dataset()
-        config = small_config(embedder_lr=1e300)
+        # under the fixed head, the first step's weights of about 1e308 make
+        # the next step's embeddings overflow
+        config = small_config(embedder_lr=1e308)
         model = build_model(config)
         with pytest.raises(NonFiniteLossError, match="embedder phase.*epoch 1"):
             run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                rng_stream(0, "noise"), rng_stream(0, "distill"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_embedder_rejected_before_the_copy(self):
+    def test_non_finite_embedder_is_rejected(self):
         ds = small_dataset()
         config = small_config(mode="naive", embedder_passes=0)
         model = build_model(config)
@@ -329,10 +331,10 @@ class TestEmbedderPhase:
     @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
     @pytest.mark.parametrize("mode", ["naive", "vanilla", "confidence"])
     def test_matches_per_batch_teacher(self, monkeypatch, mode, backbone, data):
-        # the phase gives the student, the embedder and the per-pass losses
-        # of the oracle's phase bit for bit: its step and its per-tensor Adam
-        # written as plain expressions, and the teacher run on every batch
-        # instead of once per phase. Two groupings round
+        # the phase gives the model and the per-pass losses of the oracle's
+        # phase bit for bit: its step and its per-tensor Adam written as
+        # plain expressions, the classifier fixed, and the teacher run on
+        # every batch instead of once per phase. Two groupings round
         # differently on OpenBLAS, so the data avoids them: a bag of one
         # instance (embedded by gemv, not by a gemm), and at embed_dim 32 a
         # batch that is not a multiple of 4 rows (the 32 x 2 logits product
@@ -344,18 +346,17 @@ class TestEmbedderPhase:
                               embedder_passes=3, embedder_lr=1e-3, **data["dims"])
         model = build_model(config, seed=6)
         expected, expected_losses = reference_embedder_phase(
-            ds.bags, model.copy(), config, rng_stream(3, "noise"), rng_stream(3, "distill"))
+            ds.bags, model, config, rng_stream(3, "noise"), rng_stream(3, "distill"))
         h_all = embedded_rows(model, ds.bags)
-        copies = []
-        copy_model = MilModel.copy
-        monkeypatch.setattr(MilModel, "copy",
-                            lambda self: copies.append(copy_model(self)) or copies[-1])
+        built = []  # the phase trains the model in place and builds none
+        init = MilModel.__init__
+        monkeypatch.setattr(MilModel, "__init__",
+                            lambda self, cfg: built.append(cfg) or init(self, cfg))
         losses = run_embedder_phase(ds.bags, h_all, model, config,
                                     rng_stream(3, "noise"), rng_stream(3, "distill"))
-        _, student = copies  # the teacher's snapshot, then the student
+        assert built == []
         assert losses == expected_losses
-        assert np.array_equal(student.arena.value, expected.arena.value)
-        assert np.array_equal(model.embedder_group.value, expected.embedder_group.value)
+        assert np.array_equal(model.arena.value, expected.arena.value)
 
     @pytest.mark.parametrize("mode", ["naive", "confidence"])
     def test_teacher_ties_go_to_the_lower_class(self, monkeypatch, mode):
@@ -381,8 +382,9 @@ class TestEmbedderPhase:
     @pytest.mark.parametrize("mode", ["naive", "confidence"])
     def test_teacher_embeds_each_bag_once(self, monkeypatch, mode):
         # the teacher's rows are the run's one embedding per embedder state,
-        # so the phase itself embeds no training bag: its only embedder
-        # forwards are the student's, one per step
+        # so the phase itself embeds no training bag: the teacher's outputs
+        # come from those rows before any embedder forward, and the only
+        # forwards are the model's own, one per step
         ds = generate_synthetic(SyntheticSpec(
             num_bags=20, instances_per_bag=(2, 9), d_raw=6, rho=0.3, delta=2.0,
             seed=1))
@@ -390,20 +392,20 @@ class TestEmbedderPhase:
         n = sum(len(bag.features) for bag in ds.bags)
         model = build_model(config)
         h_all = embedded_rows(model, ds.bags)
-        teachers, inputs = [], {}
+        teachers, inputs = [], []
         from_model = TeacherBranch.from_model
         monkeypatch.setattr(TeacherBranch, "from_model", classmethod(
-            lambda cls, model: teachers.append(from_model(model)) or teachers[-1]))
+            lambda cls, *args: teachers.append((args, len(inputs))) or from_model(*args)))
         forward = Embedder.forward
         monkeypatch.setattr(Embedder, "forward", lambda self, x: (
-            inputs.setdefault(id(self), []).append(x) or forward(self, x)))
+            inputs.append(self) or forward(self, x)))
         run_embedder_phase(ds.bags, h_all, model, config,
                            rng_stream(0, "noise"), rng_stream(0, "distill"))
-        (teacher,) = teachers
-        assert id(teacher.model.embedder) not in inputs
-        assert id(model.embedder) not in inputs
-        (student_inputs,) = inputs.values()
-        assert len(student_inputs) == 3 * -(-n // 7)
+        ((args, forwards_before),) = teachers
+        assert args[0] is model and args[2] is h_all
+        assert forwards_before == 0
+        assert all(embedder is model.embedder for embedder in inputs)
+        assert len(inputs) == 3 * -(-n // 7)
 
     @pytest.mark.parametrize("mode", ["naive", "vanilla", "confidence"])
     def test_all_modes_run(self, mode):
@@ -426,11 +428,33 @@ def test_no_gradient_is_left_in_the_arena(backbone):
     run_classifier_phase(classifier_schedule(ds.bags, config), h_all, model, config)
     assert not model.arena.grad.any()
     for mode in ("naive", "vanilla", "confidence"):
+        head = model.head_group.value.tobytes()
         run_embedder_phase(ds.bags, h_all, model, small_config(mode=mode, backbone=backbone),
                            rng_stream(0, "noise"), rng_stream(0, "distill"))
         assert not model.arena.grad.any()
+        assert model.head_group.value.tobytes() == head
     _, model = run_training(ds, config)
     assert not model.arena.grad.any()
+
+
+@pytest.mark.parametrize("part", [0, -1], ids=["aggregator", "classifier"])
+def test_a_head_written_in_the_embedder_phase_is_rejected(monkeypatch, part):
+    # the head is frozen for the whole phase; a step that writes into it
+    # (here the first aggregator value or the last classifier bias) fails
+    # the phase's checksum of the head taken before and after it
+    ds = small_dataset()
+    config = small_config(embedder_passes=1)
+    model = build_model(config)
+    step = orchestrator.distill_step
+
+    def writing_step(model, *rest):
+        model.head_group.value[0, part] += 1.0
+        return step(model, *rest)
+
+    monkeypatch.setattr(orchestrator, "distill_step", writing_step)
+    with pytest.raises(RuntimeError, match="embedder phase modified the frozen classifier"):
+        run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
+                           rng_stream(0, "noise"), rng_stream(0, "distill"))
 
 
 class TestRunTraining:
