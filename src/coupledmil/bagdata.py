@@ -83,6 +83,14 @@ def features_matrix(bag) -> np.ndarray:
     return bag.features
 
 
+def row_slices(bags):
+    """Each bag with its slice of the rows stacking all bags' instances in order."""
+    start = 0
+    for bag in bags:
+        yield bag, slice(start, start + len(bag))
+        start += len(bag)
+
+
 @dataclass
 class Dataset:
     bags: list[Bag]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bagdata import row_slices
 from .gradcore import LOG_FLOOR, Adam, softmax_rows
 from .milnet import MilModel
 
@@ -77,10 +78,9 @@ class TeacherBranch:
         embeddings of the instances of `bags` in bag order."""
         conf = np.ones(len(h_all))
         if config.mode == "confidence":
-            bounds = np.cumsum([0, *map(len, bags)]).tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
-                _, a, _ = model.aggregator.forward(h_all[lo:hi], model.classifier)
-                conf[lo:hi] = convert_confidence(normalize_attention(a), config.beta)
+            for _, rows in row_slices(bags):
+                _, a, _ = model.aggregator.forward(h_all[rows], model.classifier)
+                conf[rows] = convert_confidence(normalize_attention(a), config.beta)
         return np.argmax(softmax_rows(model.classifier.forward(h_all)), axis=1), conf
 
 

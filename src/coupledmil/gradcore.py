@@ -165,3 +165,9 @@ class Adam:
             s1 /= s2
             value -= s1                      # lr (m / c1) / (sqrt(v / c2) + eps)
             g.fill(0.0)
+
+    def moments_finite(self) -> bool:
+        """Whether every moment is finite. A gradient whose square overflows
+        leaves an infinite second moment, which silently zeroes its updates."""
+        return all(np.isfinite(m).all() and np.isfinite(v).all()
+                   for _, _, m, v, _, _ in self._state)

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import augment_pair
-from .bagdata import ConfigError, Dataset, features_matrix, split_dataset
-from .distill import (  # noqa: F401 - perfbench's tracer patches convert_confidence here
+from .bagdata import ConfigError, Dataset, features_matrix, row_slices, split_dataset
+# convert_confidence is imported only as perfbench's patch target, until ROADMAP item 5
+from .distill import (  # noqa: F401
     TeacherBranch,
     convert_confidence,
     distill_step,
@@ -41,10 +42,10 @@ class CheckpointError(ValueError):
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A model produced non-finite numbers: an epoch loss, the embedder
-    parameters an embedder phase leaves, or a bag's embedding, attention
-    or class probabilities, in training, evaluation or the attention
-    export."""
+    """A model produced non-finite numbers: an epoch loss or optimizer
+    moment, the embedder parameters an embedder phase leaves, or a bag's
+    embedding, attention or class probabilities, in training, evaluation or
+    the attention export."""
 
 
 def _is_int(value) -> bool:
@@ -183,20 +184,14 @@ def params_checksum(params) -> str:
     return h.hexdigest()
 
 
-def _checked_loss(phase: str, epoch: int, loss: float) -> float:
+def _checked_epoch(phase: str, epoch: int, loss: float, optimizer: Adam) -> float:
+    """An epoch's mean loss, checked to be finite along with the optimizer's
+    moments, which overflow while `LOG_FLOOR` keeps the loss finite."""
     if not math.isfinite(loss):
-        raise NonFiniteLossError(
-            f"{phase} phase: non-finite loss {loss!r} in epoch {epoch}")
+        raise NonFiniteLossError(f"{phase} phase: non-finite loss {loss!r} in epoch {epoch}")
+    if not optimizer.moments_finite():
+        raise NonFiniteLossError(f"{phase} phase: non-finite Adam moments in epoch {epoch}")
     return loss
-
-
-def _row_slices(bags):
-    """Each bag with its slice of the rows that stack all bags' instances in
-    bag order."""
-    start = 0
-    for bag in bags:
-        yield bag, slice(start, start + len(bag))
-        start += len(bag)
 
 
 def _check_finite(source: str, bag_id: str, *arrays: np.ndarray) -> None:
@@ -210,7 +205,7 @@ def embed_instances(model: MilModel, bags, h_all: np.ndarray) -> None:
     """Fill `h_all` with the embedding of every instance of `bags`, in bag
     order: one embedder forward per bag. Both phases read these rows, so the
     run refills them whenever the embedder changes."""
-    for bag, rows in _row_slices(bags):
+    for bag, rows in row_slices(bags):
         with np.errstate(over="ignore", invalid="ignore"):
             h, _ = model.embedder.forward(features_matrix(bag))
         _check_finite("classifier phase: the embedder", bag.id, h)
@@ -263,7 +258,7 @@ def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
         raise ValueError("classifier phase needs a non-empty training set")
     rng_augment = rng_stream(config.seed, "augment")
     rng_shuffle = rng_stream(config.seed, "shuffle")
-    bases = [(rows, bag.label) for bag, rows in _row_slices(train_bags)]
+    bases = [(rows, bag.label) for bag, rows in row_slices(train_bags)]
     row_dtype = np.min_scalar_type(bases[-1][0].stop - 1)
     index_bags = [(np.arange(rows.start, rows.stop, dtype=row_dtype), label)
                   for rows, label in bases]
@@ -296,7 +291,7 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
     frozen = params_checksum([model.embedder_group])
     optimizer = Adam([model.head_group], config.classifier_lr)
     losses: list[float] = []
-    # a diverging step overflows mid-epoch; the epoch-loss check reports it
+    # a diverging step overflows mid-epoch; the epoch check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for samples in schedule:
             total = 0.0
@@ -306,8 +301,8 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
                 probs -= label                  # dlogits, in place
                 model.head_backward(bag_rep, agg_cache, probs[None, :], input_grad=False)
                 optimizer.step()
-            losses.append(
-                _checked_loss("classifier", len(losses) + 1, total / len(samples)))
+            losses.append(_checked_epoch("classifier", len(losses) + 1,
+                                         total / len(samples), optimizer))
 
     if params_checksum([model.embedder_group]) != frozen:
         raise RuntimeError("classifier phase modified the frozen embedder")
@@ -335,7 +330,7 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
     optimizer = Adam([model.embedder_group], config.embedder_lr)
 
     losses: list[float] = []
-    # a diverging step overflows mid-pass; the pass-loss check reports it
+    # a diverging step overflows mid-pass; the pass check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(config.embedder_passes):
             order = rng_distill.permutation(n)
@@ -351,7 +346,7 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
                                                       config.noise_dropout, rng_noise),
                                         conf_all[sel], optimizer)
                 total += loss * len(sel)
-            losses.append(_checked_loss("embedder", len(losses) + 1, total / n))
+            losses.append(_checked_epoch("embedder", len(losses) + 1, total / n, optimizer))
 
     if params_checksum([model.head_group]) != frozen:
         raise RuntimeError("embedder phase modified the frozen classifier")

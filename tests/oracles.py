@@ -144,6 +144,9 @@ class ReferenceAdam:
             p.value -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
             p.grad[:] = 0.0
 
+    def moments_finite(self) -> bool:
+        return all(np.isfinite(moment).all() for moment in self.m + self.v)
+
 
 def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
                  train_embedder: bool = False) -> None:

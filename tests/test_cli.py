@@ -636,24 +636,37 @@ def test_overflowing_embedder_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("mode", ["confidence", "naive", "vanilla"])
-def test_diverging_embedder_phase_exits_3(tmp_path, capsys, mode):
-    # the default batch size: a step overflows mid-pass, and the pass-loss
-    # check reports it with one error line and no numpy warning. The head is
-    # fixed and the hidden layer's tanh saturates, so only a rate near the
-    # float maximum overflows: at 1e300 the loss stays finite
+def _train_diverging(tmp_path, capsys, mode, embedder_lr):
+    """The exit code of a default-batch run at `embedder_lr`, and its stderr."""
     dataset, out = tmp_path / "b.jsonl", tmp_path / "r"
     assert run(["generate", "--out", str(dataset), "--bags", "40", "--k", "6",
                 "--d-raw", "4", "--rho", "0.3", "--delta", "3", "--seed", "1"]) == 0
     capsys.readouterr()
     code = run(["train", "--dataset", str(dataset), "--out-dir", str(out),
                 "--classifier-epochs", "2", "--embedder-passes", "1",
-                "--embedder-lr", "1e308", "--mode", mode])
-    assert code == 3
-    assert capsys.readouterr().err == (
-        "error: embedder phase: non-finite loss nan in epoch 1\n")
+                "--embedder-lr", embedder_lr, "--mode", mode])
     assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["confidence", "naive", "vanilla"])
+def test_diverging_embedder_phase_exits_3(tmp_path, capsys, mode):
+    # under the fixed head the hidden layer's tanh saturates, so the phase's
+    # loss stays finite and its weights end near 1e300; the next classifier
+    # phase's gradients then overflow Adam's second moment, and its epoch
+    # check reports it with one error line and no numpy warning
+    assert _train_diverging(tmp_path, capsys, mode, "1e300") == (
+        3, "error: classifier phase: non-finite Adam moments in epoch 1\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["confidence", "naive", "vanilla"])
+def test_embedder_step_overflowing_mid_pass_exits_3(tmp_path, capsys, mode):
+    # a rate near the float maximum: the first step's weights make the next
+    # step's embeddings overflow, and the pass-loss check reports it
+    assert _train_diverging(tmp_path, capsys, mode, "1e308") == (
+        3, "error: embedder phase: non-finite loss nan in epoch 1\n")
 
 
 @pytest.fixture()

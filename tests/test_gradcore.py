@@ -315,6 +315,21 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Param([[0.0]])], lr=0.0)
 
+    def test_overflowing_second_moment_is_reported(self):
+        # a finite gradient whose square overflows: the update is zero, the
+        # value stays finite, and only the moments show it
+        p, q = Param([[1.0, 2.0]]), Param([[3.0]])
+        opt = Adam([p, q], lr=0.1)
+        p.grad[:] = 1.0
+        q.grad[:] = 1.0
+        opt.step()
+        assert opt.moments_finite()
+        q.grad[:] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt.step()
+        assert not opt.moments_finite()
+        assert np.isfinite(q.value).all()
+
 
 class TestGradCheck:
     def test_mlp_cross_entropy(self):

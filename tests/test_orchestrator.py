@@ -121,6 +121,19 @@ class TestClassifierPhase:
         assert params_checksum(model.embedder.params) == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_moments_name_phase_and_epoch(self):
+        # finite rows whose gradients square past the float maximum: the loss
+        # stays finite, and the epoch check reports the infinite second
+        # moment, with the error and no numpy warning
+        ds = small_dataset()
+        config = small_config()
+        model = build_model(config)
+        h_all = embedded_rows(model, ds.bags) * 1e300
+        with pytest.raises(NonFiniteLossError,
+                           match="classifier phase: non-finite Adam moments in epoch 1"):
+            run_classifier_phase(classifier_schedule(ds.bags, config), h_all, model, config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_embedding_names_phase_and_bag(self):
         # finite weights that overflow: the embedding stops at the first bag,
         # with the error and no numpy warning
@@ -294,12 +307,28 @@ class TestEmbedderPhase:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_phase_and_epoch(self):
+        # under the fixed head the phase's loss stays finite and its weights
+        # end near 1e300; the run stops in the next classifier phase, whose
+        # gradients overflow Adam's second moment
         ds = small_dataset()
-        # under the fixed head, the first step's weights of about 1e308 make
-        # the next step's embeddings overflow
+        config = small_config(embedder_lr=1e300)
+        model = build_model(config)
+        run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
+                           rng_stream(0, "noise"), rng_stream(0, "distill"))
+        assert np.isfinite(model.embedder_group.value).all()
+        with pytest.raises(NonFiniteLossError,
+                           match="classifier phase: non-finite Adam moments in epoch 1"):
+            run_training(ds, config)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_names_phase_and_epoch(self):
+        # the first step's weights of about 1e308 make the next step's
+        # embeddings overflow
+        ds = small_dataset()
         config = small_config(embedder_lr=1e308)
         model = build_model(config)
-        with pytest.raises(NonFiniteLossError, match="embedder phase.*epoch 1"):
+        with pytest.raises(NonFiniteLossError,
+                           match="embedder phase: non-finite loss nan in epoch 1"):
             run_embedder_phase(ds.bags, embedded_rows(model, ds.bags), model, config,
                                rng_stream(0, "noise"), rng_stream(0, "distill"))
 
