@@ -186,12 +186,11 @@ def _write_span(span: tuple[int, int, Path]) -> Path:
     start, stop, part = span
     with open(part, "w", encoding="utf-8") as fh:
         for bag in bags[start:stop]:
-            trace = forward_bag(model, bag.id, features_matrix(bag))
-            a_norm = normalize_attention(trace.attention)
+            _, a, _ = forward_bag(model, bag.id, features_matrix(bag))
+            a_norm = normalize_attention(a)
             conf = convert_confidence(a_norm, beta)
-            keys = [f"{bag.id}\t{i}" for i in range(len(trace.attention))]
-            columns = (map(repr, values.tolist()) for values in (trace.attention,
-                                                                a_norm, conf))
+            keys = [f"{bag.id}\t{i}" for i in range(len(a))]
+            columns = (map(repr, values.tolist()) for values in (a, a_norm, conf))
             fh.write("\n".join(map("\t".join, zip(keys, *columns))) + "\n")
     return part
 

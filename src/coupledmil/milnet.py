@@ -6,7 +6,9 @@ average H = a @ h of the instance embeddings with normalized weights a.
 one-hot at the instance with the highest positive-class logit. Gated
 attention learns a as a softmax over omega^T (tanh(V1 h_k) * sigm(V2 h_k)).
 Backward passes are hand-derived; tests check them against central finite
-differences.
+differences. No bag loss reaches the embedder, so the aggregator's and the
+head's backward passes accumulate parameter gradients and form no gradient
+with respect to the instance embeddings.
 """
 
 from __future__ import annotations
@@ -108,9 +110,8 @@ class FixedPooling:
             a[int(np.argmax(logits))] = 1.0
         return a[None, :] @ h, a, a
 
-    def backward(self, a: np.ndarray, d_bag: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
-        return a[:, None] * d_bag if input_grad else None
+    def backward(self, a: np.ndarray, d_bag: np.ndarray) -> None:
+        pass  # no parameters to accumulate
 
 
 class GatedAttention:
@@ -152,10 +153,8 @@ class GatedAttention:
         bag = a[None, :] @ h
         return bag, a, (h, t, s, g, a)
 
-    def backward(self, cache, d_bag: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate the parameter gradients; return the gradient with
-        respect to h, or None without `input_grad`."""
+    def backward(self, cache, d_bag: np.ndarray) -> None:
+        """Accumulate the parameter gradients."""
         h, t, s, g, a = cache
         de = (h @ d_bag.T).ravel()
         de -= a @ de
@@ -173,9 +172,6 @@ class GatedAttention:
         dv *= tmp                           # dg * t * s * (1 - s)
         self.v1.grad += du.T @ h
         self.v2.grad += dv.T @ h
-        if not input_grad:
-            return None
-        return a[:, None] * d_bag + du @ self.v1.value + dv @ self.v2.value
 
 
 @dataclass
@@ -209,19 +205,6 @@ class ModelConfig:
         if self.backbone == "gated_attention":
             count += self.attn_dim * (2 * self.embed_dim + 1)
         return count
-
-
-@dataclass
-class BagForwardTrace:
-    """Everything produced by one bag forward pass, including the caches the
-    backward pass needs."""
-
-    instance_reps: np.ndarray    # K x M
-    attention: np.ndarray        # K, sums to 1
-    bag_rep: np.ndarray          # 1 x M
-    probs: np.ndarray            # C, class distribution
-    embed_cache: object = None
-    agg_cache: object = None
 
 
 class MilModel:
@@ -287,17 +270,14 @@ class MilModel:
         probs = softmax_inplace(self.classifier.forward(bag_rep).ravel())
         return bag_rep, a, probs, agg_cache
 
-    def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray,
-                      input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate the head's gradients; return the gradient with respect
-        to the instance representations h, or None without `input_grad`."""
+    def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray) -> None:
+        """Accumulate the head's gradients."""
         d_bag = self.classifier.backward(bag_rep, dlogits)
-        return self.aggregator.backward(agg_cache, d_bag, input_grad)
+        self.aggregator.backward(agg_cache, d_bag)
 
-    def bag_forward(self, x: np.ndarray) -> BagForwardTrace:
-        h, embed_cache = self.embedder.forward(x)
-        bag_rep, a, probs, agg_cache = self.head_forward(h)
-        return BagForwardTrace(
-            instance_reps=h, attention=a, bag_rep=bag_rep, probs=probs,
-            embed_cache=embed_cache, agg_cache=agg_cache,
-        )
+    def bag_forward(self, x: np.ndarray):
+        """The instance embeddings h (K x M), the attention a (K, sums to 1)
+        and the class probabilities (C) of the bag x."""
+        h, _ = self.embedder.forward(x)
+        _, a, probs, _ = self.head_forward(h)
+        return h, a, probs

@@ -26,7 +26,7 @@ from .distill import (  # noqa: F401
 )
 from .gradcore import Adam, cross_entropy
 from .metrics import EvalResult, evaluate_scores
-from .milnet import BACKBONES, POSITIVE_CLASS, BagForwardTrace, MilModel, ModelConfig
+from .milnet import BACKBONES, POSITIVE_CLASS, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
 
 FINE_TUNE_MODES = ("naive", "vanilla", "confidence")
@@ -212,14 +212,13 @@ def embed_instances(model: MilModel, bags, h_all: np.ndarray) -> None:
         h_all[rows] = h
 
 
-def forward_bag(model: MilModel, bag_id: str, x: np.ndarray) -> BagForwardTrace:
+def forward_bag(model: MilModel, bag_id: str, x: np.ndarray):
     """`model.bag_forward(x)` for evaluation and the attention export, with
     its embedding, attention and class probabilities checked to be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = model.bag_forward(x)
-    _check_finite("the model", bag_id,
-                  trace.instance_reps, trace.attention, trace.probs)
-    return trace
+        h, a, probs = model.bag_forward(x)
+    _check_finite("the model", bag_id, h, a, probs)
+    return h, a, probs
 
 
 class ClassifierSchedule:
@@ -299,7 +298,7 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
                 bag_rep, _, probs, agg_cache = model.head_forward(h_all[rows])
                 total += cross_entropy(probs, label)
                 probs -= label                  # dlogits, in place
-                model.head_backward(bag_rep, agg_cache, probs[None, :], input_grad=False)
+                model.head_backward(bag_rep, agg_cache, probs[None, :])
                 optimizer.step()
             losses.append(_checked_epoch("classifier", len(losses) + 1,
                                          total / len(samples), optimizer))
@@ -358,7 +357,7 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
 def evaluate(model: MilModel, bags, threshold: float = 0.5) -> EvalResult:
     """Test-set metrics; the score is the positive-class probability."""
     bags = list(bags)
-    scores = [forward_bag(model, bag.id, features_matrix(bag)).probs[POSITIVE_CLASS]
+    scores = [forward_bag(model, bag.id, features_matrix(bag))[2][POSITIVE_CLASS]
               for bag in bags]
     labels = [int(np.argmax(bag.label)) for bag in bags]
     return evaluate_scores(np.array(scores), np.array(labels), threshold)

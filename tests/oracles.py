@@ -16,7 +16,7 @@ from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
 from coupledmil.distill import convert_confidence, normalize_attention
 from coupledmil.gradcore import LOG_FLOOR, Param, cross_entropy, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
-from coupledmil.milnet import BagForwardTrace, GatedAttention, MilModel
+from coupledmil.milnet import GatedAttention, MilModel
 from coupledmil.orchestrator import embed_instances
 from coupledmil.seeding import rng_stream
 
@@ -148,13 +148,37 @@ class ReferenceAdam:
         return all(np.isfinite(moment).all() for moment in self.m + self.v)
 
 
-def bag_backward(model: MilModel, trace: BagForwardTrace, dlogits: np.ndarray,
-                 train_embedder: bool = False) -> None:
-    """Backward pass of `model.bag_forward`: accumulate the head's gradients,
-    and the embedder's too with `train_embedder`."""
-    dh = model.head_backward(trace.bag_rep, trace.agg_cache, dlogits, train_embedder)
-    if train_embedder:
-        model.embedder.backward(trace.embed_cache, dh)
+def aggregator_input_grad(model: MilModel, agg_cache, d_bag: np.ndarray) -> np.ndarray:
+    """The gradient of the bag representation a @ h with respect to the
+    instance embeddings h, given its upstream gradient `d_bag`, as plain
+    expressions. The package never forms it, since no bag loss reaches its
+    embedder. Fixed pooling's weights a carry no gradient."""
+    if not isinstance(model.aggregator, GatedAttention):
+        a = agg_cache
+        return a[:, None] * d_bag
+    h, t, s, _, a = agg_cache
+    v1, v2, w = (p.value for p in model.aggregator.params)
+    da = (h @ d_bag.T).ravel()
+    de = a * (da - a @ da)                  # the softmax Jacobian
+    dg = de[:, None] * w.T
+    du = dg * s * (1.0 - t * t)
+    dv = dg * t * s * (1.0 - s)
+    return a[:, None] * d_bag + du @ v1 + dv @ v2
+
+
+def bag_backward(model: MilModel, x: np.ndarray, y: np.ndarray) -> float:
+    """The cross-entropy of the bag x against the class distribution y, with
+    every parameter's gradient accumulated through the full bag: the head's
+    by the package's `head_backward`, and the embedder's by its
+    `Embedder.backward` from `aggregator_input_grad`."""
+    h, embed_cache = model.embedder.forward(x)
+    bag_rep, _, probs, agg_cache = model.head_forward(h)
+    loss = cross_entropy(probs, y)
+    dlogits = (probs - y)[None, :]
+    model.head_backward(bag_rep, agg_cache, dlogits)
+    d_bag = dlogits @ model.classifier.w.value.T
+    model.embedder.backward(embed_cache, aggregator_input_grad(model, agg_cache, d_bag))
+    return loss
 
 
 def embedded_rows(model: MilModel, bags) -> np.ndarray:

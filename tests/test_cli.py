@@ -330,7 +330,7 @@ class TestExportAttention:
             bag_rows, start = rows[start:start + k], start + k
             assert [(row[0], int(row[1])) for row in bag_rows] == [(bag.id, i) for i in range(k)]
             got = np.array([[float(v) for v in row[2:]] for row in bag_rows])
-            raw = model.bag_forward(bag.features).attention
+            _, raw, _ = model.bag_forward(bag.features)
             assert np.array_equal(got[:, 0], raw)
             assert np.array_equal(got[:, 1], normalize_attention(raw))
             assert np.array_equal(got[:, 2], conf)
@@ -356,6 +356,19 @@ class TestExportAttention:
                         "--dataset", str(dataset_file), "--out", str(path)]) == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_dataset_without_bags_writes_the_header_only(self, small_checkpoint, tmp_path,
+                                                          capsys):
+        # `eval` exits 2 on such a dataset; the export writes an empty table
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"d_raw": 2, "C": 2, "count": 0}) + "\n")
+        out = tmp_path / "attn.tsv"
+        assert run(["export-attention", "--checkpoint", str(small_checkpoint),
+                    "--dataset", str(path), "--out", str(out)]) == 0
+        assert self._rows(out) == []
+        assert out.read_text().count("\n") == 1
+        assert not list(tmp_path.glob("attn.tsv.partial*"))
+        assert capsys.readouterr().out == f"wrote attention table for 0 bags to {out}\n"
 
     def test_dimension_mismatch_exits_3(self, trained, tmp_path):
         other = tmp_path / "other.jsonl"
@@ -392,7 +405,7 @@ class TestParallelExport:
         lines = ["bag_id\tinstance_index\traw_attention\tnormalized_attention\t"
                  "confidence"]
         for bag in load_dataset(dataset).bags:
-            raw = model.bag_forward(bag.features).attention
+            _, raw, _ = model.bag_forward(bag.features)
             a_norm = normalize_attention(raw)
             columns = raw.tolist(), a_norm.tolist(), convert_confidence(a_norm, beta).tolist()
             lines += [f"{bag.id}\t{i}\t{r!r}\t{a!r}\t{c!r}"

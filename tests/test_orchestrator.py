@@ -655,7 +655,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         x = features_matrix(ds.bags[0])
-        assert np.array_equal(model.bag_forward(x).probs, loaded.bag_forward(x).probs)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(model.bag_forward(x), loaded.bag_forward(x)))
         assert params_checksum(model.all_params) == params_checksum(loaded.all_params)
 
     @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
