@@ -61,7 +61,7 @@ class Linear:
         init_uniform(self.b, rng, fan_in)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.w.value
+        y = np.dot(x, self.w.value)
         y += self.b.value
         return y
 
@@ -69,19 +69,18 @@ class Linear:
                  input_grad: bool = True) -> np.ndarray | None:
         """Accumulate dW = x^T g, db = column-sum(g); return dx = g @ W^T, or
         None without `input_grad`."""
-        self.w.grad += x.T @ g
-        self.b.grad += g.sum(axis=0, keepdims=True)
-        return g @ self.w.value.T if input_grad else None
+        self.w.grad += np.dot(x.T, g)
+        self.b.grad += np.add.reduce(g)
+        return np.dot(g, self.w.value.T) if input_grad else None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never
-    # overflows, and one exp serves both halves
-    x = np.asarray(x, dtype=np.float64)
-    e = np.abs(x)
-    np.negative(e, out=e)
+    # overflows, and one exp serves both halves. e = exp(-|x|) is at most 1,
+    # so max(e, [x >= 0]) picks the numerator, 1 or e
+    e = np.copysign(x, -1.0)            # -|x|
     np.exp(e, out=e)
-    s = np.where(x >= 0, 1.0, e)
+    s = np.maximum(e, x >= 0)
     e += 1.0
     s /= e
     return s
@@ -91,9 +90,9 @@ def softmax_inplace(e: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtraction) of the float64 score
     vector `e`, computed in e's own buffer, which is returned. An empty `e`
     raises ValueError."""
-    e -= e.max()
+    e -= np.maximum.reduce(e)
     np.exp(e, out=e)
-    e /= e.sum()
+    e /= np.add.reduce(e)
     return e
 
 
@@ -110,15 +109,6 @@ def softmax_rows(z: Tensor2) -> Tensor2:
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
-
-
-def cross_entropy(pred, target) -> float:
-    """-sum_c y_c log(p_c) with p clamped below at LOG_FLOOR; soft targets allowed."""
-    p = np.asarray(pred, dtype=np.float64).ravel()
-    y = np.asarray(target, dtype=np.float64).ravel()
-    if p.shape != y.shape:
-        raise ValueError(f"cross_entropy: length mismatch {p.size} vs {y.size}")
-    return float(-(y * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
 class Adam:

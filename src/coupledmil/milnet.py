@@ -104,11 +104,11 @@ class FixedPooling:
         else:
             if classifier is None:
                 raise ValueError("max pooling needs the classifier to rank instances")
-            logits = h @ classifier.w.value[:, POSITIVE_CLASS]
+            logits = np.dot(h, classifier.w.value[:, POSITIVE_CLASS])
             logits += classifier.b.value[0, POSITIVE_CLASS]
             a = np.zeros(k)
             a[int(np.argmax(logits))] = 1.0
-        return a[None, :] @ h, a, a
+        return np.dot(a[None, :], h), a, a
 
     def backward(self, a: np.ndarray, d_bag: np.ndarray) -> None:
         pass  # no parameters to accumulate
@@ -137,29 +137,23 @@ class GatedAttention:
         init_uniform(self.v2, rng, self.embed_dim)
         init_uniform(self.w, rng, self.attn_dim)
 
-    def gate_scores(self, h: np.ndarray):
-        t = h @ self.v1.value.T
-        np.tanh(t, out=t)                   # tanh(h V1^T)
-        s = _sigmoid(h @ self.v2.value.T)
-        g = t * s
-        e = (g @ self.w.value).ravel()
-        return e, (t, s, g)
-
     def forward(self, h: np.ndarray, classifier: Linear | None = None):
         if h.shape[0] == 0:
             raise ValueError("cannot aggregate an empty bag")
-        a, (t, s, g) = self.gate_scores(h)
-        softmax_inplace(a)                  # softmax(e)
-        bag = a[None, :] @ h
-        return bag, a, (h, t, s, g, a)
+        t = np.dot(h, self.v1.value.T)
+        np.tanh(t, out=t)                   # tanh(h V1^T)
+        s = _sigmoid(np.dot(h, self.v2.value.T))
+        g = t * s
+        a = softmax_inplace(np.dot(g, self.w.value).ravel())  # softmax(g w)
+        return np.dot(a[None, :], h), a, (h, t, s, g, a)
 
     def backward(self, cache, d_bag: np.ndarray) -> None:
         """Accumulate the parameter gradients."""
         h, t, s, g, a = cache
-        de = (h @ d_bag.T).ravel()
-        de -= a @ de
+        de = np.dot(h, d_bag.T).ravel()
+        de -= np.dot(a, de)
         de *= a                             # a * (da - a . da), the softmax Jacobian
-        self.w.grad += (g.T @ de)[:, None]
+        self.w.grad += np.dot(g.T, de)[:, None]
         dg = de[:, None] * self.w.value.T   # outer(de, w)
         tmp = np.multiply(t, t)
         np.subtract(1.0, tmp, out=tmp)
@@ -170,8 +164,8 @@ class GatedAttention:
         dv *= t
         dv *= s
         dv *= tmp                           # dg * t * s * (1 - s)
-        self.v1.grad += du.T @ h
-        self.v2.grad += dv.T @ h
+        self.v1.grad += np.dot(du.T, h)
+        self.v2.grad += np.dot(dv.T, h)
 
 
 @dataclass
@@ -271,9 +265,13 @@ class MilModel:
         return bag_rep, a, probs, agg_cache
 
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray) -> None:
-        """Accumulate the head's gradients."""
-        d_bag = self.classifier.backward(bag_rep, dlogits)
-        self.aggregator.backward(agg_cache, d_bag)
+        """Accumulate the head's gradients. The classifier's backward is
+        written out for the one row `dlogits`: the bias gradient, a column
+        sum over that row, is the row itself."""
+        clf = self.classifier
+        clf.w.grad += np.dot(bag_rep.T, dlogits)
+        clf.b.grad += dlogits
+        self.aggregator.backward(agg_cache, np.dot(dlogits, clf.w.value.T))
 
     def bag_forward(self, x: np.ndarray):
         """The instance embeddings h (K x M), the attention a (K, sums to 1)

@@ -24,7 +24,7 @@ from .distill import (  # noqa: F401
     naive_pseudolabel_step,
     noisy_augment,
 )
-from .gradcore import Adam, cross_entropy
+from .gradcore import LOG_FLOOR, Adam
 from .metrics import EvalResult, evaluate_scores
 from .milnet import BACKBONES, POSITIVE_CLASS, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
@@ -71,7 +71,7 @@ _AT_LEAST = {"classifier_epochs": 1, "batch_size": 1, "embedder_passes": 0,
              "iterations": 0, "augment_ratio": 0, "augment_n": 1,
              "noise_scale": 0, "embed_dim": 1, "attn_dim": 1, "seed": 0}
 _ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta", "augment_alpha")
-_UNIT_INTERVAL = ("augment_gamma", "noise_dropout")
+_UNIT_INTERVAL = ("augment_gamma", "noise_dropout", "threshold")
 _CHOICES = {"backbone": BACKBONES, "mode": FINE_TUNE_MODES}
 
 
@@ -289,17 +289,21 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
     Returns the per-epoch mean training losses."""
     frozen = params_checksum([model.embedder_group])
     optimizer = Adam([model.head_group], config.classifier_lr)
+    head_forward, head_backward, step = model.head_forward, model.head_backward, optimizer.step
     losses: list[float] = []
     # a diverging step overflows mid-epoch; the epoch check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for samples in schedule:
             total = 0.0
             for rows, label in samples:
-                bag_rep, _, probs, agg_cache = model.head_forward(h_all[rows])
-                total += cross_entropy(probs, label)
+                bag_rep, _, probs, agg_cache = head_forward(h_all[rows])
+                ce = np.maximum(probs, LOG_FLOOR)
+                np.log(ce, out=ce)
+                ce *= label
+                total -= float(np.add.reduce(ce))  # -sum_c y_c log(p_c), p clamped
                 probs -= label                  # dlogits, in place
-                model.head_backward(bag_rep, agg_cache, probs[None, :])
-                optimizer.step()
+                head_backward(bag_rep, agg_cache, probs[None, :])
+                step()
             losses.append(_checked_epoch("classifier", len(losses) + 1,
                                          total / len(samples), optimizer))
 

@@ -14,7 +14,7 @@ from coupledmil import bagdata
 from coupledmil.augment import _draw_mask, augment_pair
 from coupledmil.bagdata import Dataset, DatasetParseError, partition_pseudobags
 from coupledmil.distill import convert_confidence, normalize_attention
-from coupledmil.gradcore import LOG_FLOOR, Param, cross_entropy, softmax_rows
+from coupledmil.gradcore import LOG_FLOOR, Param, softmax_rows
 from coupledmil.metrics import MetricError, _validate_binary
 from coupledmil.milnet import GatedAttention, MilModel
 from coupledmil.orchestrator import embed_instances
@@ -72,6 +72,17 @@ def grad_check(loss_fn: Callable[[], float], params: Sequence[Param],
             worst_err = err_max
             worst_name = name
     return GradCheckReport(worst_err, worst_name, per_param, tolerance)
+
+
+def cross_entropy(pred, target) -> float:
+    """-sum_c y_c log(p_c) with p clamped below at LOG_FLOOR; soft targets
+    allowed. The classifier phase computes it in place on its step's
+    probabilities."""
+    p = np.asarray(pred, dtype=np.float64).ravel()
+    y = np.asarray(target, dtype=np.float64).ravel()
+    if p.shape != y.shape:
+        raise ValueError(f"cross_entropy: length mismatch {p.size} vs {y.size}")
+    return float(-(y * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
 def _check_distribution(v: np.ndarray, name: str) -> None:

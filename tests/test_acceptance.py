@@ -25,7 +25,7 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import Adam, Linear, cross_entropy
+from coupledmil.gradcore import Adam, Linear
 from coupledmil.metrics import roc_auc
 from coupledmil.milnet import GatedAttention, MilModel, ModelConfig
 from coupledmil.orchestrator import (

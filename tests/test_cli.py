@@ -551,6 +551,7 @@ BAD_TRAIN_INPUTS = {
     "embed-dim": (["--embed-dim", "0"], "embed_dim"),
     "hidden": (["--hidden", "0"], "hidden"),
     "attn-dim": (["--attn-dim", "-1"], "attn_dim"),
+    "threshold": (["--threshold", "1.5"], "threshold"),
     "config-float-epochs": (["--config", "{cfg}"], "classifier_epochs"),
     "config-missing": (["--config", "{missing}"], "config"),
     "backbone": (["--backbone", "cnn"], "backbone"),
@@ -779,17 +780,24 @@ def test_export_into_missing_directory_exits_3(matching_dataset, small_checkpoin
 
 
 @pytest.mark.parametrize("argv,field", [
-    (["export-attention", "--out", "attn.tsv", "--beta", "0"], "beta"),
+    (["export-attention", "--out", "out", "--beta", "0"], "beta"),
     (["eval", "--threshold", "nan"], "threshold"),
     (["eval", "--seed", "-1"], "seed"),
+    # past either end of [0, 1] every bag would be predicted one class
+    (["eval", "--out", "out", "--threshold", "1.5"], "threshold"),
+    (["eval", "--out", "out", "--threshold", "-3"], "threshold"),
 ])
 def test_bad_eval_or_export_option_exits_2(matching_dataset, small_checkpoint,
                                            tmp_path, capsys, argv, field):
-    argv = [a if a != "attn.tsv" else str(tmp_path / a) for a in argv]
+    # rejected in one line, before anything is written
+    out = tmp_path / "out"
+    argv = [str(out) if a == "out" else a for a in argv]
     code = run(argv + ["--checkpoint", str(small_checkpoint),
                        "--dataset", str(matching_dataset)])
     assert code == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ids,line", [(("a\tb", "ok"), 2), (("ok", "c\nd"), 3)],

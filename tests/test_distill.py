@@ -12,12 +12,13 @@ from coupledmil.distill import (
     noisy_augment,
     normalize_attention,
 )
-from coupledmil.gradcore import Adam, cross_entropy, softmax_rows
+from coupledmil.gradcore import Adam, softmax_rows
 from coupledmil.milnet import MilModel, ModelConfig
 from coupledmil.orchestrator import params_checksum
 from oracles import (
     ReferenceAdam,
     bag_attention,
+    cross_entropy,
     kl_divergence,
     reference_distill_step,
     teacher_classes,

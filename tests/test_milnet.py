@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from coupledmil.gradcore import Adam, Linear, cross_entropy, softmax_inplace, softmax_rows
+from coupledmil.gradcore import Adam, Linear, softmax_inplace, softmax_rows
 from coupledmil.milnet import (
     Embedder,
     FixedPooling,
@@ -11,7 +11,7 @@ from coupledmil.milnet import (
     MilModel,
     ModelConfig,
 )
-from oracles import bag_backward, grad_check, views_of_own_arena
+from oracles import bag_backward, cross_entropy, grad_check, views_of_own_arena
 
 
 def build_model(d_raw=4, hidden=(6,), embed_dim=5, attn_dim=3, backbone="gated_attention",
@@ -172,7 +172,9 @@ class TestBagForward:
         agg = model.aggregator
         x = np.random.default_rng(8).uniform(-2, 2, size=(5, 4))
         h, _ = model.embedder.forward(x)
-        e, _ = agg.gate_scores(h)
+        # the raw gate scores w^T (tanh(V1 h_k) * sigm(V2 h_k))
+        gate = np.tanh(h @ agg.v1.value.T) / (1.0 + np.exp(-(h @ agg.v2.value.T)))
+        e = (gate @ agg.w.value).ravel()
         _, a, _ = agg.forward(h, model.classifier)
         shifted = softmax_inplace(e + 37.5)
         assert np.max(np.abs(shifted - a) / np.maximum(np.abs(a), 1e-300)) <= 1e-9

@@ -14,7 +14,6 @@ from coupledmil.bagdata import (
     generate_synthetic,
 )
 from coupledmil.distill import TeacherBranch
-from coupledmil.gradcore import cross_entropy
 from coupledmil.milnet import BACKBONES, Embedder, MilModel, ModelConfig
 from coupledmil.orchestrator import (
     CHECKPOINT_MAGIC,
@@ -94,10 +93,15 @@ class TestTrainConfig:
         ("augment_gamma", -0.1), ("noise_dropout", -0.1),
         ("classifier_epochs", 1.5), ("batch_size", True), ("augment", "yes"),
         ("classifier_lr", float("inf")), ("threshold", float("nan")), ("mode", 3),
+        ("threshold", 1.5), ("threshold", -3.0),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_ends_accepted(self, threshold):
+        assert small_config(threshold=threshold).threshold == threshold
 
 
 class TestClassifierPhase:
@@ -209,6 +213,30 @@ class TestClassifierPhase:
         order, rows, _, _ = schedule.epochs[0]
         assert (order.dtype, rows.dtype) == (np.uint16, np.uint16)
         self._check_against_reference(ds, config, schedule)
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_desk_dims_match_the_reference_loop(self, backbone, augment):
+        # the benchmark's model shapes, and bags of 1 to 69 instances: numpy
+        # hands a one-row product to other BLAS kernels than a larger one
+        ds = generate_synthetic(SyntheticSpec(
+            num_bags=40, instances_per_bag=(1, 69), d_raw=6, rho=0.3, delta=3.0,
+            noise=0.8, positive_fraction=0.5, seed=8))
+        sizes = [len(bag) for bag in ds.bags]
+        assert (sizes.count(1), max(sizes)) == (2, 69)
+        config = small_config(backbone=backbone, augment=augment, hidden=(64,),
+                              embed_dim=32, attn_dim=16, classifier_epochs=2)
+        self._check_against_reference(ds, config, classifier_schedule(ds.bags, config))
+
+    def test_epoch_losses_are_python_floats(self):
+        # a failed epoch check prints the loss's repr, which must read `nan`,
+        # not `np.float64(nan)`
+        ds = small_dataset()
+        config = small_config(augment=True)
+        model = build_model(config)
+        losses = run_classifier_phase(classifier_schedule(ds.bags, config),
+                                      embedded_rows(model, ds.bags), model, config)
+        assert [type(loss) for loss in losses] == [float] * config.classifier_epochs
 
     @staticmethod
     def _check_against_reference(ds, config, schedule):
