@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .milnet import NUM_CLASSES
+
 
 class DatasetParseError(ValueError):
     """Malformed dataset file; carries the 1-based offending line number."""
@@ -48,8 +50,8 @@ _quantize_vec = np.vectorize(_quantize, otypes=[np.float64])
 @dataclass(eq=False)
 class Bag:
     """K instances stored as one K x d feature matrix, with a soft label over
-    C classes. `latent_positive` is per-instance generator-side ground truth,
-    present only for synthetic data and never serialized."""
+    the two classes. `latent_positive` is per-instance generator-side ground
+    truth, present only for synthetic data and never serialized."""
 
     id: str
     features: np.ndarray
@@ -68,6 +70,8 @@ class Bag:
         if not np.isfinite(self.features).all():
             raise ValueError(f"bag {self.id!r} has non-finite features")
         self.label = np.asarray(self.label, dtype=np.float64).ravel()
+        if self.label.size != NUM_CLASSES:
+            raise ValueError(f"bag {self.id!r} label has {self.label.size} entries, not 2")
         if not ((self.label >= -1e-12) & (self.label <= 1 + 1e-12)).all():  # NaN fails too
             raise ValueError(f"bag {self.id!r} has label entries outside [0, 1]")
         if abs(self.label.sum() - 1.0) > 1e-9:
@@ -95,7 +99,6 @@ def row_slices(bags):
 class Dataset:
     bags: list[Bag]
     d_raw: int
-    num_classes: int
 
     def __len__(self) -> int:
         return len(self.bags)
@@ -190,14 +193,14 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         label = np.array([0.0, 1.0]) if positive else np.array([1.0, 0.0])
         bags.append(Bag(id=f"bag{b:04d}", features=feats, label=label,
                         latent_positive=flags))
-    return Dataset(bags=bags, d_raw=d, num_classes=2)
+    return Dataset(bags=bags, d_raw=d)
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write the line-oriented JSON format: manifest line, then one record
     per bag with features at 9 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        manifest = {"d_raw": ds.d_raw, "C": ds.num_classes, "count": len(ds.bags)}
+        manifest = {"d_raw": ds.d_raw, "C": NUM_CLASSES, "count": len(ds.bags)}
         fh.write(json.dumps(manifest) + "\n")
         for bag in ds.bags:
             record = {
@@ -221,7 +224,7 @@ def _manifest_int(manifest: dict, key: str, minimum: int) -> int:
 _ID_BREAKS = frozenset("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
+def _parse_record(raw: str, lineno: int, d_raw: int) -> Bag:
     try:
         rec = json.loads(raw)
         bag_id = rec["id"]
@@ -241,9 +244,6 @@ def _parse_record(raw: str, lineno: int, d_raw: int, num_classes: int) -> Bag:
         bag = Bag(id=bag_id, features=features, label=label)
     except ValueError as exc:
         raise DatasetParseError(str(exc), lineno) from exc
-    if bag.label.size != num_classes:
-        raise DatasetParseError(
-            f"label length {bag.label.size} != C={num_classes}", lineno)
     if bag.features.shape[1] != d_raw:
         raise DatasetParseError(
             f"feature length {bag.features.shape[1]} != d_raw={d_raw}", lineno)
@@ -275,8 +275,8 @@ def _lines(fh, digest):
             yield lineno, line
 
 
-def _parse_manifest(raw: str) -> tuple[int, int, int]:
-    """(d_raw, C, count) of the manifest line."""
+def _parse_manifest(raw: str) -> tuple[int, int]:
+    """(d_raw, count) of the manifest line, whose C must be 2."""
     try:
         manifest = json.loads(raw)
     except (ValueError, RecursionError) as exc:
@@ -287,10 +287,9 @@ def _parse_manifest(raw: str) -> tuple[int, int, int]:
         if key not in manifest:
             raise DatasetParseError(f"manifest missing {key!r}", 1)
     d_raw = _manifest_int(manifest, "d_raw", 1)
-    num_classes = _manifest_int(manifest, "C", 2)
-    if num_classes != 2:  # the package is binary; class 1 is the positive class
-        raise DatasetParseError(f"manifest 'C' must be 2, got {num_classes}", 1)
-    return d_raw, num_classes, _manifest_int(manifest, "count", 0)
+    if _manifest_int(manifest, "C", NUM_CLASSES) != NUM_CLASSES:
+        raise DatasetParseError(f"manifest 'C' must be 2, got {manifest['C']}", 1)
+    return d_raw, _manifest_int(manifest, "count", 0)
 
 
 def _parse_dataset(path, digest) -> Dataset:
@@ -303,12 +302,12 @@ def _parse_dataset(path, digest) -> Dataset:
         first = next(lines, None)
         if first is None:
             raise DatasetParseError("missing manifest", 1)
-        d_raw, num_classes, count = _parse_manifest(first[1])
+        d_raw, count = _parse_manifest(first[1])
         for lineno, raw in lines:
             if lineno > count + 1:
                 raise DatasetParseError(
                     f"trailing data: manifest promises {count} records", lineno)
-            bag = _parse_record(raw, lineno, d_raw, num_classes)
+            bag = _parse_record(raw, lineno, d_raw)
             if bag.id in first_lines:
                 raise DatasetParseError(f"repeated bag id {bag.id!r} (first on line "
                                         f"{first_lines[bag.id]})", lineno)
@@ -319,7 +318,7 @@ def _parse_dataset(path, digest) -> Dataset:
             f"truncated file: manifest promises {count} records, found {len(bags)}",
             len(bags) + 2,
         )
-    return Dataset(bags=bags, d_raw=d_raw, num_classes=num_classes)
+    return Dataset(bags=bags, d_raw=d_raw)
 
 
 # The sidecar `<dataset>.cache`: every bag's rows as raw little-endian
@@ -384,7 +383,7 @@ def _read_sidecar(path, cache: Path) -> Dataset | None:
             features = rows[start:start + k * d_raw].reshape(k, d_raw)
             bags.append(Bag(id=bag_id, features=features, label=label))
             start += k * d_raw
-        return Dataset(bags=bags, d_raw=d_raw, num_classes=index["C"])
+        return Dataset(bags=bags, d_raw=d_raw)
     except (ValueError, TypeError, KeyError):  # only a forged index gets here
         return None
 
@@ -396,7 +395,7 @@ def _write_sidecar(dataset: Dataset, source: bytes, path, cache: Path) -> None:
     cannot be written, no sidecar and no temporary file is left, and the next
     load parses the text again."""
     index = json.dumps({
-        "version": _SIDECAR_VERSION, "d_raw": dataset.d_raw, "C": dataset.num_classes,
+        "version": _SIDECAR_VERSION, "d_raw": dataset.d_raw, "C": NUM_CLASSES,
         "ids": [bag.id for bag in dataset.bags],
         "labels": [bag.label.tolist() for bag in dataset.bags],
         "counts": [len(bag) for bag in dataset.bags],
@@ -454,19 +453,11 @@ def _allocate(total: int, fractions) -> list[int]:
 
 
 def split_dataset(ds: Dataset, fractions, seed: int):
-    """Stratified (by hard bag label) split into train/val/test.
-
-    Fractions must be non-negative and sum to 1. Strata smaller than the
-    number of non-empty splits get a best-effort assignment with a warning.
+    """Stratified (by hard bag label) split into train/val/test by three
+    fractions, non-negative and summing to 1, as `TrainConfig` checks them.
+    Strata smaller than the number of non-empty splits get a best-effort
+    assignment with a warning.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3:
-        raise ValueError(f"expected 3 fractions, got {len(fractions)}")
-    if any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative: {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1: {fractions}")
-
     rng = np.random.default_rng(seed)
     strata: dict[int, list[Bag]] = {}
     for bag in ds.bags:
@@ -487,7 +478,4 @@ def split_dataset(ds: Dataset, fractions, seed: int):
         for part, c in zip(parts, counts):
             part.extend(members[i] for i in order[start:start + c])
             start += c
-    return tuple(
-        Dataset(bags=part, d_raw=ds.d_raw, num_classes=ds.num_classes)
-        for part in parts
-    )
+    return tuple(Dataset(bags=part, d_raw=ds.d_raw) for part in parts)

@@ -97,17 +97,15 @@ def softmax_inplace(e: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(z: Tensor2) -> Tensor2:
-    """Row-wise stable softmax (max-subtraction) of the batched logits `z`.
-    A float64 array is computed in its own buffer, which is returned. The
-    row max goes a column at a time, as numpy reduces short rows slowly: a
-    max rounds nothing, and exp(z - max) drops a zero's sign."""
+    """Row-wise stable softmax (max-subtraction) of the two-class logits `z`.
+    A float64 array is computed in its own buffer, which is returned. The row
+    max and sum are taken over the two columns directly, as numpy reduces
+    short rows slowly; over two entries they are numpy's reductions bit for
+    bit, and exp(z - max) drops a zero's sign."""
     z = np.asarray(z, dtype=np.float64)
-    top = z[:, 0].copy()
-    for c in range(1, z.shape[1]):
-        np.maximum(top, z[:, c], out=top)
-    z -= top[:, None]
+    z -= np.maximum(z[:, 0], z[:, 1])[:, None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= (z[:, 0] + z[:, 1])[:, None]
     return z
 
 

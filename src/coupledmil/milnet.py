@@ -21,6 +21,7 @@ import numpy as np
 from .gradcore import Linear, Param, _sigmoid, init_uniform, softmax_inplace
 
 BACKBONES = ("mean", "max", "gated_attention")
+NUM_CLASSES = 2  # the package is binary: every label has two entries
 POSITIVE_CLASS = 1  # the class whose probability is a bag's score
 
 
@@ -174,7 +175,6 @@ class ModelConfig:
     hidden: tuple[int, ...] = (64,)
     embed_dim: int = 32
     attn_dim: int = 16
-    num_classes: int = 2
     backbone: str = "gated_attention"
 
     def __post_init__(self):
@@ -186,8 +186,6 @@ class ModelConfig:
         dims = (self.d_raw, *self.hidden, self.embed_dim, self.attn_dim)
         if min(dims) < 1:
             raise ValueError(f"model dimensions must be >= 1, got {dims}")
-        if self.num_classes <= POSITIVE_CLASS:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
     @property
     def num_params(self) -> int:
@@ -195,7 +193,7 @@ class ModelConfig:
         without allocating it."""
         dims = (self.d_raw, *self.hidden, self.embed_dim)
         count = sum((din + 1) * dout for din, dout in zip(dims, dims[1:]))
-        count += (self.embed_dim + 1) * self.num_classes
+        count += (self.embed_dim + 1) * NUM_CLASSES
         if self.backbone == "gated_attention":
             count += self.attn_dim * (2 * self.embed_dim + 1)
         return count
@@ -218,7 +216,7 @@ class MilModel:
         self.aggregator = (GatedAttention(config.embed_dim, config.attn_dim)
                            if config.backbone == "gated_attention"
                            else FixedPooling(config.backbone))
-        self.classifier = Linear(config.embed_dim, config.num_classes, "clf")
+        self.classifier = Linear(config.embed_dim, NUM_CLASSES, "clf")
         self.arena = Param(np.zeros((1, config.num_params)), "arena")
         start = 0
         for p in self.all_params:

@@ -26,7 +26,7 @@ from .distill import (  # noqa: F401
 )
 from .gradcore import LOG_FLOOR, Adam
 from .metrics import EvalResult, evaluate_scores
-from .milnet import BACKBONES, POSITIVE_CLASS, MilModel, ModelConfig
+from .milnet import BACKBONES, NUM_CLASSES, POSITIVE_CLASS, MilModel, ModelConfig
 from .seeding import rng_stream, subseed
 
 FINE_TUNE_MODES = ("naive", "vanilla", "confidence")
@@ -391,7 +391,6 @@ def run_training(dataset: Dataset, config: TrainConfig) -> tuple[RunReport, MilM
         hidden=config.hidden,
         embed_dim=config.embed_dim,
         attn_dim=config.attn_dim,
-        num_classes=dataset.num_classes,
         backbone=config.backbone,
     )
     model = MilModel.build(model_cfg, rng_stream(config.seed, "init"))
@@ -427,7 +426,7 @@ def save_checkpoint(model: MilModel, path) -> None:
         BACKBONES.index(cfg.backbone),
         _TANH_CODE,
         POSITIVE_CLASS,
-        cfg.num_classes,
+        NUM_CLASSES,
         cfg.attn_dim,
         len(dims),
     )
@@ -466,11 +465,10 @@ def load_checkpoint(path) -> MilModel:
 
     if backbone_code >= len(BACKBONES):
         raise CheckpointError(f"unknown backbone code {backbone_code}")
-    if act_code != _TANH_CODE or positive_class != POSITIVE_CLASS:
-        raise CheckpointError(
-            f"activation code {act_code} and positive class {positive_class}: "
-            f"only {_TANH_CODE} (tanh) and {POSITIVE_CLASS} are written"
-        )
+    if (act_code, positive_class, num_classes) != (_TANH_CODE, POSITIVE_CLASS, NUM_CLASSES):
+        raise CheckpointError(f"activation code {act_code}, positive class {positive_class} "
+                              f"and class count {num_classes}: only {_TANH_CODE} (tanh), "
+                              f"{POSITIVE_CLASS} and {NUM_CLASSES} are written")
     if ndims < 2:
         raise CheckpointError(f"checkpoint declares {ndims} embedder dims, need >= 2")
     try:
@@ -479,7 +477,6 @@ def load_checkpoint(path) -> MilModel:
             hidden=tuple(dims[1:-1]),
             embed_dim=dims[-1],
             attn_dim=attn_dim,
-            num_classes=num_classes,
             backbone=BACKBONES[backbone_code],
         )
     except ValueError as exc:

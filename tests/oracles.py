@@ -389,7 +389,7 @@ def whole_text_lines(blob: bytes) -> list[tuple[int, str]]:
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
     """Bitwise equality on ids, labels, and features."""
-    if (a.d_raw, a.num_classes, len(a)) != (b.d_raw, b.num_classes, len(b)):
+    if (a.d_raw, len(a)) != (b.d_raw, len(b)):
         return False
     for x, y in zip(a.bags, b.bags):
         if x.id != y.id or not np.array_equal(x.label, y.label):
@@ -402,7 +402,7 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 def dataset_bits(ds: Dataset):
     """Everything a loaded dataset holds, features and labels as raw bytes
     with their dtype and shape: equal values are equal bits."""
-    return (ds.d_raw, ds.num_classes, [
+    return (ds.d_raw, [
         (bag.id, bag.features.dtype.str, bag.features.shape, bag.features.tobytes(),
          bag.label.dtype.str, bag.label.tobytes(), bag.latent_positive)
         for bag in ds.bags])

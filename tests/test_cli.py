@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -747,17 +748,21 @@ def test_eval_dimension_mismatch_exits_3(dataset_file, small_checkpoint, capsys)
 
 @pytest.mark.parametrize("command", ["eval", "export-attention"])
 def test_class_count_mismatch_exits_3(matching_dataset, tmp_path, capsys, command):
-    # a 3-class checkpoint on the 2-class dataset: no metric, no table
+    # a checkpoint whose header's class count reads 3: no metric, no table
     checkpoint = tmp_path / "three.bin"
-    cfg = ModelConfig(d_raw=2, hidden=(), embed_dim=2, attn_dim=1, num_classes=3)
+    cfg = ModelConfig(d_raw=2, hidden=(), embed_dim=2, attn_dim=1)
     save_checkpoint(MilModel.build(cfg, np.random.default_rng(0)), checkpoint)
+    blob = bytearray(checkpoint.read_bytes())
+    blob[24:28] = struct.pack("<I", 3)  # after the magic, version and three fields
+    checkpoint.write_bytes(bytes(blob))
     out = tmp_path / "out.tsv"
     code = run([command, "--checkpoint", str(checkpoint), "--dataset", str(matching_dataset),
                 "--out", str(out)])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: dataset C=2 does not match checkpoint class count 3\n"
+    assert captured.err == ("error: activation code 0, positive class 1 and class count 3: "
+                            "only 0 (tanh), 1 and 2 are written\n")
     assert not out.exists()
     assert not (tmp_path / "out.tsv.partial").exists()
 

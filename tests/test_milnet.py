@@ -234,7 +234,6 @@ def test_model_config_rejects_unknown_backbone():
 
 @pytest.mark.parametrize("field,value", [
     ("d_raw", 0), ("embed_dim", 0), ("attn_dim", 0), ("hidden", (4, 0)),
-    ("num_classes", 0), ("num_classes", 1),
 ])
 def test_model_config_rejects_bad_dims(field, value):
     with pytest.raises(ValueError):
@@ -243,8 +242,7 @@ def test_model_config_rejects_bad_dims(field, value):
 
 @pytest.mark.parametrize("backbone", ["mean", "max", "gated_attention"])
 def test_num_params_matches_built_model(backbone):
-    cfg = ModelConfig(d_raw=5, hidden=(7, 3), embed_dim=4, attn_dim=6,
-                      num_classes=3, backbone=backbone)
+    cfg = ModelConfig(d_raw=5, hidden=(7, 3), embed_dim=4, attn_dim=6, backbone=backbone)
     assert cfg.num_params == sum(p.value.size for p in MilModel(cfg).all_params)
 
 

@@ -720,9 +720,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("offset,value", [(4, 1), (8, 0)])
+    @pytest.mark.parametrize("offset,value", [(4, 1), (8, 0), (12, 1), (12, 3)])
     def test_only_tanh_and_positive_class_one_load(self, tmp_path, offset, value):
-        # header fields after the backbone code: activation, positive class
+        # header fields after the backbone code: activation, positive class,
+        # class count
         path = tmp_path / "m.bin"
         save_checkpoint(build_model(small_config()), path)
         blob = bytearray(path.read_bytes())
