@@ -106,11 +106,22 @@ def cmd_train(args) -> None:
     seconds = time.perf_counter() - started
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # a failed run leaves no directory
-    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-    save_checkpoint(model, out_dir / "checkpoint.bin")
+    # both files are written whole as part files before either replaces its
+    # old one, and the report goes last, so a failed write leaves no new
+    # report beside an old or broken checkpoint
+    report_path, checkpoint_path = out_dir / "report.json", out_dir / "checkpoint.bin"
+    parts = [Path(f"{path}.partial") for path in (checkpoint_path, report_path)]
+    try:
+        save_checkpoint(model, parts[0])
+        parts[1].write_text(report.to_json(), encoding="utf-8")
+        parts[0].replace(checkpoint_path)
+        parts[1].replace(report_path)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
     final = report.evaluations[-1]
-    print(f"wrote {out_dir / 'report.json'} and {out_dir / 'checkpoint.bin'}")
+    print(f"wrote {report_path} and {checkpoint_path}")
     print(f"final test metrics: auc={final['auc']:.4f} f1={final['f1']:.4f} "
           f"acc={final['acc']:.4f} ({len(report.evaluations)} evaluation points)")
     print(f"wall clock: {seconds:.2f}s")

@@ -8,7 +8,10 @@ attention learns a as a softmax over omega^T (tanh(V1 h_k) * sigm(V2 h_k)).
 Backward passes are hand-derived; tests check them against central finite
 differences. No bag loss reaches the embedder, so the aggregator's and the
 head's backward passes accumulate parameter gradients and form no gradient
-with respect to the instance embeddings.
+with respect to the instance embeddings. The classifier phase trains the
+head through its aggregator's `train_epochs`; gated attention's runs the
+head's forward and backward passes as one flat step, which the tests check
+bit for bit against them.
 """
 
 from __future__ import annotations
@@ -114,13 +117,28 @@ class FixedPooling:
     def backward(self, a: np.ndarray, d_bag: np.ndarray) -> None:
         pass  # no parameters to accumulate
 
+    def train_epochs(self, model: "MilModel", schedule, h_all: np.ndarray, step):
+        """The classifier phase's steps: for each epoch of `schedule`, the
+        head's forward and backward pass on every sample's rows of `h_all`,
+        then `step()`. Yields each epoch's class probabilities, one row per
+        sample, as the steps saw them."""
+        for samples in schedule:
+            probs = np.empty((len(samples), NUM_CLASSES))
+            for i, (rows, label) in enumerate(samples):
+                bag_rep, _, p, cache = model.head_forward(h_all[rows])
+                probs[i] = p
+                p -= label                      # dlogits, in place
+                model.head_backward(bag_rep, cache, p[None, :])
+                step()
+            yield probs
+
 
 class GatedAttention:
     """Tanh/sigmoid-gated attention with softmax-normalized scores. Forward
-    and backward run once per classifier step, so they work in place where
-    they can; each in-place sequence makes the floating-point operations of
-    the plain expression in its comment, in the same order, so the results
-    are those of the plain expressions bit for bit."""
+    and backward work in place where they can; each in-place sequence makes
+    the floating-point operations of the plain expression in its comment, in
+    the same order, so the results are those of the plain expressions bit
+    for bit. `train_epochs` runs both, and the head's, as one step."""
 
     def __init__(self, embed_dim: int, attn_dim: int):
         self.embed_dim = embed_dim
@@ -167,6 +185,81 @@ class GatedAttention:
         dv *= tmp                           # dg * t * s * (1 - s)
         self.v1.grad += np.dot(du.T, h)
         self.v2.grad += np.dot(dv.T, h)
+
+    def train_epochs(self, model: "MilModel", schedule, h_all: np.ndarray, step):
+        """`FixedPooling.train_epochs` for gated attention, with each step
+        run as one block of in-place numpy calls. The block makes the
+        floating-point operations of `forward`, `MilModel.head_forward`,
+        `backward` and `MilModel.head_backward` in their order, with every
+        product on operands of their shapes, so its probabilities and
+        gradients are theirs bit for bit. The parameter views are bound once
+        per phase, and the temporaries live in buffers of `schedule.max_rows`
+        rows, cut again only when a sample's size changes."""
+        clf = model.classifier
+        v1t, v2t, w, wt = self.v1.value.T, self.v2.value.T, self.w.value, self.w.value.T
+        cw, cwt, cb = clf.w.value, clf.w.value.T, clf.b.value
+        gv1, gv2, gw, gcw, gcb = self.v1.grad, self.v2.grad, self.w.grad, clf.w.grad, clf.b.grad
+        # t, u, e, s and g, then the columns a and de
+        full = [np.empty((schedule.max_rows, self.attn_dim)) for _ in range(5)]
+        full += [np.empty((schedule.max_rows, 1)) for _ in range(2)]
+        bag, d_bag = np.empty((1, self.embed_dim)), np.empty((1, self.embed_dim))
+        bag_t, d_bag_t = bag.T, d_bag.T
+        logits = np.empty((1, NUM_CLASSES))
+        p = logits.ravel()
+        dcw, dv, dw = np.empty(cw.shape), np.empty(gv1.shape), np.empty(self.attn_dim)
+        dw_col = dw[:, None]
+        k_last = 0
+        for samples in schedule:
+            probs = np.empty((len(samples), NUM_CLASSES))
+            for i, (rows, label) in enumerate(samples):
+                h = h_all[rows]
+                if h.shape[0] != k_last:
+                    k_last = h.shape[0]
+                    t, u, e, s, g, a_col, de_col = (b[:k_last] for b in full)
+                    a, de = a_col.ravel(), de_col.ravel()
+                    a_row, g_t, e_t, u_t = a[None, :], g.T, e.T, u.T
+                np.dot(h, v1t, out=t)
+                np.tanh(t, out=t)               # tanh(h V1^T)
+                np.dot(h, v2t, out=u)           # then _sigmoid(u), with [u >= 0] in s
+                np.copysign(u, -1.0, out=e)
+                np.exp(e, out=e)
+                np.greater_equal(u, 0, out=s)
+                np.maximum(e, s, out=s)
+                e += 1.0
+                s /= e                          # sigm(h V2^T)
+                np.multiply(t, s, out=g)
+                np.dot(g, w, out=a_col)
+                softmax_inplace(a)              # softmax(g w)
+                np.dot(a_row, h, out=bag)
+                np.dot(bag, cw, out=logits)
+                logits += cb
+                softmax_inplace(p)
+                probs[i] = p
+                logits -= label                 # dlogits, in place
+                np.dot(bag_t, logits, out=dcw)
+                gcw += dcw
+                gcb += logits
+                np.dot(logits, cwt, out=d_bag)
+                np.dot(h, d_bag_t, out=de_col)
+                de -= np.dot(a, de)
+                de *= a                         # a * (da - a . da)
+                np.dot(g_t, de, out=dw)
+                gw += dw_col                    # g is free from here on
+                np.multiply(de_col, wt, out=u)  # dg = outer(de, w)
+                np.multiply(t, t, out=g)
+                np.subtract(1.0, g, out=g)
+                np.multiply(u, s, out=e)
+                e *= g                          # dg * s * (1 - t t)
+                np.subtract(1.0, s, out=g)
+                u *= t
+                u *= s
+                u *= g                          # dg * t * s * (1 - s)
+                np.dot(e_t, h, out=dv)
+                gv1 += dv
+                np.dot(u_t, h, out=dv)
+                gv2 += dv
+                step()
+            yield probs
 
 
 @dataclass
@@ -265,7 +358,8 @@ class MilModel:
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray) -> None:
         """Accumulate the head's gradients. The classifier's backward is
         written out for the one row `dlogits`: the bias gradient, a column
-        sum over that row, is the row itself."""
+        sum over that row, is the row itself. Fixed pooling trains through
+        it; gated attention's `train_epochs` makes its operations inline."""
         clf = self.classifier
         clf.w.grad += np.dot(bag_rep.T, dlogits)
         clf.b.grad += dlogits

@@ -237,6 +237,9 @@ class ClassifierSchedule:
     def __init__(self, bases: list[tuple[slice, np.ndarray]], epochs: list[tuple]):
         self.bases = bases
         self.epochs = epochs
+        # the most rows a sample selects, which sizes the step's buffers
+        self.max_rows = max([rows.stop - rows.start for rows, _ in bases]
+                            + [int(np.diff(bounds).max(initial=0)) for _, _, bounds, _ in epochs])
 
     def __iter__(self):
         n = len(self.bases)
@@ -244,6 +247,12 @@ class ClassifierSchedule:
             b = bounds.tolist()
             yield [self.bases[k] if k < n else (rows[b[k - n]:b[k - n + 1]], labels[k - n])
                    for k in order.tolist()]
+
+    def labels(self):
+        """Each epoch's label matrix, one row per sample in step order."""
+        base = np.array([label for _, label in self.bases])
+        for order, _, _, labels in self.epochs:
+            yield np.concatenate([base, labels])[order]
 
 
 def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
@@ -277,7 +286,7 @@ def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
         epochs.append((rng_shuffle.permutation(n + n_aug).astype(order_dtype),
                        np.concatenate([np.empty(0, row_dtype), *rows]),
                        np.cumsum([0, *map(len, rows)]),
-                       np.array([y for _, y in mixups])))
+                       np.array([y for _, y in mixups]).reshape(n_aug, NUM_CLASSES)))
     return ClassifierSchedule(bases, epochs)
 
 
@@ -286,26 +295,24 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
     """Train aggregator + classifier with cross-entropy on the samples of
     `classifier_schedule`, one Adam step per sample; the embedder is frozen
     for the whole phase, and `h_all` holds its rows (`embed_instances`).
+    The aggregator runs the steps (`train_epochs`), and each epoch's loss is
+    taken once, after its last step, from the probabilities its steps saw.
     Returns the per-epoch mean training losses."""
     frozen = params_checksum([model.embedder_group])
     optimizer = Adam([model.head_group], config.classifier_lr)
-    head_forward, head_backward, step = model.head_forward, model.head_backward, optimizer.step
+    epochs = model.aggregator.train_epochs(model, schedule, h_all, optimizer.step)
     losses: list[float] = []
     # a diverging step overflows mid-epoch; the epoch check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for samples in schedule:
+        for ce, labels in zip(epochs, schedule.labels()):
+            np.maximum(ce, LOG_FLOOR, out=ce)
+            np.log(ce, out=ce)
+            ce *= labels
             total = 0.0
-            for rows, label in samples:
-                bag_rep, _, probs, agg_cache = head_forward(h_all[rows])
-                ce = np.maximum(probs, LOG_FLOOR)
-                np.log(ce, out=ce)
-                ce *= label
-                total -= float(np.add.reduce(ce))  # -sum_c y_c log(p_c), p clamped
-                probs -= label                  # dlogits, in place
-                head_backward(bag_rep, agg_cache, probs[None, :])
-                step()
+            for term in (ce[:, 0] + ce[:, 1]).tolist():
+                total -= term                   # -sum_c y_c log(p_c), p clamped
             losses.append(_checked_epoch("classifier", len(losses) + 1,
-                                         total / len(samples), optimizer))
+                                         total / len(ce), optimizer))
 
     if params_checksum([model.embedder_group]) != frozen:
         raise RuntimeError("classifier phase modified the frozen embedder")

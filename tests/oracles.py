@@ -76,8 +76,8 @@ def grad_check(loss_fn: Callable[[], float], params: Sequence[Param],
 
 def cross_entropy(pred, target) -> float:
     """-sum_c y_c log(p_c) with p clamped below at LOG_FLOOR; soft targets
-    allowed. The classifier phase computes it in place on its step's
-    probabilities."""
+    allowed. The classifier phase computes it once per epoch, on the
+    probabilities of all its steps."""
     p = np.asarray(pred, dtype=np.float64).ravel()
     y = np.asarray(target, dtype=np.float64).ravel()
     if p.shape != y.shape:

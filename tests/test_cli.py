@@ -97,6 +97,21 @@ class TestTrain:
         assert (out / "checkpoint.bin").exists()
         assert "final test metrics" in capsys.readouterr().out
 
+    def test_failed_checkpoint_write_leaves_the_old_report(self, dataset_file, tmp_path,
+                                                           capsys):
+        # a directory where the checkpoint goes: exit 3 with one error line,
+        # the old report as it was, and no part file
+        out = tmp_path / "run"
+        (out / "checkpoint.bin").mkdir(parents=True)
+        (out / "report.json").write_text("the previous report\n")
+        code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                    "--iterations", "0"] + TRAIN_FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (out / "report.json").read_text() == "the previous report\n"
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "report.json"]
+
     def test_zero_iterations_baseline_only(self, dataset_file, tmp_path):
         out = tmp_path / "run0"
         code = run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),

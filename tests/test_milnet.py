@@ -11,6 +11,7 @@ from coupledmil.milnet import (
     MilModel,
     ModelConfig,
 )
+from coupledmil.orchestrator import ClassifierSchedule
 from oracles import bag_backward, cross_entropy, grad_check, views_of_own_arena
 
 
@@ -284,3 +285,53 @@ def test_head_backward_forms_no_input_gradient(backbone):
     assert model.aggregator.backward(agg_cache, np.ones((1, 5))) is None
     assert model.head_group.grad.any()
     assert not model.embedder_group.grad.any()
+
+
+def test_flat_step_is_head_forward_and_backward():
+    # the classifier phase's gated-attention step, driven sample by sample at
+    # the desk dims: before each Adam step, its probabilities and head
+    # gradients are those of head_forward and head_backward on the same head,
+    # bit for bit; consecutive samples share sizes or change them, slices
+    # and index rows alike, and a bag_forward kept across steps stays intact
+    rng = np.random.default_rng(12)
+    model = build_model(d_raw=6, hidden=(64,), embed_dim=32, attn_dim=16, seed=13)
+    reference = copy.deepcopy(model)
+    sizes = [1, 1, 69, 69, 2, 7, 7, 7, 69, 1, 33]
+    h_all = rng.uniform(-2, 2, size=(sum(sizes), 32))
+    bounds = np.cumsum([0, *sizes])
+    bases = [(slice(int(start), int(stop)), np.eye(2)[i % 2])
+             for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
+    mixups = [rng.choice(len(h_all), size=k, replace=False).astype(np.uint16)
+              for k in (69, 69, 1, 5)]
+    n = len(bases)
+    schedule = ClassifierSchedule(bases, [
+        (np.arange(n), np.empty(0, np.uint16), np.zeros(1, int), np.empty((0, 2))),
+        (np.array([0, 11, 12, 2, 3, 13, 14, 1, 4, 5, 6, 7, 8, 9, 10]),
+         np.concatenate(mixups), np.cumsum([0, *map(len, mixups)]),
+         rng.dirichlet([1.0, 1.0], size=len(mixups)))])
+    assert schedule.max_rows == 69
+    samples = [sample for epoch in schedule for sample in epoch]
+    optimizer = Adam([model.head_group], lr=1e-2)
+    x = rng.uniform(-2, 2, size=(69, 6))
+    kept, seen = [], []
+
+    def step():
+        rows, label = samples[len(seen)]
+        reference.arena.value[:] = model.arena.value
+        reference.arena.grad[:] = 0.0
+        bag_rep, _, probs, cache = reference.head_forward(h_all[rows])
+        seen.append(probs.copy())
+        probs -= label
+        reference.head_backward(bag_rep, cache, probs[None, :])
+        assert model.head_group.grad.tobytes() == reference.head_group.grad.tobytes()
+        assert model.head_group.grad.any()
+        if len(seen) == 3:
+            kept.extend(model.bag_forward(x))
+            kept.extend([array.copy() for array in kept])
+        optimizer.step()
+
+    probs = [p.copy() for p in model.aggregator.train_epochs(model, schedule, h_all, step)]
+    assert len(seen) == len(samples) == 26
+    assert np.concatenate(probs).tobytes() == np.array(seen).tobytes()
+    for array, copied in zip(kept[:3], kept[3:]):
+        assert array.tobytes() == copied.tobytes()

@@ -189,18 +189,24 @@ class TestClassifierPhase:
         assert np.array_equal(first.arena.value, second.arena.value)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
-    @pytest.mark.parametrize("augment,augment_n", [(False, 4), (True, 1), (True, 3),
-                                                   (True, 4)])
-    def test_matches_the_reference_loop(self, backbone, augment, augment_n):
-        # the schedule drawn up front on row indices and the in-place step
-        # against the loop that draws while it trains, on feature rows, with
-        # the plain step: equal losses and a bit-identical arena
+    @pytest.mark.parametrize(
+        "augment,augment_n,head_scale",
+        [(False, 4, 1.0), (True, 1, 1.0), (True, 3, 1.0), (True, 4, 1.0),
+         (False, 4, 1e4), (True, 4, 1e4)],
+        ids=["False-4", "True-1", "True-3", "True-4", "False-4-underflow", "True-4-underflow"])
+    def test_matches_the_reference_loop(self, backbone, augment, augment_n, head_scale):
+        # the schedule drawn up front on row indices, the in-place step and
+        # the loss taken once per epoch against the loop that draws while it
+        # trains, on feature rows, with the plain step: equal losses and a
+        # bit-identical arena; a head scaled by 1e4 gives some bags a label
+        # probability of exactly 0, so their loss terms take LOG_FLOOR
         ds = generate_synthetic(SyntheticSpec(
             num_bags=20, instances_per_bag=(2, 11), d_raw=6, rho=0.3, delta=3.0,
             noise=0.8, positive_fraction=0.5, seed=2))
         config = small_config(backbone=backbone, augment=augment, augment_n=augment_n,
                               augment_gamma=0.3, classifier_epochs=4)
-        self._check_against_reference(ds, config, classifier_schedule(ds.bags, config))
+        self._check_against_reference(ds, config, classifier_schedule(ds.bags, config),
+                                      head_scale)
 
     def test_wide_indices_match_the_reference_loop(self):
         # past 256 rows and 256 samples an epoch, the schedule's row indices
@@ -239,10 +245,15 @@ class TestClassifierPhase:
         assert [type(loss) for loss in losses] == [float] * config.classifier_epochs
 
     @staticmethod
-    def _check_against_reference(ds, config, schedule):
+    def _check_against_reference(ds, config, schedule, head_scale=1.0):
         model = build_model(config, seed=8)
+        for param in model.classifier.params:
+            param.value *= head_scale
         reference = copy.deepcopy(model)
         h_all = embedded_rows(model, ds.bags)
+        label_probs = [model.head_forward(h_all[rows])[2] @ label
+                       for rows, label in schedule.bases]
+        assert (0.0 in label_probs) == (head_scale != 1.0)
         losses = run_classifier_phase(schedule, h_all, model, config)
         assert losses == reference_classifier_phase(ds.bags, h_all, reference, config)
         assert model.arena.value.tobytes() == reference.arena.value.tobytes()
