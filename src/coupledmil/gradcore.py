@@ -61,7 +61,7 @@ class Linear:
         init_uniform(self.b, rng, fan_in)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = np.dot(x, self.w.value)
+        y = x.dot(self.w.value)
         y += self.b.value
         return y
 
@@ -69,18 +69,20 @@ class Linear:
                  input_grad: bool = True) -> np.ndarray | None:
         """Accumulate dW = x^T g, db = column-sum(g); return dx = g @ W^T, or
         None without `input_grad`."""
-        self.w.grad += np.dot(x.T, g)
+        self.w.grad += x.T.dot(g)
         self.b.grad += np.add.reduce(g)
-        return np.dot(g, self.w.value.T) if input_grad else None
+        return g.dot(self.w.value.T) if input_grad else None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never
     # overflows, and one exp serves both halves. e = exp(-|x|) is at most 1,
-    # so max(e, [x >= 0]) picks the numerator, 1 or e
+    # so max(e, copysign(1, x)) picks the numerator, 1 or e; at x = -0, e is
+    # already 1, and a NaN stays NaN
     e = np.copysign(x, -1.0)            # -|x|
     np.exp(e, out=e)
-    s = np.maximum(e, x >= 0)
+    s = np.copysign(1.0, x)
+    np.maximum(e, s, out=s)
     e += 1.0
     s /= e
     return s
@@ -94,6 +96,21 @@ def softmax_inplace(e: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.add.reduce(e)
     return e
+
+
+def softmax_pair(p: np.ndarray) -> np.ndarray:
+    """`softmax_inplace` of the two logits `p`, bit for bit, with the max,
+    the differences, the sum and the quotients in Python floats. The max
+    propagates a NaN as `np.maximum.reduce` does; the sum lies in [1, 2] or
+    is NaN, so no division raises."""
+    l0, l1 = p.tolist()
+    m = l0 if l0 >= l1 or l0 != l0 else l1
+    p[0], p[1] = l0 - m, l1 - m
+    np.exp(p, out=p)
+    e0, e1 = p.tolist()
+    total = e0 + e1
+    p[0], p[1] = e0 / total, e1 / total
+    return p
 
 
 def softmax_rows(z: Tensor2) -> Tensor2:

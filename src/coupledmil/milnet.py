@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gradcore import Linear, Param, _sigmoid, init_uniform, softmax_inplace
+from .gradcore import (Linear, Param, _sigmoid, init_uniform, softmax_inplace,
+                       softmax_pair)
 
 BACKBONES = ("mean", "max", "gated_attention")
 NUM_CLASSES = 2  # the package is binary: every label has two entries
@@ -191,23 +192,29 @@ class GatedAttention:
         run as one block of in-place numpy calls. The block makes the
         floating-point operations of `forward`, `MilModel.head_forward`,
         `backward` and `MilModel.head_backward` in their order, with every
-        product on operands of their shapes, so its probabilities and
+        product on operands of their shapes but `bag^T dlogits`, a multiply
+        of single products whose zeros' signs the one add into the zeroed
+        gradient evens out as their adds do; so its probabilities and
         gradients are theirs bit for bit. The parameter views are bound once
         per phase, and the temporaries live in buffers of `schedule.max_rows`
         rows, cut again only when a sample's size changes."""
         clf = model.classifier
         v1t, v2t, w, wt = self.v1.value.T, self.v2.value.T, self.w.value, self.w.value.T
         cw, cwt, cb = clf.w.value, clf.w.value.T, clf.b.value
-        gv1, gv2, gw, gcw, gcb = self.v1.grad, self.v2.grad, self.w.grad, clf.w.grad, clf.b.grad
+        # the step's gradients, laid out as head_group for one add: dV1, dV2,
+        # dw, dW_clf, and in the bias slot the logits, dlogits after `-= label`
+        head_grad = model.head_group.grad
+        step_grad = np.empty_like(head_grad)
+        bounds = np.cumsum([0, *(q.value.size for q in model.head_params)]).tolist()
+        dv1, dv2, dw_col, dcw, logits = (
+            step_grad[0, start:stop].reshape(q.value.shape)
+            for q, start, stop in zip(model.head_params, bounds, bounds[1:]))
+        dw, p = dw_col.ravel(), logits.ravel()
         # t, u, e, s and g, then the columns a and de
         full = [np.empty((schedule.max_rows, self.attn_dim)) for _ in range(5)]
         full += [np.empty((schedule.max_rows, 1)) for _ in range(2)]
         bag, d_bag = np.empty((1, self.embed_dim)), np.empty((1, self.embed_dim))
         bag_t, d_bag_t = bag.T, d_bag.T
-        logits = np.empty((1, NUM_CLASSES))
-        p = logits.ravel()
-        dcw, dv, dw = np.empty(cw.shape), np.empty(gv1.shape), np.empty(self.attn_dim)
-        dw_col = dw[:, None]
         k_last = 0
         for samples in schedule:
             probs = np.empty((len(samples), NUM_CLASSES))
@@ -218,33 +225,30 @@ class GatedAttention:
                     t, u, e, s, g, a_col, de_col = (b[:k_last] for b in full)
                     a, de = a_col.ravel(), de_col.ravel()
                     a_row, g_t, e_t, u_t = a[None, :], g.T, e.T, u.T
-                np.dot(h, v1t, out=t)
+                h.dot(v1t, out=t)
                 np.tanh(t, out=t)               # tanh(h V1^T)
-                np.dot(h, v2t, out=u)           # then _sigmoid(u), with [u >= 0] in s
+                h.dot(v2t, out=u)               # then _sigmoid(u)
                 np.copysign(u, -1.0, out=e)
                 np.exp(e, out=e)
-                np.greater_equal(u, 0, out=s)
+                np.copysign(1.0, u, out=s)
                 np.maximum(e, s, out=s)
                 e += 1.0
                 s /= e                          # sigm(h V2^T)
                 np.multiply(t, s, out=g)
-                np.dot(g, w, out=a_col)
+                g.dot(w, out=a_col)
                 softmax_inplace(a)              # softmax(g w)
-                np.dot(a_row, h, out=bag)
-                np.dot(bag, cw, out=logits)
+                a_row.dot(h, out=bag)
+                bag.dot(cw, out=logits)
                 logits += cb
-                softmax_inplace(p)
+                softmax_pair(p)
                 probs[i] = p
-                logits -= label                 # dlogits, in place
-                np.dot(bag_t, logits, out=dcw)
-                gcw += dcw
-                gcb += logits
-                np.dot(logits, cwt, out=d_bag)
-                np.dot(h, d_bag_t, out=de_col)
-                de -= np.dot(a, de)
+                p -= label                      # dlogits, in place
+                np.multiply(bag_t, logits, out=dcw)  # bag^T dlogits
+                logits.dot(cwt, out=d_bag)
+                h.dot(d_bag_t, out=de_col)
+                de -= a.dot(de)
                 de *= a                         # a * (da - a . da)
-                np.dot(g_t, de, out=dw)
-                gw += dw_col                    # g is free from here on
+                g_t.dot(de, out=dw)             # g is free from here on
                 np.multiply(de_col, wt, out=u)  # dg = outer(de, w)
                 np.multiply(t, t, out=g)
                 np.subtract(1.0, g, out=g)
@@ -254,10 +258,9 @@ class GatedAttention:
                 u *= t
                 u *= s
                 u *= g                          # dg * t * s * (1 - s)
-                np.dot(e_t, h, out=dv)
-                gv1 += dv
-                np.dot(u_t, h, out=dv)
-                gv2 += dv
+                e_t.dot(h, out=dv1)
+                u_t.dot(h, out=dv2)
+                head_grad += step_grad
                 step()
             yield probs
 
@@ -352,7 +355,7 @@ class MilModel:
 
     def head_forward(self, h: np.ndarray):
         bag_rep, a, agg_cache = self.aggregator.forward(h, self.classifier)
-        probs = softmax_inplace(self.classifier.forward(bag_rep).ravel())
+        probs = softmax_pair(self.classifier.forward(bag_rep).ravel())
         return bag_rep, a, probs, agg_cache
 
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray) -> None:

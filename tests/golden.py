@@ -1,0 +1,51 @@
+"""Golden results: the reports of 18 short training runs, which
+`test_golden.py` reruns and compares with `golden.json`.
+
+Every backbone and fine-tuning mode, with and without `augment`, trains for
+two iterations on one 40-bag dataset. A change that declares a change of
+results regenerates the file and commits it with the change, so that its
+diff shows which values moved:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+
+from coupledmil.bagdata import SyntheticSpec, generate_synthetic
+from coupledmil.milnet import BACKBONES
+from coupledmil.orchestrator import FINE_TUNE_MODES, TrainConfig, run_training
+
+PATH = Path(__file__).with_name("golden.json")
+SPEC = SyntheticSpec(num_bags=40, instances_per_bag=(3, 12), d_raw=4, rho=0.3,
+                     delta=1.5, seed=5)
+RUNS = {f"{backbone}-{mode}-{'augment' if augment else 'plain'}":
+        dict(backbone=backbone, mode=mode, augment=augment, iterations=2,
+             classifier_epochs=3, classifier_lr=1e-2, embedder_passes=2,
+             embedder_lr=1e-3, batch_size=16, hidden=(8,), embed_dim=6,
+             attn_dim=3, seed=3)
+        for backbone, mode, augment
+        in itertools.product(BACKBONES, FINE_TUNE_MODES, (False, True))}
+HEADER = ("tests/golden.py writes this file and tests/test_golden.py checks it. "
+          "A change that declares a change of results regenerates it "
+          "(PYTHONPATH=src python tests/golden.py), so that its diff shows "
+          "which values moved; no other change edits it.")
+
+
+def report(name: str) -> dict:
+    """Run `name`'s configuration and return its report as report.json
+    holds it."""
+    report, _ = run_training(generate_synthetic(SPEC), TrainConfig(**RUNS[name]))
+    return json.loads(report.to_json())
+
+
+def main() -> None:
+    golden = {"header": HEADER, "runs": {name: report(name) for name in RUNS}}
+    PATH.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

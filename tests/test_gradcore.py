@@ -9,6 +9,7 @@ from coupledmil.gradcore import (
     Param,
     _sigmoid,
     softmax_inplace,
+    softmax_pair,
     softmax_rows,
 )
 from coupledmil.milnet import Embedder
@@ -203,6 +204,24 @@ class TestSoftmax:
             assert abs(a.sum() - 1.0) <= 1e-9
             b = softmax_inplace(s + rng.uniform(-100, 100))
             assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)) <= 1e-9
+
+    def test_pair_matches_softmax_inplace_bit_for_bit(self):
+        # Python floats for the max, differences, sum and quotients, numpy's
+        # exp: signed zeros, equal logits, differences at which exp is normal
+        # (700), subnormal (709, 745) and 0 (746), infinities and a NaN in
+        # either slot, then a random sweep; the pair raises no warning
+        edges = [0.0, -0.0, 3.7, np.inf, -np.inf, np.nan]
+        pairs = [(x, y) for x in edges for y in edges]
+        for d in (700.0, 709.0, 745.0, 746.0):
+            pairs += [(0.0, -d), (-d, 0.0), (2.5, 2.5 + d), (2.5 + d, 2.5)]
+        rng = np.random.default_rng(9)
+        pairs += rng.normal(0, 30, size=(10_000, 2)).tolist()
+        for pair in pairs:
+            with np.errstate(invalid="ignore"):
+                expected = softmax_inplace(np.array(pair))
+            p = np.array(pair)
+            assert softmax_pair(p) is p
+            assert p.tobytes() == expected.tobytes(), pair
 
     @pytest.mark.parametrize("seed", [1, 2, 5])
     def test_rows_in_place_match_plain_expressions(self, seed):

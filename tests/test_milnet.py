@@ -287,17 +287,30 @@ def test_head_backward_forms_no_input_gradient(backbone):
     assert not model.embedder_group.grad.any()
 
 
-def test_flat_step_is_head_forward_and_backward():
+@pytest.mark.parametrize("hidden, embed_dim, attn_dim, head_scale", [
+    ((64,), 32, 16, 1.0),
+    ((8,), 4, 2, 1.0),
+    ((8,), 1, 1, 1.0),
+    ((64,), 32, 16, 1e4),
+], ids=["desk", "cli-smoke", "attn1-embed1", "underflow"])
+def test_flat_step_is_head_forward_and_backward(hidden, embed_dim, attn_dim, head_scale):
     # the classifier phase's gated-attention step, driven sample by sample at
-    # the desk dims: before each Adam step, its probabilities and head
-    # gradients are those of head_forward and head_backward on the same head,
-    # bit for bit; consecutive samples share sizes or change them, slices
-    # and index rows alike, and a bag_forward kept across steps stays intact
+    # the desk dims, the CLI smoke run's and the smallest: before each Adam
+    # step, its probabilities and head gradients are those of head_forward
+    # and head_backward on the same head, bit for bit; consecutive samples
+    # share sizes or change them, slices and index rows alike, and a
+    # bag_forward kept across steps stays intact. A head scaled by 1e4 gives
+    # probabilities of exactly 0 and 1, so some dlogits are exactly 0 and
+    # bag^T dlogits holds -0.0 where a negative entry meets them; the
+    # reference's adds leave +0 there
     rng = np.random.default_rng(12)
-    model = build_model(d_raw=6, hidden=(64,), embed_dim=32, attn_dim=16, seed=13)
+    model = build_model(d_raw=6, hidden=hidden, embed_dim=embed_dim, attn_dim=attn_dim,
+                        seed=13)
+    model.classifier.w.value *= head_scale
+    model.classifier.b.value *= head_scale
     reference = copy.deepcopy(model)
     sizes = [1, 1, 69, 69, 2, 7, 7, 7, 69, 1, 33]
-    h_all = rng.uniform(-2, 2, size=(sum(sizes), 32))
+    h_all = rng.uniform(-2, 2, size=(sum(sizes), embed_dim))
     bounds = np.cumsum([0, *sizes])
     bases = [(slice(int(start), int(stop)), np.eye(2)[i % 2])
              for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
@@ -313,7 +326,7 @@ def test_flat_step_is_head_forward_and_backward():
     samples = [sample for epoch in schedule for sample in epoch]
     optimizer = Adam([model.head_group], lr=1e-2)
     x = rng.uniform(-2, 2, size=(69, 6))
-    kept, seen = [], []
+    kept, seen, nonzero = [], [], []
 
     def step():
         rows, label = samples[len(seen)]
@@ -324,7 +337,7 @@ def test_flat_step_is_head_forward_and_backward():
         probs -= label
         reference.head_backward(bag_rep, cache, probs[None, :])
         assert model.head_group.grad.tobytes() == reference.head_group.grad.tobytes()
-        assert model.head_group.grad.any()
+        nonzero.append(model.head_group.grad.any())
         if len(seen) == 3:
             kept.extend(model.bag_forward(x))
             kept.extend([array.copy() for array in kept])
@@ -333,5 +346,11 @@ def test_flat_step_is_head_forward_and_backward():
     probs = [p.copy() for p in model.aggregator.train_epochs(model, schedule, h_all, step)]
     assert len(seen) == len(samples) == 26
     assert np.concatenate(probs).tobytes() == np.array(seen).tobytes()
+    if head_scale == 1.0:
+        assert all(nonzero)
+    else:
+        seen = np.array(seen)
+        assert (seen == 0.0).any() and (seen == 1.0).any()
+        assert any(nonzero) and not all(nonzero)
     for array, copied in zip(kept[:3], kept[3:]):
         assert array.tobytes() == copied.tobytes()
