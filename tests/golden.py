@@ -24,7 +24,7 @@ SPEC = SyntheticSpec(num_bags=40, instances_per_bag=(3, 12), d_raw=4, rho=0.3,
                      delta=1.5, seed=5)
 RUNS = {f"{backbone}-{mode}-{'augment' if augment else 'plain'}":
         dict(backbone=backbone, mode=mode, augment=augment, iterations=2,
-             classifier_epochs=3, classifier_lr=1e-2, embedder_passes=2,
+             classifier_epochs=10, classifier_lr=1e-2, embedder_passes=2,
              embedder_lr=1e-3, batch_size=16, hidden=(8,), embed_dim=6,
              attn_dim=3, seed=3)
         for backbone, mode, augment
