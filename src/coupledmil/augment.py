@@ -19,10 +19,8 @@ from .bagdata import partition_pseudobags
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     """Draw lambda ~ Beta(alpha, alpha), strictly inside (0, 1)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     lam = float(rng.beta(alpha, alpha))
-    while lam <= 0.0 or lam >= 1.0:  # boundary draws have measure ~0
+    while lam <= 0.0 or lam >= 1.0:  # float64 rounds small-alpha draws to 0 or 1
         lam = float(rng.beta(alpha, alpha))
     return lam
 

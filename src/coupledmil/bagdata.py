@@ -112,8 +112,6 @@ def partition_pseudobags(bag, n: int, rng: np.random.Generator) -> list[np.ndarr
     Bags smaller than n yield singleton groups plus empty ones; indices are
     sorted within each group.
     """
-    if n < 1:
-        raise ValueError(f"pseudo-bag count must be >= 1, got {n}")
     order = rng.permutation(len(bag))
     size, extra = divmod(len(order), n)  # the first `extra` groups get one more
     return [np.sort(order[g * size + min(g, extra):(g + 1) * size + min(g + 1, extra)])

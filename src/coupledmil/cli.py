@@ -132,10 +132,10 @@ def _load_model_and_dataset(args):
     to fit each other."""
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
-    if dataset.d_raw != model.embedder.in_dim:
+    if dataset.d_raw != model.embedder.dims[0]:
         raise CheckpointError(
             f"dataset d_raw={dataset.d_raw} does not match checkpoint input "
-            f"dim {model.embedder.in_dim}"
+            f"dim {model.embedder.dims[0]}"
         )
     return model, dataset
 

@@ -25,8 +25,6 @@ def normalize_attention(scores) -> np.ndarray:
     confidence weight degenerates to the constant 1.
     """
     a = np.asarray(scores, dtype=np.float64).ravel()
-    if a.size == 0:
-        raise ValueError("normalize_attention: empty input")
     if not np.isfinite(a).all():
         raise ValueError("normalize_attention: scores must be finite")
     lo, hi = a.min(), a.max()

@@ -44,8 +44,9 @@ def init_uniform(param: Param, rng: np.random.Generator, fan_in: int) -> None:
 
 class Linear:
     """Affine layer y = x @ W + b, with b broadcast over rows. Its shapes are
-    fixed when the model is built, and the embedder checks the model's input,
-    so it checks none of them; a mismatch still fails in numpy's matmul."""
+    fixed when the model is built, the dataset parser checks every row's
+    width and the CLI checks it against the checkpoint's, so it checks none
+    of them; a mismatch still fails in numpy's matmul."""
 
     def __init__(self, din: int, dout: int, name: str = "linear"):
         self.w = Param(np.zeros((din, dout)), name=f"{name}.w")
@@ -134,15 +135,11 @@ class Adam:
     floating-point operations in the same order as the textbook expressions.
     """
 
-    def __init__(self, params: Sequence[Param], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Param], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # per parameter: value, gradient, first and second moments, and two
         # scratch buffers

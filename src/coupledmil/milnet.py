@@ -38,14 +38,8 @@ class Embedder:
 
     def __init__(self, dims: Sequence[int]):
         self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) < 2:
-            raise ValueError(f"embedder needs at least input and output dims: {dims}")
         self.layers = [Linear(din, dout, f"emb.l{i}") for i, (din, dout)
                        in enumerate(zip(self.dims[:-1], self.dims[1:]))]
-
-    @property
-    def in_dim(self) -> int:
-        return self.dims[0]
 
     @property
     def params(self) -> list[Param]:
@@ -56,11 +50,6 @@ class Embedder:
             layer.init(rng)
 
     def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"embedder expects (K, {self.in_dim}) input, got {x.shape}"
-            )
         cache = []  # each layer's input; a hidden layer's tanh is the next one's
         h = x
         last = len(self.layers) - 1
@@ -102,8 +91,6 @@ class FixedPooling:
 
     def forward(self, h: np.ndarray, classifier: Linear | None = None):
         k = h.shape[0]
-        if k == 0:
-            raise ValueError("cannot aggregate an empty bag")
         if self.backbone == "mean":
             a = np.full(k, 1.0 / k)
         else:
@@ -158,8 +145,6 @@ class GatedAttention:
         init_uniform(self.w, rng, self.attn_dim)
 
     def forward(self, h: np.ndarray, classifier: Linear | None = None):
-        if h.shape[0] == 0:
-            raise ValueError("cannot aggregate an empty bag")
         t = np.dot(h, self.v1.value.T)
         np.tanh(t, out=t)                   # tanh(h V1^T)
         s = _sigmoid(np.dot(h, self.v2.value.T))

@@ -69,8 +69,11 @@ _FIELD_TYPES = {
 }
 _AT_LEAST = {"classifier_epochs": 1, "batch_size": 1, "embedder_passes": 0,
              "iterations": 0, "augment_ratio": 0, "augment_n": 1,
-             "noise_scale": 0, "embed_dim": 1, "attn_dim": 1, "seed": 0}
-_ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta", "augment_alpha")
+             # below about 1e-3, Beta(alpha, alpha) draws land on 0 or 1 so
+             # often that sample_lambda's redraws never end
+             "augment_alpha": 1e-3, "noise_scale": 0, "embed_dim": 1,
+             "attn_dim": 1, "seed": 0}
+_ABOVE_ZERO = ("classifier_lr", "embedder_lr", "beta")
 _UNIT_INTERVAL = ("augment_gamma", "noise_dropout", "threshold")
 _CHOICES = {"backbone": BACKBONES, "mode": FINE_TUNE_MODES}
 
@@ -261,9 +264,6 @@ def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
     `augment`, the mix-ups of random bag pairs, shuffled. The augmenter only
     counts and selects rows, so it runs on row indices, and every embedder
     state steps through the same draws."""
-    train_bags = list(train_bags)
-    if not train_bags:
-        raise ValueError("classifier phase needs a non-empty training set")
     rng_augment = rng_stream(config.seed, "augment")
     rng_shuffle = rng_stream(config.seed, "shuffle")
     bases = [(rows, bag.label) for bag, rows in row_slices(train_bags)]
@@ -330,9 +330,6 @@ def run_embedder_phase(train_bags, h_all: np.ndarray, model: MilModel,
     classifier, and one Adam over the embedder trains it. Returns per-pass
     mean losses."""
     train_bags = list(train_bags)
-    if not train_bags:
-        raise ValueError("embedder phase needs a non-empty training set")
-
     frozen = params_checksum([model.head_group])
     target_all, conf_all = TeacherBranch.from_model(model, train_bags, h_all, config)
     x_all = np.concatenate([features_matrix(bag) for bag in train_bags])

@@ -150,10 +150,6 @@ class TestPartition:
         groups = partition_pseudobags(bag, 4, np.random.default_rng(5))
         assert [len(g) for g in groups] == [1, 1, 1, 0]
 
-    def test_zero_groups_rejected(self):
-        with pytest.raises(ValueError):
-            partition_pseudobags(make_bag(), 0, np.random.default_rng(0))
-
     def test_disjoint_cover_sweep(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):

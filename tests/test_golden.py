@@ -3,10 +3,10 @@ and without `augment`, rerun against `golden.json` (written by `golden.py`).
 
 Everything but the losses must match exactly: AUC, F1 and accuracy are
 ratios of counts rounded once. The losses must match to a relative 1e-13.
-Flipping the last bit of every initial parameter moved them by at most
-6.2e-16 relative, and flipping it again after every Adam step by at most
-8.9e-16, so the bound leaves over 100 times the drift of last-bit
-differences in BLAS or exp between hosts, and fails on anything larger.
+At 10 classifier epochs, flipping the last bit of every initial parameter
+moved them by at most 3.8e-15 relative, and flipping it again after every
+Adam step by at most 4.3e-14, so the bound leaves 26 times the first drift
+and 2.3 times the second, and fails on anything larger.
 A change that declares a change of results regenerates the file."""
 
 from __future__ import annotations

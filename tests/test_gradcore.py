@@ -329,10 +329,6 @@ class TestAdam:
         opt.step()
         assert not p.grad.any()
 
-    def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError):
-            Adam([Param([[0.0]])], lr=0.0)
-
     def test_overflowing_second_moment_is_reported(self):
         # a finite gradient whose square overflows: the update is zero, the
         # value stays finite, and only the moments show it

@@ -36,11 +36,6 @@ class TestEmbedder:
         h, _ = emb.forward(x)
         assert not h.any()
 
-    def test_dimension_mismatch(self):
-        emb = Embedder((3, 2))
-        with pytest.raises(ValueError, match="expects"):
-            emb.forward(np.zeros((4, 5)))
-
 
 class TestAggregate:
     def test_single_instance_collapses(self):
@@ -90,11 +85,6 @@ class TestAggregate:
     def test_max_requires_classifier(self):
         with pytest.raises(ValueError, match="classifier"):
             FixedPooling("max").forward(np.zeros((2, 3)))
-
-    def test_empty_bag_rejected(self):
-        model = build_model()
-        with pytest.raises(ValueError, match="empty"):
-            model.aggregator.forward(np.zeros((0, 5)), model.classifier)
 
     def test_bag_rep_is_attention_combination(self):
         rng = np.random.default_rng(9)
