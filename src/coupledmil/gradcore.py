@@ -75,14 +75,15 @@ class Linear:
         return g.dot(self.w.value.T) if input_grad else None
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, e=None, s=None) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never
     # overflows, and one exp serves both halves. e = exp(-|x|) is at most 1,
     # so max(e, copysign(1, x)) picks the numerator, 1 or e; at x = -0, e is
-    # already 1, and a NaN stays NaN
-    e = np.copysign(x, -1.0)            # -|x|
+    # already 1, and a NaN stays NaN. Given the x-shaped buffers e and s, it
+    # works in them and returns s
+    e = np.copysign(x, -1.0, out=e)     # -|x|
     np.exp(e, out=e)
-    s = np.copysign(1.0, x)
+    s = np.copysign(1.0, x, out=s)
     np.maximum(e, s, out=s)
     e += 1.0
     s /= e

@@ -9,9 +9,10 @@ Backward passes are hand-derived; tests check them against central finite
 differences. No bag loss reaches the embedder, so the aggregator's and the
 head's backward passes accumulate parameter gradients and form no gradient
 with respect to the instance embeddings. The classifier phase trains the
-head through its aggregator's `train_epochs`; gated attention's runs the
-head's forward and backward passes as one flat step, which the tests check
-bit for bit against them.
+head through its aggregator's `train_epochs`: fixed pooling's runs
+`MilModel.head_forward` and the classifier's `Linear.backward`, gated
+attention's the head's forward and backward passes as one flat step, which
+the tests check bit for bit against `head_forward` and `head_backward`.
 """
 
 from __future__ import annotations
@@ -107,26 +108,27 @@ class FixedPooling:
 
     def train_epochs(self, model: "MilModel", schedule, h_all: np.ndarray, step):
         """The classifier phase's steps: for each epoch of `schedule`, the
-        head's forward and backward pass on every sample's rows of `h_all`,
-        then `step()`. Yields each epoch's class probabilities, one row per
-        sample, as the steps saw them."""
-        for samples in schedule:
+        head's forward pass on every sample's rows of `h_all`, the
+        classifier's backward pass (the pooling has no parameters), then
+        `step()`. Yields each epoch's class probabilities, one row per sample
+        as the steps saw them, with its label matrix."""
+        for samples, labels in schedule:
             probs = np.empty((len(samples), NUM_CLASSES))
-            for i, (rows, label) in enumerate(samples):
-                bag_rep, _, p, cache = model.head_forward(h_all[rows])
+            for i, rows in enumerate(samples):
+                bag_rep, _, p, _ = model.head_forward(h_all[rows])
                 probs[i] = p
-                p -= label                      # dlogits, in place
-                model.head_backward(bag_rep, cache, p[None, :])
+                p -= labels[i]                  # dlogits, in place
+                model.classifier.backward(bag_rep, p[None, :], False)
                 step()
-            yield probs
+            yield probs, labels
 
 
 class GatedAttention:
     """Tanh/sigmoid-gated attention with softmax-normalized scores. Forward
-    and backward work in place where they can; each in-place sequence makes
-    the floating-point operations of the plain expression in its comment, in
-    the same order, so the results are those of the plain expressions bit
-    for bit. `train_epochs` runs both, and the head's, as one step."""
+    works in place where it can, making the floating-point operations of the
+    plain expression in each comment in the same order, so its results are
+    those of the plain expressions bit for bit. `train_epochs` runs forward
+    and backward, and the head's, as one step."""
 
     def __init__(self, embed_dim: int, attn_dim: int):
         self.embed_dim = embed_dim
@@ -153,24 +155,15 @@ class GatedAttention:
         return np.dot(a[None, :], h), a, (h, t, s, g, a)
 
     def backward(self, cache, d_bag: np.ndarray) -> None:
-        """Accumulate the parameter gradients."""
+        """Accumulate the parameter gradients. No training step calls it:
+        it is the reference that the tests check `train_epochs` against."""
         h, t, s, g, a = cache
-        de = np.dot(h, d_bag.T).ravel()
-        de -= np.dot(a, de)
-        de *= a                             # a * (da - a . da), the softmax Jacobian
+        da = np.dot(h, d_bag.T).ravel()
+        de = (da - np.dot(a, da)) * a      # a * (da - a . da), the softmax Jacobian
         self.w.grad += np.dot(g.T, de)[:, None]
         dg = de[:, None] * self.w.value.T   # outer(de, w)
-        tmp = np.multiply(t, t)
-        np.subtract(1.0, tmp, out=tmp)
-        du = dg * s
-        du *= tmp                           # dg * s * (1 - t t)
-        np.subtract(1.0, s, out=tmp)
-        dv = dg
-        dv *= t
-        dv *= s
-        dv *= tmp                           # dg * t * s * (1 - s)
-        self.v1.grad += np.dot(du.T, h)
-        self.v2.grad += np.dot(dv.T, h)
+        self.v1.grad += np.dot((dg * s * (1.0 - t * t)).T, h)
+        self.v2.grad += np.dot((dg * t * s * (1.0 - s)).T, h)
 
     def train_epochs(self, model: "MilModel", schedule, h_all: np.ndarray, step):
         """`FixedPooling.train_epochs` for gated attention, with each step
@@ -187,7 +180,7 @@ class GatedAttention:
         v1t, v2t, w, wt = self.v1.value.T, self.v2.value.T, self.w.value, self.w.value.T
         cw, cwt, cb = clf.w.value, clf.w.value.T, clf.b.value
         # the step's gradients, laid out as head_group for one add: dV1, dV2,
-        # dw, dW_clf, and in the bias slot the logits, dlogits after `-= label`
+        # dw, dW_clf, and in the bias slot the logits, dlogits after `-= labels[i]`
         head_grad = model.head_group.grad
         step_grad = np.empty_like(head_grad)
         bounds = np.cumsum([0, *(q.value.size for q in model.head_params)]).tolist()
@@ -201,9 +194,9 @@ class GatedAttention:
         bag, d_bag = np.empty((1, self.embed_dim)), np.empty((1, self.embed_dim))
         bag_t, d_bag_t = bag.T, d_bag.T
         k_last = 0
-        for samples in schedule:
+        for samples, labels in schedule:
             probs = np.empty((len(samples), NUM_CLASSES))
-            for i, (rows, label) in enumerate(samples):
+            for i, rows in enumerate(samples):
                 h = h_all[rows]
                 if h.shape[0] != k_last:
                     k_last = h.shape[0]
@@ -212,13 +205,8 @@ class GatedAttention:
                     a_row, g_t, e_t, u_t = a[None, :], g.T, e.T, u.T
                 h.dot(v1t, out=t)
                 np.tanh(t, out=t)               # tanh(h V1^T)
-                h.dot(v2t, out=u)               # then _sigmoid(u)
-                np.copysign(u, -1.0, out=e)
-                np.exp(e, out=e)
-                np.copysign(1.0, u, out=s)
-                np.maximum(e, s, out=s)
-                e += 1.0
-                s /= e                          # sigm(h V2^T)
+                h.dot(v2t, out=u)
+                _sigmoid(u, e, s)               # sigm(h V2^T)
                 np.multiply(t, s, out=g)
                 g.dot(w, out=a_col)
                 softmax_inplace(a)              # softmax(g w)
@@ -227,7 +215,7 @@ class GatedAttention:
                 logits += cb
                 softmax_pair(p)
                 probs[i] = p
-                p -= label                      # dlogits, in place
+                p -= labels[i]                  # dlogits, in place
                 np.multiply(bag_t, logits, out=dcw)  # bag^T dlogits
                 logits.dot(cwt, out=d_bag)
                 h.dot(d_bag_t, out=de_col)
@@ -247,7 +235,7 @@ class GatedAttention:
                 u_t.dot(h, out=dv2)
                 head_grad += step_grad
                 step()
-            yield probs
+            yield probs, labels
 
 
 @dataclass
@@ -344,14 +332,12 @@ class MilModel:
         return bag_rep, a, probs, agg_cache
 
     def head_backward(self, bag_rep: np.ndarray, agg_cache, dlogits: np.ndarray) -> None:
-        """Accumulate the head's gradients. The classifier's backward is
-        written out for the one row `dlogits`: the bias gradient, a column
-        sum over that row, is the row itself. Fixed pooling trains through
-        it; gated attention's `train_epochs` makes its operations inline."""
-        clf = self.classifier
-        clf.w.grad += np.dot(bag_rep.T, dlogits)
-        clf.b.grad += dlogits
-        self.aggregator.backward(agg_cache, np.dot(dlogits, clf.w.value.T))
+        """Accumulate the head's gradients: the classifier's, then the
+        aggregator's from the classifier's input gradient. No training step
+        calls it: fixed pooling's `train_epochs` runs the classifier's
+        backward alone, and gated attention's makes these operations inline,
+        which the tests check against it bit for bit."""
+        self.aggregator.backward(agg_cache, self.classifier.backward(bag_rep, dlogits))
 
     def bag_forward(self, x: np.ndarray):
         """The instance embeddings h (K x M), the attention a (K, sums to 1)

@@ -225,52 +225,49 @@ def forward_bag(model: MilModel, bag_id: str, x: np.ndarray):
 
 
 class ClassifierSchedule:
-    """Every classifier-phase epoch's shuffled `(rows, label)` samples,
-    drawn once per run by `classifier_schedule`. `rows` selects a sample's
-    instances from the rows that stack all training bags' instances in bag
-    order (`embed_instances`): a bag's slice, or a mix-up's row indices.
+    """Every classifier-phase epoch's shuffled samples, drawn once per run
+    by `classifier_schedule`. A sample's rows select its instances from the
+    rows that stack all training bags' instances in bag order
+    (`embed_instances`): a bag's slice, or a mix-up's row indices.
 
     A long augmented run holds many epochs, so each is kept as a few arrays
     rather than per-sample objects: its step order over the n bags (0 to
     n - 1) and m mix-ups (n to n + m - 1); the mix-ups' rows concatenated,
     in the smallest unsigned dtype that indexes every row, with m + 1
-    bounds; and their m x C label matrix. Iterating gives each epoch's
-    samples as a list, built when the epoch is reached."""
+    bounds; and their m x C label matrix. The bags' slices and n x C label
+    matrix are kept once. Iterating yields each epoch's samples' rows, as a
+    list, and its (n + m) x C label matrix, both in step order."""
 
-    def __init__(self, bases: list[tuple[slice, np.ndarray]], epochs: list[tuple]):
-        self.bases = bases
+    def __init__(self, bag_rows: list[slice], bag_labels: np.ndarray, epochs: list[tuple]):
+        self.bag_rows = bag_rows
+        self.bag_labels = bag_labels
         self.epochs = epochs
         # the most rows a sample selects, which sizes the step's buffers
-        self.max_rows = max([rows.stop - rows.start for rows, _ in bases]
+        self.max_rows = max([rows.stop - rows.start for rows in bag_rows]
                             + [int(np.diff(bounds).max(initial=0)) for _, _, bounds, _ in epochs])
 
     def __iter__(self):
-        n = len(self.bases)
+        n = len(self.bag_rows)
         for order, rows, bounds, labels in self.epochs:
             b = bounds.tolist()
-            yield [self.bases[k] if k < n else (rows[b[k - n]:b[k - n + 1]], labels[k - n])
-                   for k in order.tolist()]
-
-    def labels(self):
-        """Each epoch's label matrix, one row per sample in step order."""
-        base = np.array([label for _, label in self.bases])
-        for order, _, _, labels in self.epochs:
-            yield np.concatenate([base, labels])[order]
+            yield ([self.bag_rows[k] if k < n else rows[b[k - n]:b[k - n + 1]]
+                    for k in order.tolist()],
+                   np.concatenate([self.bag_labels, labels])[order])
 
 
 def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
     """The classifier phase's samples, drawn from the run's `augment` and
-    `shuffle` streams: for every epoch, each bag's `(rows, label)` plus, with
+    `shuffle` streams: for every epoch, each bag's rows and label plus, with
     `augment`, the mix-ups of random bag pairs, shuffled. The augmenter only
     counts and selects rows, so it runs on row indices, and every embedder
     state steps through the same draws."""
     rng_augment = rng_stream(config.seed, "augment")
     rng_shuffle = rng_stream(config.seed, "shuffle")
-    bases = [(rows, bag.label) for bag, rows in row_slices(train_bags)]
-    row_dtype = np.min_scalar_type(bases[-1][0].stop - 1)
+    bag_rows, bag_labels = zip(*[(rows, bag.label) for bag, rows in row_slices(train_bags)])
+    row_dtype = np.min_scalar_type(bag_rows[-1].stop - 1)
     index_bags = [(np.arange(rows.start, rows.stop, dtype=row_dtype), label)
-                  for rows, label in bases]
-    n = len(bases)
+                  for rows, label in zip(bag_rows, bag_labels)]
+    n = len(bag_rows)
     n_aug = int(round(config.augment_ratio * n)) if config.augment and n >= 2 else 0
     order_dtype = np.min_scalar_type(n + n_aug - 1)
     epochs = []
@@ -287,7 +284,7 @@ def classifier_schedule(train_bags, config: TrainConfig) -> ClassifierSchedule:
                        np.concatenate([np.empty(0, row_dtype), *rows]),
                        np.cumsum([0, *map(len, rows)]),
                        np.array([y for _, y in mixups]).reshape(n_aug, NUM_CLASSES)))
-    return ClassifierSchedule(bases, epochs)
+    return ClassifierSchedule(list(bag_rows), np.array(bag_labels), epochs)
 
 
 def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
@@ -304,7 +301,7 @@ def run_classifier_phase(schedule: ClassifierSchedule, h_all: np.ndarray,
     losses: list[float] = []
     # a diverging step overflows mid-epoch; the epoch check reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for ce, labels in zip(epochs, schedule.labels()):
+        for ce, labels in epochs:
             np.maximum(ce, LOG_FLOOR, out=ce)
             np.log(ce, out=ce)
             ce *= labels

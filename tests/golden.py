@@ -7,10 +7,15 @@ results regenerates the file and commits it with the change, so that its
 diff shows which values moved:
 
     PYTHONPATH=src python tests/golden.py
+
+With `--drift` it writes nothing and prints, for each run, the largest
+relative deviation of a loss from `golden.json`, then the largest of all
+runs: the measure of how close this host comes to the test's loss bound.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 from pathlib import Path
@@ -22,6 +27,7 @@ from coupledmil.orchestrator import FINE_TUNE_MODES, TrainConfig, run_training
 PATH = Path(__file__).with_name("golden.json")
 SPEC = SyntheticSpec(num_bags=40, instances_per_bag=(3, 12), d_raw=4, rho=0.3,
                      delta=1.5, seed=5)
+LOSSES = ("classifier_losses", "embedder_losses")
 RUNS = {f"{backbone}-{mode}-{'augment' if augment else 'plain'}":
         dict(backbone=backbone, mode=mode, augment=augment, iterations=2,
              classifier_epochs=10, classifier_lr=1e-2, embedder_passes=2,
@@ -42,7 +48,33 @@ def report(name: str) -> dict:
     return json.loads(report.to_json())
 
 
+def relative_deviation(got: float, want: float) -> float:
+    return 0.0 if got == want else abs(got - want) / abs(want)
+
+
+def drift() -> None:
+    """Print each run's largest relative loss deviation from `golden.json`
+    and the largest over all runs."""
+    expected = json.loads(PATH.read_text())["runs"]
+    largest = 0.0
+    for name in sorted(RUNS):
+        got, want = report(name), expected[name]
+        run_max = max(relative_deviation(g, w) for key in LOSSES
+                      for got_phase, want_phase in zip(got[key], want[key], strict=True)
+                      for g, w in zip(got_phase, want_phase, strict=True))
+        largest = max(largest, run_max)
+        print(f"{name}: {run_max:.3g}")
+    print(f"largest relative loss deviation: {largest:.3g}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Write tests/golden.json.")
+    parser.add_argument("--drift", action="store_true",
+                        help="write nothing; print each run's largest relative "
+                             "loss deviation from golden.json, and the largest of all")
+    if parser.parse_args().drift:
+        drift()
+        return
     golden = {"header": HEADER, "runs": {name: report(name) for name in RUNS}}
     PATH.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
 

@@ -177,6 +177,10 @@ def test_sigmoid_bitwise_matches_piecewise_reference():
     assert np.isnan(out).sum() == 1
     finite = ~np.isnan(ref)
     assert np.array_equal(out[finite].view(np.int64), ref[finite].view(np.int64))
+    # given buffers, it fills s in place with the allocating form's bytes
+    e, s = np.full_like(x, 3.0), np.full_like(x, 3.0)
+    assert _sigmoid(x, e, s) is s
+    assert s.tobytes() == out.tobytes()
 
 
 class TestSoftmax:

@@ -302,18 +302,17 @@ def test_flat_step_is_head_forward_and_backward(hidden, embed_dim, attn_dim, hea
     sizes = [1, 1, 69, 69, 2, 7, 7, 7, 69, 1, 33]
     h_all = rng.uniform(-2, 2, size=(sum(sizes), embed_dim))
     bounds = np.cumsum([0, *sizes])
-    bases = [(slice(int(start), int(stop)), np.eye(2)[i % 2])
-             for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
+    bag_rows = [slice(int(start), int(stop)) for start, stop in zip(bounds, bounds[1:])]
     mixups = [rng.choice(len(h_all), size=k, replace=False).astype(np.uint16)
               for k in (69, 69, 1, 5)]
-    n = len(bases)
-    schedule = ClassifierSchedule(bases, [
+    n = len(bag_rows)
+    schedule = ClassifierSchedule(bag_rows, np.eye(2)[np.arange(n) % 2], [
         (np.arange(n), np.empty(0, np.uint16), np.zeros(1, int), np.empty((0, 2))),
         (np.array([0, 11, 12, 2, 3, 13, 14, 1, 4, 5, 6, 7, 8, 9, 10]),
          np.concatenate(mixups), np.cumsum([0, *map(len, mixups)]),
          rng.dirichlet([1.0, 1.0], size=len(mixups)))])
     assert schedule.max_rows == 69
-    samples = [sample for epoch in schedule for sample in epoch]
+    samples = [sample for rows, labels in schedule for sample in zip(rows, labels)]
     optimizer = Adam([model.head_group], lr=1e-2)
     x = rng.uniform(-2, 2, size=(69, 6))
     kept, seen, nonzero = [], [], []
@@ -333,7 +332,7 @@ def test_flat_step_is_head_forward_and_backward(hidden, embed_dim, attn_dim, hea
             kept.extend([array.copy() for array in kept])
         optimizer.step()
 
-    probs = [p.copy() for p in model.aggregator.train_epochs(model, schedule, h_all, step)]
+    probs = [p.copy() for p, _ in model.aggregator.train_epochs(model, schedule, h_all, step)]
     assert len(seen) == len(samples) == 26
     assert np.concatenate(probs).tobytes() == np.array(seen).tobytes()
     if head_scale == 1.0:

@@ -249,7 +249,7 @@ class TestClassifierPhase:
         reference = copy.deepcopy(model)
         h_all = embedded_rows(model, ds.bags)
         label_probs = [model.head_forward(h_all[rows])[2] @ label
-                       for rows, label in schedule.bases]
+                       for rows, label in zip(schedule.bag_rows, schedule.bag_labels)]
         assert (0.0 in label_probs) == (head_scale != 1.0)
         losses = run_classifier_phase(schedule, h_all, model, config)
         assert losses == reference_classifier_phase(ds.bags, h_all, reference, config)
